@@ -1,9 +1,9 @@
 """Projection-free conditional gradient solvers on the scaled simplex."""
 
 from .core import (
-    ArmijoResult,
     Counters,
     LineSearchError,
+    NonFiniteOracleError,
     SimplexSet,
     SmoothObjective,
     SolveReport,
@@ -42,13 +42,9 @@ from .problems import (
     make_objective,
 )
 from .solvers import (
-    ExhaustedCycle,
-    FoundDirection,
     SolverConfig,
     StageLimitError,
-    StepRecord,
     Trace,
-    inexact_direction,
     solve_cgm,
     solve_cgmi,
     solve_cgmil,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -35,6 +35,15 @@ class LineSearchError(RuntimeError):
         self.direction = direction
         self.directional_derivative = directional_derivative
         self.trials = trials
+
+
+class NonFiniteOracleError(RuntimeError):
+    """A run would report a non-finite objective value or gap; carries the
+    final iterate as `point` so the caller can diagnose the run."""
+
+    def __init__(self, message: str, *, point=None):
+        super().__init__(message)
+        self.point = point
 
 
 class Status(str, Enum):

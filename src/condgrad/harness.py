@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .core import Status
-from .problems import ProblemSpec, build_instance, lipschitz_upper_bound, make_feasible_set
+from .problems import ProblemSpec, build_instance, lipschitz_upper_bound
 from .solvers import (
     SolverConfig,
     Trace,
@@ -120,19 +120,14 @@ def run_single(spec: ProblemSpec, method: str, config: SolverConfig,
     started = time.perf_counter()
     try:
         objective, feasible, x0 = build_instance(spec)
-        if method == "cgm":
-            report = solve_cgm(objective, feasible, config, x0, trace=trace)
-        elif method == "cgms":
-            report = solve_cgms(objective, feasible, config, x0, trace=trace)
-        elif method == "cgmi":
-            report = solve_cgmi(objective, feasible, config, x0, trace=trace)
-        elif method == "cgmis":
-            report = solve_cgmis(objective, feasible, config, x0, trace=trace)
-        elif method == "cgmil":
-            L = lipschitz_upper_bound(spec, make_feasible_set(spec))
-            report = solve_cgmil(objective, feasible, config, x0, L, trace=trace)
-        else:
+        solve = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
+                 "cgmis": solve_cgmis, "cgmil": solve_cgmil}.get(method)
+        if solve is None:
             raise ValueError(f"unknown method {method!r}")
+        args = (objective, feasible, config, x0)
+        if method == "cgmil":
+            args += (lipschitz_upper_bound(spec, feasible),)
+        report = solve(*args, trace=trace)
     except Exception as exc:
         wall = 1e3 * (time.perf_counter() - started)
         print(f"condgrad: series {spec.series} m={spec.rows} n={spec.n} "

@@ -1,12 +1,14 @@
-"""Conditional gradient solvers with a shared termination test and cost model.
+"""Conditional gradient solvers: one loop with a direction rule and a step rule.
 
-Five variants over one skeleton (linearize, pick a vertex, step):
+Every method runs the same iteration (linearize, pick a vertex, step toward
+it with a convex combination) in `_run`, with two independent choices:
 
-  solve_cgm    exact vertex oracle + Armijo backtracking
-  solve_cgms   exact vertex oracle + adaptive step, no line search
-  solve_cgmi   inexact cyclic direction search with tolerance restarts + Armijo
-  solve_cgmil  inexact directions + fixed step from a gradient Lipschitz bound
-  solve_cgmis  inexact directions + adaptive step, no line search
+  method       direction                          step
+  solve_cgm    exact vertex oracle                Armijo backtracking
+  solve_cgms   exact vertex oracle                adaptive, no line search
+  solve_cgmi   inexact cyclic search + restarts   Armijo backtracking
+  solve_cgmil  inexact cyclic search + restarts   fixed, from a Lipschitz bound
+  solve_cgmis  inexact cyclic search + restarts   adaptive, no line search
 
 Reported counters measure the per-step oracle cost of a run: the one-time
 seed evaluation of f(x0) and the terminal certification that stops the run
@@ -25,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    ArmijoResult,
     Counters,
+    NonFiniteOracleError,
     SimplexSet,
     SmoothObjective,
     SolveReport,
@@ -112,19 +114,6 @@ class Trace:
     steps: list = field(default_factory=list)
 
 
-@dataclass
-class StageState:
-    """Mutable bookkeeping for one tolerance stage of a restarted solver."""
-
-    stage: int              # p >= 1
-    delta: float            # nu**p * delta0, exactly
-    cursor: int = 0         # next vertex index for the cyclic search
-    failures: int = 0       # acceptance failures l within this stage
-    tau: float = 1.0        # current step ceiling tau_{l,p}
-    lam: float = 1.0        # current step
-    iterations: int = 0
-
-
 @dataclass(frozen=True)
 class FoundDirection:
     """A vertex satisfying the descent threshold: <f'(x), x - vertex> = descent."""
@@ -185,47 +174,138 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
 
 
 # ---------------------------------------------------------------------------
-# shared pieces
+# the conditional gradient loop
 
-def _start_point(f: SmoothObjective, feasible_set: SimplexSet, x0) -> np.ndarray:
+def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
+         trace: Optional[Trace], direction: str, step: str,
+         lam_bar: float = math.nan, check_descent: bool = False) -> SolveReport:
+    """The conditional gradient loop shared by all five methods.
+
+    `direction` is "exact" (the gap is tested before the iteration cap) or
+    "inexact" (the cap is tested before searching, and a capped run certifies
+    its gap with one uncharged full gradient). `step` is "armijo", "adaptive"
+    or "fixed"; `lam_bar` and `check_descent` belong to "fixed".
+    """
+    inexact = direction == "inexact"
     x = as_vector(x0, feasible_set.n)
     if x.shape[0] != f.n:
         raise ValueError(f"objective dimension {f.n} does not match set dimension {feasible_set.n}")
     if not feasible_set.contains(x):
         raise ValueError("starting point is not feasible")
-    return x
-
-
-def _certified_gap(f: SmoothObjective, feasible_set: SimplexSet, x) -> float:
-    """Exact gap from one full gradient; reporting-only, never charged."""
-    g = f.gradient(x)
-    return float(np.dot(g, x)) - feasible_set.b * float(np.min(g))
-
-
-def _stage_tolerance(cfg: SolverConfig, p: int, delta0: float) -> float:
-    return cfg.nu ** p * delta0
-
-
-def _init_delta0(f, feasible_set, cfg, x, counters):
-    """(delta0, initial gap or None). The default rule spends one full
-    gradient at x0 and charges it; an explicit delta0 costs nothing."""
-    if cfg.delta0 is not None:
-        return cfg.delta0, None
-    g = f.gradient(x)
-    counters.kg += feasible_set.n
-    mu0 = float(np.dot(g, x)) - feasible_set.b * float(np.min(g))
-    return max(cfg.eps, cfg.nu * mu0), mu0
-
-
-def _record(trace, **kw):
-    if trace is not None:
-        point = kw.pop("point")
-        trace.steps.append(StepRecord(
-            point=point.copy() if trace.collect_points else None, **kw))
+    counters = Counters()
+    # line-search or acceptance-test seed; not part of the per-step cost.
+    # The fixed step needs no function values unless it checks descent.
+    fx = f.value(x) if step != "fixed" or check_descent else None
+    f_history = None if fx is None else [fx]
+    status, stages = None, None
+    stage, delta, cursor, iterations = 1, math.nan, 0, 0
+    if inexact:
+        # the default rule spends one full gradient at x0 and charges it;
+        # an explicit delta0 costs nothing
+        delta0 = cfg.delta0
+        if delta0 is None:
+            g = f.gradient(x)
+            counters.kg += feasible_set.n
+            mu0 = float(np.dot(g, x)) - feasible_set.b * float(np.min(g))
+            if mu0 <= cfg.eps:  # the start is already good enough: skip the loop
+                status, mu = Status.CONVERGED, mu0
+            delta0 = max(cfg.eps, cfg.nu * mu0)
+        stages = []
+        delta = cfg.nu ** stage * delta0
+    # adaptive step: ceiling tau, step lam = tau * sigma**failures
+    tau = lam = cfg.tau0
+    failures = 0
+    while status is None:
+        if inexact:
+            if counters.it >= cfg.max_iterations:
+                # exact gap from one full gradient; reporting-only, never charged
+                status, g = Status.ITERATION_CAP, f.gradient(x)
+                mu = float(np.dot(g, x)) - feasible_set.b * float(np.min(g))
+                stages.append(StageRecord(stage, delta, iterations, None, x.copy()))
+                break
+            res, cursor = inexact_direction(f, feasible_set, x, delta, cursor)
+            if isinstance(res, ExhaustedCycle):
+                mu = res.gap
+                stages.append(StageRecord(stage, delta, iterations, res.gap, x.copy()))
+                if res.gap <= cfg.eps:
+                    status = Status.CONVERGED  # terminal certification; not charged
+                    break
+                counters.kg += res.kg_cost
+                counters.restarts += 1
+                if stage + 1 > cfg.max_stages:
+                    raise StageLimitError(
+                        f"no convergence after {cfg.max_stages} stages "
+                        f"(gap {res.gap}, tolerance {delta})")
+                stage, iterations = stage + 1, 0
+                delta = cfg.nu ** stage * delta0
+                if step == "adaptive":  # restart ceiling, see solve_cgmis
+                    tau = lam = min(cfg.tau0, lam / cfg.sigma)
+                    failures = 0
+                continue
+            counters.kg += res.kg_cost
+            index, vertex, descent, tests = res.index, res.vertex, res.descent, res.tests
+        else:
+            g = f.gradient(x)
+            index, vertex = exact_lmo(g, feasible_set)
+            mu = float(np.dot(g, x)) - feasible_set.b * float(g[index])
+            if mu <= cfg.eps:
+                status = Status.CONVERGED
+                break
+            if counters.it >= cfg.max_iterations:
+                status = Status.ITERATION_CAP
+                break
+            counters.kg += feasible_set.n
+            descent, tests = mu, 0
+        trials, accepted = 0, None
+        if step == "armijo":
+            search = armijo_step(f, x, vertex - x, -descent, cfg.beta, cfg.theta, fx)
+            x_new, f_new, lam, trials = (search.new_point, search.new_value,
+                                         search.step, search.trials)
+        else:
+            # the adaptive step is always taken and costs one kf; the fixed
+            # step costs none (check_descent evaluations are never charged)
+            if step == "fixed":
+                lam = min(1.0, lam_bar * delta)
+            x_new = step_point(x, vertex, lam)
+            f_new = math.nan if fx is None else f.value(x_new)
+            if step == "adaptive":
+                trials, accepted = 1, f_new <= fx + cfg.beta * lam * (-descent)
+            elif check_descent:
+                slack = cfg.beta * lam * descent
+                if f_new > fx - slack + 1e-9 * max(1.0, abs(fx)):
+                    raise AssertionError(
+                        f"sufficient decrease violated at iteration {counters.it}: "
+                        f"{f_new} > {fx} - {slack}; the Lipschitz bound is too small")
+        counters.kf += trials
+        if trace is not None:
+            trace.steps.append(StepRecord(
+                k=counters.it, stage=stage, delta=delta, lam=lam, trials=trials,
+                f_before=fx if fx is not None else math.nan, f_after=f_new,
+                dir_derivative=-descent, vertex=index, accepted=accepted,
+                mu=math.nan if inexact else mu, tests=tests,
+                point=x.copy() if trace.collect_points else None))
+        x = x_new
+        if fx is not None:
+            fx = f_new
+            f_history.append(fx)
+        counters.it += 1
+        iterations += 1
+        if accepted is False:
+            failures += 1
+            lam = tau * cfg.sigma ** failures
+    final_f = fx if fx is not None else f.value(x)  # reporting only
+    # a NaN probe never beats the running best, so an all-NaN cycle
+    # "certifies" a gap of -inf, which would pass as convergence
+    if not (math.isfinite(final_f) and math.isfinite(mu)):
+        raise NonFiniteOracleError(
+            f"non-finite result after {counters.it} iterations: "
+            f"f = {final_f}, gap = {mu}", point=x)
+    return SolveReport(x=x, f=final_f, gap=mu, counters=counters, status=status,
+                       stages=stages, f_history=f_history)
 
 
 # ---------------------------------------------------------------------------
-# exact-oracle methods
+# the five methods
 
 def solve_cgm(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
               x0, trace: Optional[Trace] = None) -> SolveReport:
@@ -236,32 +316,7 @@ def solve_cgm(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
     Stops when the gap falls to cfg.eps or at the iteration cap. Descent is
     monotone by construction of the line search.
     """
-    x = _start_point(f, feasible_set, x0)
-    counters = Counters()
-    fx = f.value(x)  # line-search seed; not part of the per-step cost
-    f_history = [fx]
-    while True:
-        g = f.gradient(x)
-        i_star, y = exact_lmo(g, feasible_set)
-        mu = float(np.dot(g, x)) - feasible_set.b * float(g[i_star])
-        if mu <= cfg.eps:
-            status = Status.CONVERGED
-            break
-        if counters.it >= cfg.max_iterations:
-            status = Status.ITERATION_CAP
-            break
-        counters.kg += feasible_set.n
-        res = armijo_step(f, x, y - x, -mu, cfg.beta, cfg.theta, fx)
-        counters.kf += res.trials
-        _record(trace, k=counters.it, stage=1, delta=math.nan, lam=res.step,
-                trials=res.trials, f_before=fx, f_after=res.new_value,
-                dir_derivative=-mu, vertex=i_star, accepted=None, mu=mu,
-                tests=0, point=x)
-        x, fx = res.new_point, res.new_value
-        counters.it += 1
-        f_history.append(fx)
-    return SolveReport(x=x, f=fx, gap=mu, counters=counters, status=status,
-                       stages=None, f_history=f_history)
+    return _run(f, feasible_set, cfg, x0, trace, "exact", "armijo")
 
 
 def solve_cgms(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
@@ -273,42 +328,8 @@ def solve_cgms(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
     by sigma. Exactly one new function value and one full gradient per
     iteration, so kf = it and kg = n*it.
     """
-    x = _start_point(f, feasible_set, x0)
-    counters = Counters()
-    fx = f.value(x)  # acceptance-test seed; not part of the per-step cost
-    f_history = [fx]
-    failures = 0
-    lam = cfg.tau0
-    while True:
-        g = f.gradient(x)
-        i_star, y = exact_lmo(g, feasible_set)
-        mu = float(np.dot(g, x)) - feasible_set.b * float(g[i_star])
-        if mu <= cfg.eps:
-            status = Status.CONVERGED
-            break
-        if counters.it >= cfg.max_iterations:
-            status = Status.ITERATION_CAP
-            break
-        counters.kg += feasible_set.n
-        x_new = step_point(x, y, lam)
-        f_new = f.value(x_new)
-        counters.kf += 1
-        accepted = f_new <= fx + cfg.beta * lam * (-mu)
-        _record(trace, k=counters.it, stage=1, delta=math.nan, lam=lam,
-                trials=1, f_before=fx, f_after=f_new, dir_derivative=-mu,
-                vertex=i_star, accepted=accepted, mu=mu, tests=0, point=x)
-        x, fx = x_new, f_new
-        counters.it += 1
-        f_history.append(fx)
-        if not accepted:
-            failures += 1
-            lam = cfg.tau0 * cfg.sigma ** failures
-    return SolveReport(x=x, f=fx, gap=mu, counters=counters, status=status,
-                       stages=None, f_history=f_history)
+    return _run(f, feasible_set, cfg, x0, trace, "exact", "adaptive")
 
-
-# ---------------------------------------------------------------------------
-# inexact-direction methods with tolerance restarts
 
 def solve_cgmi(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
                x0, trace: Optional[Trace] = None) -> SolveReport:
@@ -319,59 +340,7 @@ def solve_cgmi(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
     triggering either convergence (gap <= eps) or a restart with the next
     tolerance. Per-step decrease is at least beta * lam * delta_p.
     """
-    x = _start_point(f, feasible_set, x0)
-    counters = Counters()
-    fx = f.value(x)  # line-search seed; not part of the per-step cost
-    f_history = [fx]
-    delta0, mu0 = _init_delta0(f, feasible_set, cfg, x, counters)
-    if mu0 is not None and mu0 <= cfg.eps:
-        return SolveReport(x=x, f=fx, gap=mu0, counters=counters,
-                           status=Status.CONVERGED, stages=[], f_history=f_history)
-    stages: list = []
-    state = StageState(stage=1, delta=_stage_tolerance(cfg, 1, delta0))
-    while True:
-        if counters.it >= cfg.max_iterations:
-            status = Status.ITERATION_CAP
-            mu = _certified_gap(f, feasible_set, x)
-            stages.append(StageRecord(state.stage, state.delta, state.iterations,
-                                      None, x.copy()))
-            break
-        res, state.cursor = inexact_direction(f, feasible_set, x, state.delta,
-                                              state.cursor)
-        if isinstance(res, ExhaustedCycle):
-            if res.gap <= cfg.eps:
-                status = Status.CONVERGED
-                mu = res.gap  # terminal certification; not charged
-                stages.append(StageRecord(state.stage, state.delta,
-                                          state.iterations, res.gap, x.copy()))
-                break
-            counters.kg += res.kg_cost
-            stages.append(StageRecord(state.stage, state.delta,
-                                      state.iterations, res.gap, x.copy()))
-            counters.restarts += 1
-            if state.stage + 1 > cfg.max_stages:
-                raise StageLimitError(
-                    f"no convergence after {cfg.max_stages} stages "
-                    f"(gap {res.gap}, tolerance {state.delta})")
-            state = StageState(stage=state.stage + 1,
-                               delta=_stage_tolerance(cfg, state.stage + 1, delta0),
-                               cursor=state.cursor)
-            continue
-        counters.kg += res.kg_cost
-        step = armijo_step(f, x, res.vertex - x, -res.descent,
-                           cfg.beta, cfg.theta, fx)
-        counters.kf += step.trials
-        _record(trace, k=counters.it, stage=state.stage, delta=state.delta,
-                lam=step.step, trials=step.trials, f_before=fx,
-                f_after=step.new_value, dir_derivative=-res.descent,
-                vertex=res.index, accepted=None, mu=math.nan, tests=res.tests,
-                point=x)
-        x, fx = step.new_point, step.new_value
-        counters.it += 1
-        state.iterations += 1
-        f_history.append(fx)
-    return SolveReport(x=x, f=fx, gap=mu, counters=counters, status=status,
-                       stages=stages, f_history=f_history)
+    return _run(f, feasible_set, cfg, x0, trace, "inexact", "armijo")
 
 
 def solve_cgmil(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
@@ -388,71 +357,9 @@ def solve_cgmil(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
     if not (isinstance(lipschitz, (int, float)) and lipschitz > 0.0
             and math.isfinite(lipschitz)):
         raise ValueError(f"lipschitz must be a positive real, got {lipschitz!r}")
-    x = _start_point(f, feasible_set, x0)
-    counters = Counters()
     lam_bar = 2.0 * (1.0 - cfg.beta) / (lipschitz * feasible_set.diameter_squared)
-    fx = f.value(x) if check_descent else None  # debug only, never charged
-    f_history = [fx] if check_descent else None
-    delta0, mu0 = _init_delta0(f, feasible_set, cfg, x, counters)
-    if mu0 is not None and mu0 <= cfg.eps:
-        final_f = fx if fx is not None else f.value(x)
-        return SolveReport(x=x, f=final_f, gap=mu0, counters=counters,
-                           status=Status.CONVERGED, stages=[], f_history=f_history)
-    stages: list = []
-    state = StageState(stage=1, delta=_stage_tolerance(cfg, 1, delta0))
-    state.lam = min(1.0, lam_bar * state.delta)
-    while True:
-        if counters.it >= cfg.max_iterations:
-            status = Status.ITERATION_CAP
-            mu = _certified_gap(f, feasible_set, x)
-            stages.append(StageRecord(state.stage, state.delta, state.iterations,
-                                      None, x.copy()))
-            break
-        res, state.cursor = inexact_direction(f, feasible_set, x, state.delta,
-                                              state.cursor)
-        if isinstance(res, ExhaustedCycle):
-            if res.gap <= cfg.eps:
-                status = Status.CONVERGED
-                mu = res.gap
-                stages.append(StageRecord(state.stage, state.delta,
-                                          state.iterations, res.gap, x.copy()))
-                break
-            counters.kg += res.kg_cost
-            stages.append(StageRecord(state.stage, state.delta,
-                                      state.iterations, res.gap, x.copy()))
-            counters.restarts += 1
-            if state.stage + 1 > cfg.max_stages:
-                raise StageLimitError(
-                    f"no convergence after {cfg.max_stages} stages "
-                    f"(gap {res.gap}, tolerance {state.delta})")
-            state = StageState(stage=state.stage + 1,
-                               delta=_stage_tolerance(cfg, state.stage + 1, delta0),
-                               cursor=state.cursor)
-            state.lam = min(1.0, lam_bar * state.delta)
-            continue
-        counters.kg += res.kg_cost
-        x_new = step_point(x, res.vertex, state.lam)
-        f_new = math.nan
-        if check_descent:
-            f_new = f.value(x_new)
-            slack = cfg.beta * state.lam * res.descent
-            if f_new > fx - slack + 1e-9 * max(1.0, abs(fx)):
-                raise AssertionError(
-                    f"sufficient decrease violated at iteration {counters.it}: "
-                    f"{f_new} > {fx} - {slack}; the Lipschitz bound is too small")
-        _record(trace, k=counters.it, stage=state.stage, delta=state.delta,
-                lam=state.lam, trials=0, f_before=fx if fx is not None else math.nan,
-                f_after=f_new, dir_derivative=-res.descent, vertex=res.index,
-                accepted=None, mu=math.nan, tests=res.tests, point=x)
-        x = x_new
-        if check_descent:
-            fx = f_new
-            f_history.append(fx)
-        counters.it += 1
-        state.iterations += 1
-    final_f = fx if fx is not None else f.value(x)  # reporting only
-    return SolveReport(x=x, f=final_f, gap=mu, counters=counters, status=status,
-                       stages=stages, f_history=f_history)
+    return _run(f, feasible_set, cfg, x0, trace, "inexact", "fixed",
+                lam_bar=lam_bar, check_descent=check_descent)
 
 
 def solve_cgmis(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
@@ -465,61 +372,4 @@ def solve_cgmis(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
     successful stage while keeping the ceiling inside (0,1). One function
     value per iteration, so kf = it exactly.
     """
-    x = _start_point(f, feasible_set, x0)
-    counters = Counters()
-    fx = f.value(x)  # acceptance-test seed; not part of the per-step cost
-    f_history = [fx]
-    delta0, mu0 = _init_delta0(f, feasible_set, cfg, x, counters)
-    if mu0 is not None and mu0 <= cfg.eps:
-        return SolveReport(x=x, f=fx, gap=mu0, counters=counters,
-                           status=Status.CONVERGED, stages=[], f_history=f_history)
-    stages: list = []
-    state = StageState(stage=1, delta=_stage_tolerance(cfg, 1, delta0),
-                       tau=cfg.tau0, lam=cfg.tau0)
-    while True:
-        if counters.it >= cfg.max_iterations:
-            status = Status.ITERATION_CAP
-            mu = _certified_gap(f, feasible_set, x)
-            stages.append(StageRecord(state.stage, state.delta, state.iterations,
-                                      None, x.copy()))
-            break
-        res, state.cursor = inexact_direction(f, feasible_set, x, state.delta,
-                                              state.cursor)
-        if isinstance(res, ExhaustedCycle):
-            if res.gap <= cfg.eps:
-                status = Status.CONVERGED
-                mu = res.gap
-                stages.append(StageRecord(state.stage, state.delta,
-                                          state.iterations, res.gap, x.copy()))
-                break
-            counters.kg += res.kg_cost
-            stages.append(StageRecord(state.stage, state.delta,
-                                      state.iterations, res.gap, x.copy()))
-            counters.restarts += 1
-            if state.stage + 1 > cfg.max_stages:
-                raise StageLimitError(
-                    f"no convergence after {cfg.max_stages} stages "
-                    f"(gap {res.gap}, tolerance {state.delta})")
-            ceiling = min(cfg.tau0, state.lam / cfg.sigma)
-            state = StageState(stage=state.stage + 1,
-                               delta=_stage_tolerance(cfg, state.stage + 1, delta0),
-                               cursor=state.cursor, tau=ceiling, lam=ceiling)
-            continue
-        counters.kg += res.kg_cost
-        x_new = step_point(x, res.vertex, state.lam)
-        f_new = f.value(x_new)
-        counters.kf += 1
-        accepted = f_new <= fx + cfg.beta * state.lam * (-res.descent)
-        _record(trace, k=counters.it, stage=state.stage, delta=state.delta,
-                lam=state.lam, trials=1, f_before=fx, f_after=f_new,
-                dir_derivative=-res.descent, vertex=res.index,
-                accepted=accepted, mu=math.nan, tests=res.tests, point=x)
-        x, fx = x_new, f_new
-        counters.it += 1
-        state.iterations += 1
-        f_history.append(fx)
-        if not accepted:
-            state.failures += 1
-            state.lam = state.tau * cfg.sigma ** state.failures
-    return SolveReport(x=x, f=fx, gap=mu, counters=counters, status=status,
-                       stages=stages, f_history=f_history)
+    return _run(f, feasible_set, cfg, x0, trace, "inexact", "adaptive")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from condgrad.core import SimplexSet, Status, gap
+from condgrad.core import NonFiniteOracleError, SimplexSet, Status, gap
 from condgrad.problems import (
     ProblemSpec,
     QuadraticFormObjective,
@@ -26,7 +26,7 @@ from condgrad.solvers import (
     solve_cgms,
 )
 
-from helpers import LinearObjective
+from helpers import CallableObjective, LinearObjective
 
 S1N5 = ProblemSpec(series=1, n=5)
 
@@ -411,3 +411,40 @@ def test_reports_are_deterministic(name, fn, kw):
     assert a.counters == b.counters
     assert np.array_equal(a.x, b.x)
     assert (a.f, a.gap, a.status) == (b.f, b.gap, b.status)
+
+
+def _finite_only_at(x0, g0):
+    """<g0, x> at x0 and NaN everywhere else, derivatives included."""
+    at0 = lambda x: np.array_equal(x, x0)
+    return CallableObjective(
+        x0.size,
+        fn=lambda x: float(np.dot(g0, x)) if at0(x) else math.nan,
+        partial_fn=lambda x, i: float(g0[i]) if at0(x) else math.nan,
+        gdp_fn=lambda x: float(np.dot(g0, x)) if at0(x) else math.nan,
+    )
+
+
+@pytest.mark.parametrize("name,fn,extra", [
+    ("cgm", solve_cgm, ()),
+    ("cgms", solve_cgms, ()),
+    ("cgmi", solve_cgmi, ()),
+    ("cgmis", solve_cgmis, ()),
+    ("cgmil", solve_cgmil, (1.0,)),
+])
+def test_no_report_with_non_finite_f_or_gap(name, fn, extra):
+    # every NaN probe loses the "descent > best" comparison, so an all-NaN
+    # cycle leaves the certified gap at -inf, which passes gap <= eps
+    x0 = np.ones(3)
+    obj = _finite_only_at(x0, np.array([1.0, 2.0, 3.0]))
+    D = SimplexSet(3, 3.0)
+    try:
+        rep = fn(obj, D, SolverConfig(max_iterations=50), x0, *extra)
+    except NonFiniteOracleError as exc:
+        assert D.contains(exc.point)
+        return
+    except ValueError as exc:
+        # the exact vertex oracle already refuses a non-finite gradient
+        assert "non-finite" in str(exc)
+        return
+    assert math.isfinite(rep.f) and math.isfinite(rep.gap), \
+        f"{name} reported {rep.status.value} with f = {rep.f}, gap = {rep.gap}"
