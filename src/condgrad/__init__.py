@@ -2,6 +2,7 @@
 
 from .core import (
     Counters,
+    DescentViolationError,
     LineSearchError,
     NonFiniteOracleError,
     SimplexSet,

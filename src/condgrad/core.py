@@ -46,6 +46,20 @@ class NonFiniteOracleError(RuntimeError):
         self.point = point
 
 
+class DescentViolationError(RuntimeError):
+    """A fixed step broke the sufficient-decrease inequality it was derived
+    to satisfy (the Lipschitz bound behind it is too small); carries the
+    point, the step and f before and after the step."""
+
+    def __init__(self, message: str, *, point=None, step=None,
+                 f_before=None, f_after=None):
+        super().__init__(message)
+        self.point = point
+        self.step = step
+        self.f_before = f_before
+        self.f_after = f_after
+
+
 class Status(str, Enum):
     """Terminal state of a solve."""
 
@@ -61,7 +75,7 @@ def as_vector(x, n: Optional[int] = None) -> np.ndarray:
         raise ValueError(f"expected a 1-d vector, got array of shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"dimension mismatch: expected length {n}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
 
@@ -127,6 +141,17 @@ class SmoothObjective(ABC):
     Component i of `gradient(x)` equals `partial(x, i)` bit-for-bit: both
     read the same cached per-point state. The cache only avoids recomputing
     work; it never changes the accounting.
+
+    The cache holds one point. An array that is read-only and owns its data
+    (`not x.flags.writeable and x.base is None`) is validated once, when it
+    enters the cache, and becomes the key itself: later calls with that same
+    object skip validation and comparison, so a probe costs O(1) Python
+    work. Solver iterates are such arrays (`step_point` returns one and the
+    solvers freeze a copy of x0). Any other array (writeable, or a view) is
+    validated and compared by value on every call, and the cache keeps a
+    read-only copy of it, so callers may mutate their own arrays in place.
+    Making a trusted array writeable again, or writing to it through a view
+    taken before it was frozen, breaks this contract.
     """
 
     def __init__(self, n: int):
@@ -160,29 +185,41 @@ class SmoothObjective(ABC):
 
     # counted public interface ----------------------------------------------
 
+    def _vector(self, x) -> np.ndarray:
+        # the cached key was validated when it entered the cache
+        return x if x is self._cache_x else as_vector(x, self.n)
+
     def _state_at(self, x: np.ndarray) -> dict:
-        if self._cache_x is not None and np.array_equal(x, self._cache_x):
+        if x is self._cache_x:
             return self._cache_state
+        if x.flags.writeable or x.base is not None:
+            # mutable or borrowed memory: compare by value, key on a frozen copy
+            if self._cache_x is not None and np.array_equal(x, self._cache_x):
+                return self._cache_state
+            key = x.copy()
+            key.setflags(write=False)
+        else:
+            key = x
         state = self._make_state(x)
-        self._cache_x = x.copy()
+        self._cache_x = key
         self._cache_state = state
         return state
 
     def value(self, x) -> float:
         """f(x); one kf charge."""
-        x = as_vector(x, self.n)
+        x = self._vector(x)
         self.kf += 1
         return float(self._value_impl(x, self._state_at(x)))
 
     def gradient(self, x) -> np.ndarray:
         """f'(x); n kg charges."""
-        x = as_vector(x, self.n)
+        x = self._vector(x)
         self.kg += self.n
         return self._gradient_impl(x, self._state_at(x))
 
     def partial(self, x, i: int) -> float:
         """f'_i(x); one kg charge."""
-        x = as_vector(x, self.n)
+        x = self._vector(x)
         if not 0 <= i < self.n:
             raise ValueError(f"partial index {i} out of range for dimension {self.n}")
         self.kg += 1
@@ -190,7 +227,7 @@ class SmoothObjective(ABC):
 
     def gradient_dot_point(self, x) -> Optional[float]:
         """<f'(x), x> without any kg charge, or None if no fast path exists."""
-        x = as_vector(x, self.n)
+        x = self._vector(x)
         out = self._gradient_dot_point_impl(x, self._state_at(x))
         return None if out is None else float(out)
 
@@ -257,9 +294,12 @@ def gap(x, gradient, feasible_set: SimplexSet) -> float:
 
 
 def step_point(x: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:
-    """(1-lam)*x + lam*z. The convex-combination form keeps iterates on the
+    """(1-lam)*x + lam*z, as a fresh read-only array (an oracle then trusts
+    it by identity). The convex-combination form keeps iterates on the
     mass constraint to machine precision; x + lam*(z-x) would drift."""
-    return (1.0 - lam) * x + lam * z
+    out = (1.0 - lam) * x + lam * z
+    out.setflags(write=False)
+    return out
 
 
 class ArmijoResult(NamedTuple):
@@ -284,7 +324,10 @@ def armijo_step(f: SmoothObjective, x, d, directional_derivative: float,
     re-evaluates it.
 
     Raises ValueError when the supplied directional derivative is not
-    negative and LineSearchError when m would exceed `max_backtracks`.
+    negative and LineSearchError when m would exceed `max_backtracks`. A
+    trial that rounds back to x itself is never accepted: it raises
+    NonFiniteOracleError carrying x when an earlier trial value was not
+    finite, and LineSearchError otherwise.
     """
     if not (0.0 < beta < 1.0 and 0.0 < theta < 1.0):
         raise ValueError(f"beta and theta must lie in (0,1), got {beta}, {theta}")
@@ -295,12 +338,25 @@ def armijo_step(f: SmoothObjective, x, d, directional_derivative: float,
     x = as_vector(x, f.n)
     d = as_vector(d, f.n)
     z = x + d
+    non_finite = False
     for m in range(max_backtracks + 1):
         lam = theta ** m
         trial = step_point(x, z, lam)
         f_trial = f.value(trial)
         if f_trial <= f_x + beta * lam * directional_derivative:
+            if f_trial == f_x and np.array_equal(trial, x):
+                # theta^m has rounded the step away: a null step is no progress
+                if non_finite:
+                    raise NonFiniteOracleError(
+                        f"non-finite trial values until the step rounded to zero "
+                        f"after {m + 1} trials", point=x)
+                raise LineSearchError(
+                    f"the step rounded to zero after {m + 1} trials "
+                    f"(directional derivative {directional_derivative})",
+                    point=x, direction=d,
+                    directional_derivative=directional_derivative, trials=m + 1)
             return ArmijoResult(lam, m + 1, f_trial, trial)
+        non_finite = non_finite or not math.isfinite(f_trial)
     raise LineSearchError(
         f"no acceptable step after {max_backtracks + 1} trials "
         f"(directional derivative {directional_derivative})",

@@ -116,8 +116,10 @@ def default_plan(include_cgmil: bool = False,
 def run_single(spec: ProblemSpec, method: str, config: SolverConfig,
                trace: Optional[Trace] = None):
     """Run one (instance, method) pair. Returns (RunRow, SolveReport or None);
-    the report is None when the solve raised (the row then carries Error)."""
-    started = time.perf_counter()
+    the report is None when the solve raised (the row then carries Error).
+    `wall_ms` times the solve_* call only, not the instance build or the
+    Lipschitz bound (0 when the run fails before its solve starts)."""
+    started = None
     try:
         objective, feasible, x0 = build_instance(spec)
         solve = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
@@ -127,9 +129,10 @@ def run_single(spec: ProblemSpec, method: str, config: SolverConfig,
         args = (objective, feasible, config, x0)
         if method == "cgmil":
             args += (lipschitz_upper_bound(spec, feasible),)
+        started = time.perf_counter()
         report = solve(*args, trace=trace)
     except Exception as exc:
-        wall = 1e3 * (time.perf_counter() - started)
+        wall = 0.0 if started is None else 1e3 * (time.perf_counter() - started)
         print(f"condgrad: series {spec.series} m={spec.rows} n={spec.n} "
               f"{method}: {exc}", file=sys.stderr)
         row = RunRow(spec.series, method, spec.rows, spec.n, 0, 0, 0, 0,

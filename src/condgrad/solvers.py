@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import (
     Counters,
+    DescentViolationError,
     NonFiniteOracleError,
     SimplexSet,
     SmoothObjective,
@@ -187,7 +188,9 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
     or "fixed"; `lam_bar` and `check_descent` belong to "fixed".
     """
     inexact = direction == "inexact"
-    x = as_vector(x0, feasible_set.n)
+    # a private read-only copy: the oracle's cache trusts it by identity
+    x = as_vector(x0, feasible_set.n).copy()
+    x.setflags(write=False)
     if x.shape[0] != f.n:
         raise ValueError(f"objective dimension {f.n} does not match set dimension {feasible_set.n}")
     if not feasible_set.contains(x):
@@ -246,8 +249,14 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
             index, vertex, descent, tests = res.index, res.vertex, res.descent, res.tests
         else:
             g = f.gradient(x)
+            # x is finite, so <g, x> is non-finite whenever some g_i is
+            gx = float(np.dot(g, x))
+            if not math.isfinite(gx):
+                raise NonFiniteOracleError(
+                    f"non-finite gradient after {counters.it} iterations: "
+                    f"<f'(x), x> = {gx}", point=x)
             index, vertex = exact_lmo(g, feasible_set)
-            mu = float(np.dot(g, x)) - feasible_set.b * float(g[index])
+            mu = gx - feasible_set.b * float(g[index])
             if mu <= cfg.eps:
                 status = Status.CONVERGED
                 break
@@ -273,9 +282,10 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
             elif check_descent:
                 slack = cfg.beta * lam * descent
                 if f_new > fx - slack + 1e-9 * max(1.0, abs(fx)):
-                    raise AssertionError(
+                    raise DescentViolationError(
                         f"sufficient decrease violated at iteration {counters.it}: "
-                        f"{f_new} > {fx} - {slack}; the Lipschitz bound is too small")
+                        f"{f_new} > {fx} - {slack}; the Lipschitz bound is too small",
+                        point=x, step=lam, f_before=fx, f_after=f_new)
         counters.kf += trials
         if trace is not None:
             trace.steps.append(StepRecord(

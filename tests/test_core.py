@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import condgrad.core as core
 from condgrad.core import (
     LineSearchError,
+    NonFiniteOracleError,
     SimplexSet,
     armijo_step,
     as_vector,
@@ -16,7 +18,16 @@ from condgrad.core import (
     gap,
     step_point,
 )
-from condgrad.problems import build_phi1_matrix
+from condgrad.problems import (
+    LeastSquaresObjective,
+    ProblemSpec,
+    QuadraticFormObjective,
+    build_instance,
+    build_phi1_matrix,
+    build_phi2_terms,
+    build_phi3_data,
+)
+from condgrad.solvers import SolverConfig, solve_cgmis
 
 from helpers import CallableObjective, LinearObjective, random_simplex_points, scalar_objective
 
@@ -191,6 +202,30 @@ def test_armijo_trial_cap_is_an_error():
     assert f.kf == 61
 
 
+def _flat_then(x0, elsewhere):
+    """Scalar oracle equal to 1 at x0 and to `elsewhere` at every other point."""
+    return scalar_objective(lambda t: 1.0 if t == x0 else elsewhere, lambda t: -1.0)
+
+
+def test_armijo_null_step_after_non_finite_trials_is_an_error():
+    # NaN away from x: backtracking runs until theta^m rounds the trial
+    # point back to x, whose value passes the test; that null step must not
+    # be returned as progress
+    f = _flat_then(1.0, math.nan)
+    with pytest.raises(NonFiniteOracleError) as err:
+        armijo_step(f, [1.0], [1.0], -1.0, 0.5, 0.5, f_x=1.0)
+    assert np.array_equal(err.value.point, [1.0])
+
+
+def test_armijo_null_step_with_finite_trials_is_a_line_search_error():
+    f = _flat_then(1.0, 2.0)
+    with pytest.raises(LineSearchError) as err:
+        armijo_step(f, [1.0], [1.0], -1.0, 0.5, 0.5, f_x=1.0)
+    assert np.array_equal(err.value.point, [1.0])
+    assert np.array_equal(err.value.direction, [1.0])
+    assert err.value.trials == f.kf < 61
+
+
 @given(
     a=st.floats(0.5, 50.0),
     center=st.floats(-0.5, 0.9),
@@ -258,3 +293,121 @@ def test_step_point_stays_feasible(n, lam, seed):
     x = random_simplex_points(rng, n, 10.0, 1)[0]
     z = D.vertex(int(rng.integers(0, n)))
     assert D.contains(step_point(x, z, lam))
+
+
+# ---------------------------------------------------------------------------
+# per-point state cache
+
+def _objectives():
+    """One objective per state layout: Px with a barrier, r = Px - q with
+    a lazily built P^T r and a barrier."""
+    P3, q = build_phi3_data(4, 6)
+    return [QuadraticFormObjective(build_phi1_matrix(6), barrier=build_phi2_terms(6)),
+            LeastSquaresObjective(P3, q, barrier=build_phi2_terms(6))]
+
+
+def _frozen(values):
+    x = np.array(values, dtype=np.float64)
+    x.flags.writeable = False
+    return x
+
+
+def _twin(f):
+    """A fresh objective over the same data, with an empty cache."""
+    if isinstance(f, QuadraticFormObjective):
+        return QuadraticFormObjective(f.P, barrier=(f.c, f.d))
+    return LeastSquaresObjective(f.P, f.q, barrier=(f.c, f.d))
+
+
+def _readings(f, x):
+    return (f.value(x), f.gradient(x), f.partial(x, 2), f.gradient_dot_point(x))
+
+
+def _assert_same_readings(a, b):
+    assert a[0] == b[0] and a[2] == b[2] and a[3] == b[3]
+    assert np.array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("f", _objectives(), ids=["quadratic", "least-squares"])
+def test_cache_sees_in_place_mutation_of_writeable_input(f):
+    x = np.full(6, 10.0 / 6.0)
+    before = _readings(f, x)
+    x[0] += 1.0
+    x[1] -= 1.0
+    after = _readings(f, x)
+    assert after[0] != before[0]
+    _assert_same_readings(after, _readings(_twin(f), x.copy()))
+
+
+@pytest.mark.parametrize("f", _objectives(), ids=["quadratic", "least-squares"])
+def test_cache_does_not_trust_read_only_view(f):
+    base = np.full(6, 10.0 / 6.0)
+    view = base[:]
+    view.flags.writeable = False
+    before = _readings(f, view)
+    base[0] += 1.0  # changes what the read-only view shows
+    base[1] -= 1.0
+    after = _readings(f, view)
+    assert after[0] != before[0]
+    _assert_same_readings(after, _readings(_twin(f), base.copy()))
+
+
+@pytest.mark.parametrize("f", _objectives(), ids=["quadratic", "least-squares"])
+def test_cached_iterate_partials_match_gradient_bit_for_bit(f):
+    x = step_point(np.full(6, 10.0 / 6.0), SimplexSet(6, 10.0).vertex(4), 0.3)
+    f.value(x)
+    g = f.gradient(x)
+    assert all(f.partial(x, i) == g[i] for i in range(6))
+    assert np.array_equal(g, _twin(f).gradient(x))
+
+
+def test_cache_validates_a_read_only_iterate_once(monkeypatch):
+    f = _objectives()[0]
+    calls = []
+    real = core.as_vector
+    monkeypatch.setattr(core, "as_vector", lambda x, n=None: calls.append(1) or real(x, n))
+    x = _frozen(np.full(6, 10.0 / 6.0))
+    f.value(x)
+    f.gradient(x)
+    f.gradient_dot_point(x)
+    for i in range(6):
+        f.partial(x, i)
+    assert len(calls) == 1
+    # a new read-only array with the same values is a new key, validated once
+    f.partial(_frozen(x), 0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("f", _objectives(), ids=["quadratic", "least-squares"])
+def test_cache_still_rejects_bad_input_after_a_cached_call(f):
+    x = _frozen(np.full(6, 10.0 / 6.0))
+    f.value(x)
+    f.partial(x, 0)
+    with pytest.raises(ValueError):
+        f.value(np.where(np.arange(6) == 3, np.nan, x))
+    with pytest.raises(ValueError):
+        f.partial(_frozen(np.where(np.arange(6) == 3, np.inf, x)), 0)
+    with pytest.raises(ValueError):
+        f.gradient(x[:5])
+    with pytest.raises(ValueError):
+        f.gradient_dot_point(_frozen(np.append(x, 0.0)))
+    with pytest.raises(ValueError):
+        f.partial(x, 6)
+    assert f.value(_frozen(x)) == f.value(x)
+
+
+def test_step_point_and_report_x_are_read_only():
+    y = step_point(np.full(3, 1.0), np.array([3.0, 0.0, 0.0]), 0.5)
+    assert not y.flags.writeable and y.base is None
+    with pytest.raises(ValueError):
+        y[0] = 0.0
+    objective, D, x0 = build_instance(ProblemSpec(series=1, n=5))
+    report = solve_cgmis(objective, D, SolverConfig(), x0)
+    assert report.counters.it > 0
+    assert not report.x.flags.writeable and report.x.base is None
+    # the caller's start point is copied, not frozen
+    assert x0.flags.writeable
+    # a run that stops at x0 reports the frozen copy
+    start = solve_cgmis(objective, D, SolverConfig(eps=1e6), x0)
+    assert start.counters.it == 0 and start.x is not x0
+    assert not start.x.flags.writeable and np.array_equal(start.x, x0)

@@ -1,6 +1,7 @@
 """Harness: plans, rows, table emission, trace files, and the CLI."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -100,6 +101,21 @@ def test_run_single_captures_errors_as_rows(monkeypatch):
     # and the plan keeps going despite the failure
     rows = run_plan(SMALL_PLAN)
     assert [r.status for r in rows] == ["Error", "Converged", "Error", "Converged"]
+
+
+def test_run_single_wall_ms_times_the_solve_only(monkeypatch):
+    delay = 0.25
+    build = hz.build_instance
+
+    def slow_build(spec):
+        time.sleep(delay)
+        return build(spec)
+
+    monkeypatch.setattr(hz, "build_instance", slow_build)
+    started = time.perf_counter()
+    row, report = run_single(ProblemSpec(series=1, n=5), "cgmil", SolverConfig())
+    assert report is not None and time.perf_counter() - started >= delay
+    assert 0.0 < row.wall_ms < 1e3 * delay
 
 
 # ---------------------------------------------------------------------------
