@@ -11,10 +11,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-# Feasibility tolerances: absolute slack on the mass constraint and the
-# allowed dip below zero on coordinates. Convex-combination steps preserve
-# both analytically; these absorb rounding only.
-MASS_TOL = 1e-9
+# Feasibility tolerances: slack on the mass constraint, relative to the mass
+# b (1e-9 at b = 10), and the allowed dip below zero on coordinates.
+# Convex-combination steps preserve both analytically; these absorb rounding
+# only, and the rounding of a sum of b-sized terms grows with b.
+MASS_RTOL = 1e-10
 COORD_FLOOR = -1e-12
 
 # Largest backtracking exponent before the line search is declared broken.
@@ -114,7 +115,8 @@ class SimplexSet:
             return False
         if not np.all(np.isfinite(v)):
             return False
-        return abs(float(v.sum()) - self.b) <= MASS_TOL and float(v.min()) >= COORD_FLOOR
+        return (abs(float(v.sum()) - self.b) <= MASS_RTOL * self.b
+                and float(v.min()) >= COORD_FLOOR)
 
     def vertex(self, i: int) -> np.ndarray:
         """The i-th vertex b*e_i."""
@@ -152,6 +154,19 @@ class SmoothObjective(ABC):
     read-only copy of it, so callers may mutate their own arrays in place.
     Making a trusted array writeable again, or writing to it through a view
     taken before it was frozen, breaks this contract.
+
+    A vertex step x -> (1-lam)*x + lam*b*e_i is rank-one, so an objective
+    whose state is linear in x can follow it in O(rows) instead of
+    rebuilding it: `follow_vertex_step` (uncharged) asks the
+    `_vertex_step_state` hook for the state at the new point and, when it
+    gets one, makes the new point the cached key with that derived state.
+    After n consecutive derived states the next state is rebuilt by
+    `_make_state` (the refresh), which bounds the rounding drift. An
+    objective may decline to derive, for instance below a size at which the
+    update costs more than the rebuild (the size gate of
+    `condgrad.problems`). A derived state is exact in exact arithmetic, but
+    values at it may differ from a fresh build in the last bits; `partial`
+    and `gradient` still agree bit for bit, as both read the same state.
     """
 
     def __init__(self, n: int):
@@ -160,6 +175,7 @@ class SmoothObjective(ABC):
         self.kg = 0
         self._cache_x: Optional[np.ndarray] = None
         self._cache_state: Optional[dict] = None
+        self._derived = 0  # consecutive derived states since the last build
 
     # hooks -----------------------------------------------------------------
 
@@ -183,6 +199,13 @@ class SmoothObjective(ABC):
     def _gradient_dot_point_impl(self, x: np.ndarray, state: dict) -> Optional[float]:
         return None
 
+    def _vertex_step_state(self, state: dict, i: int, lam: float,
+                           b: float) -> Optional[dict]:
+        """The state at (1-lam)*x + lam*b*e_i, derived from `state`, the
+        state at x; None to have it rebuilt by `_make_state` instead.
+        `state` must not be modified."""
+        return None
+
     # counted public interface ----------------------------------------------
 
     def _vector(self, x) -> np.ndarray:
@@ -203,7 +226,29 @@ class SmoothObjective(ABC):
         state = self._make_state(x)
         self._cache_x = key
         self._cache_state = state
+        self._derived = 0
         return state
+
+    def follow_vertex_step(self, x: np.ndarray, x_new: np.ndarray, i: int,
+                           lam: float, b: float) -> None:
+        """Uncharged: tell the oracle that x_new = step_point(x, b*e_i, lam).
+
+        When x is the cached key, x_new is a fresh read-only array that owns
+        its data, fewer than n states in a row were derived, and the
+        `_vertex_step_state` hook derives one, x_new is validated once and
+        becomes the cached key with the derived state. Otherwise nothing
+        changes and the next oracle call at x_new builds its state.
+        """
+        if (x is not self._cache_x or x_new is x or x_new.flags.writeable
+                or x_new.base is not None or self._derived >= self.n):
+            return
+        state = self._vertex_step_state(self._cache_state, i, lam, b)
+        # validated once, as any key; a non-float64 array cannot be the key
+        if state is None or as_vector(x_new, self.n) is not x_new:
+            return
+        self._cache_x = x_new
+        self._cache_state = state
+        self._derived += 1
 
     def value(self, x) -> float:
         """f(x); one kf charge."""

@@ -19,7 +19,34 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SimplexSet, SmoothObjective
+from .core import NonFiniteOracleError, SimplexSet, SmoothObjective
+
+# Size gate for derived oracle states, in entries of the problem matrix
+# (rows * n). Below it a matrix-vector product is cheap enough that the
+# per-step overhead of deriving the state (a strided column read and a few
+# length-rows temporaries) costs more than it saves; see CHANGES.md for the
+# measured crossover.
+DERIVED_STATE_MIN_ENTRIES = 20_000
+
+
+def _barrier_u(c: np.ndarray, d: float, x: np.ndarray) -> float:
+    """<c, x>, rejecting the barrier's pole <c, x> + d = 0."""
+    u = float(np.dot(c, x))
+    if u + d == 0.0:
+        raise NonFiniteOracleError("the barrier 1/(<c,x> + d) has its pole at x", point=x)
+    return u
+
+
+def _step_barrier(objective, new: dict, state: dict, i: int, lam: float,
+                  b: float) -> Optional[dict]:
+    """`new` plus <c, x> stepped toward b*e_i when the objective has a
+    barrier; None at the barrier's pole, which the rebuild then reports."""
+    if objective.c is not None:
+        u = (1.0 - lam) * state["u"] + lam * b * float(objective.c[i])
+        if u + objective.d == 0.0:
+            return None
+        new["u"] = u
+    return new
 
 
 def build_phi1_matrix(n: int) -> np.ndarray:
@@ -94,7 +121,10 @@ class QuadraticFormObjective(SmoothObjective):
 
     Per-point state is the matrix-vector product Px (and <c,x> when the
     barrier is present); gradient components and partials both read it, and
-    <f'(x), x> comes out of the same state for free.
+    <f'(x), x> comes out of the same state for free. Across a vertex step
+    both are updated in O(n) when P has at least DERIVED_STATE_MIN_ENTRIES
+    entries. At the barrier's pole <c,x> + d = 0 the oracle raises
+    NonFiniteOracleError.
     """
 
     def __init__(self, P: np.ndarray, barrier=None):
@@ -116,8 +146,16 @@ class QuadraticFormObjective(SmoothObjective):
     def _make_state(self, x):
         state = {"px": self.P @ x}
         if self.c is not None:
-            state["u"] = float(np.dot(self.c, x))
+            state["u"] = _barrier_u(self.c, self.d, x)
         return state
+
+    def _vertex_step_state(self, state, i, lam, b):
+        # P((1-lam)x + lam*b*e_i) = (1-lam)Px + lam*b*P[:, i]
+        if self.P.size < DERIVED_STATE_MIN_ENTRIES:
+            return None
+        px = state["px"] * (1.0 - lam)
+        px += (lam * b) * self.P[:, i]
+        return _step_barrier(self, {"px": px}, state, i, lam, b)
 
     def _value_impl(self, x, state):
         f = 0.5 * float(np.dot(state["px"], x))
@@ -152,6 +190,9 @@ class LeastSquaresObjective(SmoothObjective):
     Per-point state is the residual r = Px - q; the transposed product
     P^T r is materialized lazily on the first derivative request and shared
     by gradient and partials. <f'(x), x> = <r, r> + <r, q> needs only r.
+    Across a vertex step r (and <c,x>) is updated in O(m) when P has at
+    least DERIVED_STATE_MIN_ENTRIES entries. At the barrier's pole
+    <c,x> + d = 0 the oracle raises NonFiniteOracleError.
     """
 
     def __init__(self, P: np.ndarray, q: np.ndarray, barrier=None):
@@ -177,8 +218,17 @@ class LeastSquaresObjective(SmoothObjective):
     def _make_state(self, x):
         state = {"r": self.P @ x - self.q}
         if self.c is not None:
-            state["u"] = float(np.dot(self.c, x))
+            state["u"] = _barrier_u(self.c, self.d, x)
         return state
+
+    def _vertex_step_state(self, state, i, lam, b):
+        # r+ = (1-lam)r + lam(b*P[:, i] - q); P^T r+ stays lazy
+        if self.P.size < DERIVED_STATE_MIN_ENTRIES:
+            return None
+        r = state["r"] * (1.0 - lam)
+        r += (lam * b) * self.P[:, i]
+        r -= lam * self.q
+        return _step_barrier(self, {"r": r}, state, i, lam, b)
 
     def _pt_r(self, state):
         if "t" not in state:

@@ -276,6 +276,8 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
             if step == "fixed":
                 lam = min(1.0, lam_bar * delta)
             x_new = step_point(x, vertex, lam)
+            # a step to a vertex is rank-one: the oracle may derive its state
+            f.follow_vertex_step(x, x_new, index, lam, feasible_set.b)
             f_new = math.nan if fx is None else f.value(x_new)
             if step == "adaptive":
                 trials, accepted = 1, f_new <= fx + cfg.beta * lam * (-descent)

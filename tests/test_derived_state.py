@@ -1,0 +1,125 @@
+"""Oracle states derived across a vertex step, their refresh and size gate."""
+
+import math
+
+import numpy as np
+import pytest
+
+from condgrad import problems
+from condgrad.core import step_point
+from condgrad.problems import ProblemSpec, build_instance, lipschitz_upper_bound
+from condgrad.solvers import SolverConfig, solve_cgmil, solve_cgmis, solve_cgms
+
+# one instance of each series above the size gate, small enough to step fast
+GATED = [ProblemSpec(series=1, n=150), ProblemSpec(series=2, n=150),
+         ProblemSpec(series=3, n=150, m=150), ProblemSpec(series=4, n=150, m=150)]
+WIDE = [ProblemSpec(series=1, n=256), ProblemSpec(series=2, n=256),
+        ProblemSpec(series=3, n=256, m=128), ProblemSpec(series=4, n=256, m=128)]
+
+
+def counting_builds(f):
+    """Count `f`'s state builds, as the oracle makes them."""
+    calls = []
+    build = f._make_state
+    f._make_state = lambda x: calls.append(1) or build(x)
+    return calls
+
+
+def rel_err(derived, fresh):
+    derived, fresh = np.asarray(derived), np.asarray(fresh)
+    return float(np.abs(derived - fresh).max() / np.abs(fresh).max())
+
+
+def frozen(x):
+    x = np.array(x, dtype=np.float64)
+    x.setflags(write=False)
+    return x
+
+
+@pytest.mark.parametrize("spec", GATED, ids=lambda s: f"series{s.series}")
+def test_derived_state_matches_a_fresh_build_and_refreshes(spec):
+    assert spec.rows * spec.n >= problems.DERIVED_STATE_MIN_ENTRIES
+    f, D, x0 = build_instance(spec)
+    builds = counting_builds(f)
+    rng = np.random.default_rng(spec.series)
+    x = frozen(x0)
+    f.value(x)
+    steps = 2 * (f.n + 1) + 3
+    for k in range(1, steps + 1):
+        i, lam = int(rng.integers(f.n)), float(rng.uniform(0.01, 0.99))
+        x_new = step_point(x, D.vertex(i), lam)
+        f.follow_vertex_step(x, x_new, i, lam, D.b)
+        f.value(x_new)
+        # every (n+1)-th step is rebuilt, the others are derived
+        assert len(builds) == 1 + k // (f.n + 1)
+        assert f._cache_x is x_new
+        fresh = type(f)._make_state(f, x_new)
+        for key in ("px", "r", "u"):
+            if key in fresh:
+                assert rel_err(f._cache_state[key], fresh[key]) <= 1e-13, (k, key)
+        x = x_new
+
+
+@pytest.mark.parametrize("spec", WIDE, ids=lambda s: f"series{s.series}")
+def test_cgms_builds_the_state_once_per_n_plus_one_steps(spec):
+    f, D, x0 = build_instance(spec)
+    builds = counting_builds(f)
+    rep = solve_cgms(f, D, SolverConfig(max_iterations=2000), x0)
+    assert rep.counters.it > f.n + 1
+    assert len(builds) == 1 + rep.counters.it // (f.n + 1)
+
+
+def test_no_derived_state_unless_x_is_the_key_and_x_new_is_fresh_and_owned():
+    f, D, x0 = build_instance(GATED[0])
+    x = frozen(x0)
+    f.value(x)
+    cached = f._cache_state
+    vertex = D.vertex(3)
+    writeable = (1.0 - 0.5) * x + 0.5 * vertex
+    view = frozen(np.concatenate([writeable, [0.0]]))[:-1]
+    for x_new in (writeable, view, x):
+        f.follow_vertex_step(x, x_new, 3, 0.5, D.b)
+        assert f._cache_x is x and f._cache_state is cached
+    other = frozen(x0)  # equal values, but not the cached key
+    x_new = step_point(other, vertex, 0.5)
+    f.follow_vertex_step(other, x_new, 3, 0.5, D.b)
+    assert f._cache_x is x and f._cache_state is cached
+    x_new = step_point(x, vertex, 0.5)
+    f.follow_vertex_step(x, x_new, 3, 0.5, D.b)
+    assert f._cache_x is x_new
+
+
+def test_no_derived_state_below_the_size_gate():
+    spec = ProblemSpec(series=1, n=100)
+    assert spec.n * spec.n < problems.DERIVED_STATE_MIN_ENTRIES
+    f, D, x0 = build_instance(spec)
+    x = frozen(x0)
+    f.value(x)
+    f.follow_vertex_step(x, step_point(x, D.vertex(0), 0.5), 0, 0.5, D.b)
+    assert f._cache_x is x
+
+
+def _solve(spec, method, cfg):
+    f, D, x0 = build_instance(spec)
+    if method == "cgmil":
+        return solve_cgmil(f, D, cfg, x0, lipschitz_upper_bound(spec, D)), f, D
+    fn = solve_cgms if method == "cgms" else solve_cgmis
+    return fn(f, D, cfg, x0), f, D
+
+
+@pytest.mark.parametrize("method", ["cgms", "cgmis", "cgmil"])
+@pytest.mark.parametrize("spec", WIDE, ids=lambda s: f"series{s.series}")
+def test_derived_states_leave_the_run_unchanged(spec, method, monkeypatch):
+    cfg = SolverConfig(max_iterations=4000)
+    derived, f, D = _solve(spec, method, cfg)
+    monkeypatch.setattr(problems, "DERIVED_STATE_MIN_ENTRIES", math.inf)
+    rebuilt, _, _ = _solve(spec, method, cfg)
+    assert derived.counters == rebuilt.counters
+    assert derived.status == rebuilt.status
+    assert derived.x.tobytes() == rebuilt.x.tobytes()
+    assert abs(derived.f - rebuilt.f) <= 1e-12 * abs(rebuilt.f)
+    # the gap is a difference of terms up to ~1e5 times larger than itself,
+    # so its rounding is measured against those terms
+    g = f.gradient(rebuilt.x)
+    scale = abs(float(g @ rebuilt.x)) + D.b * float(np.abs(g).max())
+    assert abs(derived.gap - rebuilt.gap) <= 1e-12 * scale

@@ -434,13 +434,16 @@ def _finite_only_at(x0, g0):
     )
 
 
-@pytest.mark.parametrize("name,fn,extra", [
+FIVE_METHODS = [
     ("cgm", solve_cgm, ()),
     ("cgms", solve_cgms, ()),
     ("cgmi", solve_cgmi, ()),
     ("cgmis", solve_cgmis, ()),
     ("cgmil", solve_cgmil, (1.0,)),
-])
+]
+
+
+@pytest.mark.parametrize("name,fn,extra", FIVE_METHODS)
 def test_no_report_with_non_finite_f_or_gap(name, fn, extra):
     # every NaN probe loses the "descent > best" comparison, so an all-NaN
     # cycle leaves the certified gap at -inf, which passes gap <= eps
@@ -454,3 +457,32 @@ def test_no_report_with_non_finite_f_or_gap(name, fn, extra):
         return
     assert math.isfinite(rep.f) and math.isfinite(rep.gap), \
         f"{name} reported {rep.status.value} with f = {rep.f}, gap = {rep.gap}"
+
+
+@pytest.mark.parametrize("name,fn,extra", FIVE_METHODS)
+def test_barrier_pole_is_a_typed_error(name, fn, extra):
+    # <c, x0> + d = 3 - 3 = 0 at the barycenter of the 3-simplex of mass 3
+    obj = QuadraticFormObjective(np.eye(3), barrier=(np.ones(3), -3.0))
+    D = SimplexSet(3, 3.0)
+    with pytest.raises(NonFiniteOracleError) as info:
+        fn(obj, D, SolverConfig(), D.barycenter(), *extra)
+    assert np.array_equal(info.value.point, D.barycenter())
+
+
+def test_start_at_large_mass_with_rounded_sum_is_feasible():
+    # this uniform draw at b = 1e7 sums to b + 1.86e-9, past an absolute 1e-9
+    spec = ProblemSpec(series=1, n=5, b=1e7)
+    obj, D, _ = build_instance(spec)
+    x0 = spec.b * np.random.default_rng(3).dirichlet(np.ones(5))
+    assert abs(float(x0.sum()) - spec.b) > 1e-9
+    assert D.contains(x0)
+    rep = solve_cgms(obj, D, SolverConfig(eps=1e5, max_iterations=5), x0)
+    assert D.contains(rep.x)
+    assert gap(x0, obj.gradient(x0), D) >= 0.0
+
+
+def test_iterates_at_large_mass_stay_feasible():
+    # 3000 cgms steps at b = 1e5 drift the mass by about 1.35e-9
+    spec = ProblemSpec(series=1, n=20, b=1e5)
+    rep = run(solve_cgms, spec, SolverConfig(eps=1e3, max_iterations=3000))
+    assert SimplexSet(20, 1e5).contains(rep.x)
