@@ -39,7 +39,6 @@ from .problems import (
     build_phi2_terms,
     build_phi3_data,
     lipschitz_upper_bound,
-    make_feasible_set,
     make_objective,
 )
 from .solvers import (

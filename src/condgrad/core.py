@@ -131,6 +131,11 @@ class SimplexSet:
         return np.full(self.n, self.b / self.n)
 
 
+def _trusted(x: np.ndarray) -> bool:
+    """Read-only and owning its data: its values cannot change under a key."""
+    return not x.flags.writeable and x.base is None
+
+
 class SmoothObjective(ABC):
     """Counted first-order oracle for a smooth function on R^n.
 
@@ -141,19 +146,20 @@ class SmoothObjective(ABC):
     which case callers fall back to a full gradient).
 
     Component i of `gradient(x)` equals `partial(x, i)` bit-for-bit: both
-    read the same cached per-point state. The cache only avoids recomputing
-    work; it never changes the accounting.
+    read the same per-point state, or states built the same way. The cache
+    only avoids recomputing work; it never changes the accounting.
 
-    The cache holds one point. An array that is read-only and owns its data
-    (`not x.flags.writeable and x.base is None`) is validated once, when it
-    enters the cache, and becomes the key itself: later calls with that same
-    object skip validation and comparison, so a probe costs O(1) Python
-    work. Solver iterates are such arrays (`step_point` returns one and the
-    solvers freeze a copy of x0). Any other array (writeable, or a view) is
-    validated and compared by value on every call, and the cache keeps a
-    read-only copy of it, so callers may mutate their own arrays in place.
-    Making a trusted array writeable again, or writing to it through a view
-    taken before it was frozen, breaks this contract.
+    The cache holds one point, and only a trusted array enters it: one that
+    is read-only and owns its data (`not x.flags.writeable and x.base is
+    None`). A trusted array is validated once, when it enters the cache, and
+    becomes the key itself: later calls with that same object skip
+    validation, so a probe costs O(1) Python work. Solver iterates are such
+    arrays (`step_point` returns one and the solvers freeze a copy of x0).
+    Any other array (writeable, or a view) is validated and evaluated from a
+    fresh state on every call, and neither reads nor replaces the cached
+    entry, so callers may mutate their own arrays in place. Making a trusted
+    array writeable again, or writing to it through a view taken before it
+    was frozen, breaks this contract.
 
     A vertex step x -> (1-lam)*x + lam*b*e_i is rank-one, so an objective
     whose state is linear in x can follow it in O(rows) instead of
@@ -215,32 +221,25 @@ class SmoothObjective(ABC):
     def _state_at(self, x: np.ndarray) -> dict:
         if x is self._cache_x:
             return self._cache_state
-        if x.flags.writeable or x.base is not None:
-            # mutable or borrowed memory: compare by value, key on a frozen copy
-            if self._cache_x is not None and np.array_equal(x, self._cache_x):
-                return self._cache_state
-            key = x.copy()
-            key.setflags(write=False)
-        else:
-            key = x
         state = self._make_state(x)
-        self._cache_x = key
-        self._cache_state = state
-        self._derived = 0
+        if _trusted(x):
+            self._cache_x = x
+            self._cache_state = state
+            self._derived = 0
         return state
 
     def follow_vertex_step(self, x: np.ndarray, x_new: np.ndarray, i: int,
                            lam: float, b: float) -> None:
         """Uncharged: tell the oracle that x_new = step_point(x, b*e_i, lam).
 
-        When x is the cached key, x_new is a fresh read-only array that owns
-        its data, fewer than n states in a row were derived, and the
-        `_vertex_step_state` hook derives one, x_new is validated once and
-        becomes the cached key with the derived state. Otherwise nothing
-        changes and the next oracle call at x_new builds its state.
+        When x is the cached key, x_new is another trusted array, fewer than
+        n states in a row were derived, and the `_vertex_step_state` hook
+        derives one, x_new is validated once and becomes the cached key with
+        the derived state. Otherwise nothing changes and the next oracle
+        call at x_new builds its state.
         """
-        if (x is not self._cache_x or x_new is x or x_new.flags.writeable
-                or x_new.base is not None or self._derived >= self.n):
+        if (x is not self._cache_x or x_new is x or not _trusted(x_new)
+                or self._derived >= self.n):
             return
         state = self._vertex_step_state(self._cache_state, i, lam, b)
         # validated once, as any key; a non-float64 array cannot be the key
@@ -355,8 +354,7 @@ class ArmijoResult(NamedTuple):
 
 
 def armijo_step(f: SmoothObjective, x, d, directional_derivative: float,
-                beta: float, theta: float, f_x: float,
-                max_backtracks: int = MAX_BACKTRACKS) -> ArmijoResult:
+                beta: float, theta: float, f_x: float) -> ArmijoResult:
     """Backtracking line search along d from x.
 
     Finds the smallest m >= 0 with
@@ -369,7 +367,7 @@ def armijo_step(f: SmoothObjective, x, d, directional_derivative: float,
     re-evaluates it.
 
     Raises ValueError when the supplied directional derivative is not
-    negative and LineSearchError when m would exceed `max_backtracks`. A
+    negative and LineSearchError when m would exceed MAX_BACKTRACKS. A
     trial that rounds back to x itself is never accepted: it raises
     NonFiniteOracleError carrying x when an earlier trial value was not
     finite, and LineSearchError otherwise.
@@ -384,7 +382,7 @@ def armijo_step(f: SmoothObjective, x, d, directional_derivative: float,
     d = as_vector(d, f.n)
     z = x + d
     non_finite = False
-    for m in range(max_backtracks + 1):
+    for m in range(MAX_BACKTRACKS + 1):
         lam = theta ** m
         trial = step_point(x, z, lam)
         f_trial = f.value(trial)
@@ -403,8 +401,8 @@ def armijo_step(f: SmoothObjective, x, d, directional_derivative: float,
             return ArmijoResult(lam, m + 1, f_trial, trial)
         non_finite = non_finite or not math.isfinite(f_trial)
     raise LineSearchError(
-        f"no acceptable step after {max_backtracks + 1} trials "
+        f"no acceptable step after {MAX_BACKTRACKS + 1} trials "
         f"(directional derivative {directional_derivative})",
         point=x, direction=d,
         directional_derivative=directional_derivative,
-        trials=max_backtracks + 1)
+        trials=MAX_BACKTRACKS + 1)

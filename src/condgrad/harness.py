@@ -62,17 +62,10 @@ class BenchPlan:
     cells: tuple
     methods: tuple
     config: SolverConfig
-    output_format: str = "csv"
-    output_path: Optional[str] = None
-    repetitions: int = 1  # timing only; counters are deterministic
 
     def __post_init__(self):
         if not self.cells or not self.methods:
             raise ValueError("a plan needs at least one cell and one method")
-        if self.output_format not in ("csv", "md"):
-            raise ValueError(f"format must be csv or md, got {self.output_format!r}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         for m in self.methods:
             if m not in METHOD_ORDER:
                 raise ValueError(f"unknown method {m!r}")
@@ -149,23 +142,11 @@ def run_plan(plan: BenchPlan):
     """Execute every (cell, method) pair of the plan.
 
     Rows come back ordered by (series, size, method in plan order); failures
-    become status=Error rows and never abort the rest of the plan. With
-    repetitions > 1 the counters are taken from the first run (they are
-    deterministic) and wall_ms is the minimum across repetitions.
+    become status=Error rows and never abort the rest of the plan.
     """
     cells = sorted(plan.cells, key=lambda c: (c.series, c.rows, c.n))
-    rows = []
-    for spec in cells:
-        for method in plan.methods:
-            row, _ = run_single(spec, method, plan.config)
-            best_wall = row.wall_ms
-            for _ in range(plan.repetitions - 1):
-                again, _ = run_single(spec, method, plan.config)
-                best_wall = min(best_wall, again.wall_ms)
-            if plan.repetitions > 1:
-                row = dataclasses.replace(row, wall_ms=best_wall)
-            rows.append(row)
-    return rows
+    return [run_single(spec, method, plan.config)[0]
+            for spec in cells for method in plan.methods]
 
 
 def _fmt_float(v: float) -> str:

@@ -28,16 +28,13 @@ class NonConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class FDSettings:
     """Central-difference settings: per-coordinate step
-    h_i = step * max(1, |x_i|) and the agreement tolerance for checks."""
+    h_i = step * max(1, |x_i|)."""
 
     step: float = 1e-6
-    rel_tol: float = 1e-5
 
     def __post_init__(self):
         if not self.step > 0.0:
             raise ValueError(f"step must be positive, got {self.step}")
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
 
 def brute_force_gap(f: SmoothObjective, feasible_set: SimplexSet, x) -> float:

@@ -8,7 +8,9 @@ builds of the same instance are bit-identical:
   series 3: least squares            0.5 ||Px - q||^2
   series 4: series 3 plus barrier
 
-All index formulas are 1-based and all angles are radians.
+All index formulas are 1-based and all angles are radians. Both objective
+classes build on `_MatrixObjective`, which owns the barrier and the size
+gate for derived states; each adds only its quadratic part.
 """
 
 from __future__ import annotations
@@ -27,26 +29,6 @@ from .core import NonFiniteOracleError, SimplexSet, SmoothObjective
 # length-rows temporaries) costs more than it saves; see CHANGES.md for the
 # measured crossover.
 DERIVED_STATE_MIN_ENTRIES = 20_000
-
-
-def _barrier_u(c: np.ndarray, d: float, x: np.ndarray) -> float:
-    """<c, x>, rejecting the barrier's pole <c, x> + d = 0."""
-    u = float(np.dot(c, x))
-    if u + d == 0.0:
-        raise NonFiniteOracleError("the barrier 1/(<c,x> + d) has its pole at x", point=x)
-    return u
-
-
-def _step_barrier(objective, new: dict, state: dict, i: int, lam: float,
-                  b: float) -> Optional[dict]:
-    """`new` plus <c, x> stepped toward b*e_i when the objective has a
-    barrier; None at the barrier's pole, which the rebuild then reports."""
-    if objective.c is not None:
-        u = (1.0 - lam) * state["u"] + lam * b * float(objective.c[i])
-        if u + objective.d == 0.0:
-            return None
-        new["u"] = u
-    return new
 
 
 def build_phi1_matrix(n: int) -> np.ndarray:
@@ -116,83 +98,118 @@ class ProblemSpec:
         return self.n if self.m is None else self.m
 
 
-class QuadraticFormObjective(SmoothObjective):
-    """0.5 <Px, x> for symmetric P, optionally plus 1/(<c,x> + d).
+class _MatrixObjective(SmoothObjective):
+    """A quadratic part built on the matrix P, optionally plus the barrier
+    1/(<c,x> + d): the skeleton of both benchmark objectives.
 
-    Per-point state is the matrix-vector product Px (and <c,x> when the
-    barrier is present); gradient components and partials both read it, and
-    <f'(x), x> comes out of the same state for free. Across a vertex step
-    both are updated in O(n) when P has at least DERIVED_STATE_MIN_ENTRIES
-    entries. At the barrier's pole <c,x> + d = 0 the oracle raises
-    NonFiniteOracleError.
+    This class owns the barrier: c, d, the state u = <c,x>, its update
+    across a vertex step, and its term in every oracle output. At the pole
+    <c,x> + d = 0 the oracle raises NonFiniteOracleError. It also owns the
+    size gate: a state follows a vertex step in O(rows) only when P has at
+    least DERIVED_STATE_MIN_ENTRIES entries. A subclass supplies the
+    quadratic part's state (`_quad_state`), its update across a vertex step
+    (`_quad_step`), value, gradient vector and <f'(x), x> (`_quad_value`,
+    `_quad_gradient`, `_quad_dot_point`).
     """
 
-    def __init__(self, P: np.ndarray, barrier=None):
-        P = np.asarray(P, dtype=np.float64)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError(f"P must be square, got shape {P.shape}")
-        super().__init__(P.shape[0])
+    def __init__(self, P: np.ndarray, barrier):
+        super().__init__(P.shape[1])
         self.P = P
-        if barrier is None:
-            self.c = None
-            self.d = None
-        else:
+        self.c = self.d = None
+        if barrier is not None:
             c, d = barrier
             self.c = np.asarray(c, dtype=np.float64)
             if self.c.shape != (self.n,):
-                raise ValueError("barrier vector length must match P")
+                raise ValueError("barrier vector length must match the column count of P")
             self.d = float(d)
 
     def _make_state(self, x):
-        state = {"px": self.P @ x}
+        state = self._quad_state(x)
         if self.c is not None:
-            state["u"] = _barrier_u(self.c, self.d, x)
+            u = float(np.dot(self.c, x))
+            if u + self.d == 0.0:
+                raise NonFiniteOracleError("x is a pole of the barrier 1/(<c,x> + d)", point=x)
+            state["u"] = u
         return state
 
     def _vertex_step_state(self, state, i, lam, b):
-        # P((1-lam)x + lam*b*e_i) = (1-lam)Px + lam*b*P[:, i]
         if self.P.size < DERIVED_STATE_MIN_ENTRIES:
             return None
-        px = state["px"] * (1.0 - lam)
-        px += (lam * b) * self.P[:, i]
-        return _step_barrier(self, {"px": px}, state, i, lam, b)
+        new = self._quad_step(state, i, lam, b)
+        if self.c is not None:
+            u = (1.0 - lam) * state["u"] + lam * b * float(self.c[i])
+            if u + self.d == 0.0:
+                return None  # at the pole: the rebuild reports it
+            new["u"] = u
+        return new
 
     def _value_impl(self, x, state):
-        f = 0.5 * float(np.dot(state["px"], x))
+        f = self._quad_value(x, state)
         if self.c is not None:
             f += 1.0 / (state["u"] + self.d)
         return f
 
     def _partial_impl(self, x, state, i):
-        g = state["px"][i]
+        g = self._quad_gradient(state)[i]
         if self.c is not None:
             w = (state["u"] + self.d) ** 2
             g = g - self.c[i] / w
         return g
 
     def _gradient_impl(self, x, state):
+        g = self._quad_gradient(state)
         if self.c is None:
-            return state["px"].copy()
+            return g.copy()
         w = (state["u"] + self.d) ** 2
-        return state["px"] - self.c / w
+        return g - self.c / w
 
     def _gradient_dot_point_impl(self, x, state):
-        out = float(np.dot(state["px"], x))
+        out = self._quad_dot_point(x, state)
         if self.c is not None:
             w = (state["u"] + self.d) ** 2
             out -= state["u"] / w
         return out
 
 
-class LeastSquaresObjective(SmoothObjective):
+class QuadraticFormObjective(_MatrixObjective):
+    """0.5 <Px, x> for symmetric P, optionally plus 1/(<c,x> + d).
+
+    The quadratic part's state is Px, which is also its gradient vector and
+    gives <f'(x), x> for free; a vertex step updates it with one column of P.
+    """
+
+    def __init__(self, P: np.ndarray, barrier=None):
+        P = np.asarray(P, dtype=np.float64)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise ValueError(f"P must be square, got shape {P.shape}")
+        super().__init__(P, barrier)
+
+    def _quad_state(self, x):
+        return {"px": self.P @ x}
+
+    def _quad_step(self, state, i, lam, b):
+        # P((1-lam)x + lam*b*e_i) = (1-lam)Px + lam*b*P[:, i]
+        px = state["px"] * (1.0 - lam)
+        px += (lam * b) * self.P[:, i]
+        return {"px": px}
+
+    def _quad_value(self, x, state):
+        return 0.5 * float(np.dot(state["px"], x))
+
+    def _quad_gradient(self, state):
+        return state["px"]
+
+    def _quad_dot_point(self, x, state):
+        return float(np.dot(state["px"], x))
+
+
+class LeastSquaresObjective(_MatrixObjective):
     """0.5 ||Px - q||^2, optionally plus 1/(<c,x> + d).
 
-    Per-point state is the residual r = Px - q; the transposed product
-    P^T r is materialized lazily on the first derivative request and shared
-    by gradient and partials. <f'(x), x> = <r, r> + <r, q> needs only r.
-    Across a vertex step r (and <c,x>) is updated in O(m) when P has at
-    least DERIVED_STATE_MIN_ENTRIES entries. At the barrier's pole
-    <c,x> + d = 0 the oracle raises NonFiniteOracleError.
+    The quadratic part's state is the residual r = Px - q. Its gradient
+    vector P^T r is materialized lazily on the first derivative request and
+    shared by gradient and partials; <f'(x), x> = <r, r> + <r, q> needs only
+    r. Across a vertex step r is updated with one column of P.
     """
 
     def __init__(self, P: np.ndarray, q: np.ndarray, barrier=None):
@@ -202,67 +219,33 @@ class LeastSquaresObjective(SmoothObjective):
             raise ValueError(f"P must be a matrix, got shape {P.shape}")
         if q.shape != (P.shape[0],):
             raise ValueError("q length must match the row count of P")
-        super().__init__(P.shape[1])
-        self.P = P
+        super().__init__(P, barrier)
         self.q = q
-        if barrier is None:
-            self.c = None
-            self.d = None
-        else:
-            c, d = barrier
-            self.c = np.asarray(c, dtype=np.float64)
-            if self.c.shape != (self.n,):
-                raise ValueError("barrier vector length must match the column count of P")
-            self.d = float(d)
 
-    def _make_state(self, x):
-        state = {"r": self.P @ x - self.q}
-        if self.c is not None:
-            state["u"] = _barrier_u(self.c, self.d, x)
-        return state
+    def _quad_state(self, x):
+        return {"r": self.P @ x - self.q}
 
-    def _vertex_step_state(self, state, i, lam, b):
+    def _quad_step(self, state, i, lam, b):
         # r+ = (1-lam)r + lam(b*P[:, i] - q); P^T r+ stays lazy
-        if self.P.size < DERIVED_STATE_MIN_ENTRIES:
-            return None
         r = state["r"] * (1.0 - lam)
         r += (lam * b) * self.P[:, i]
         r -= lam * self.q
-        return _step_barrier(self, {"r": r}, state, i, lam, b)
+        return {"r": r}
 
     def _pt_r(self, state):
         if "t" not in state:
             state["t"] = self.P.T @ state["r"]
         return state["t"]
 
-    def _value_impl(self, x, state):
+    def _quad_value(self, x, state):
+        return 0.5 * float(np.dot(state["r"], state["r"]))
+
+    def _quad_gradient(self, state):
+        return self._pt_r(state)
+
+    def _quad_dot_point(self, x, state):
         r = state["r"]
-        f = 0.5 * float(np.dot(r, r))
-        if self.c is not None:
-            f += 1.0 / (state["u"] + self.d)
-        return f
-
-    def _partial_impl(self, x, state, i):
-        g = self._pt_r(state)[i]
-        if self.c is not None:
-            w = (state["u"] + self.d) ** 2
-            g = g - self.c[i] / w
-        return g
-
-    def _gradient_impl(self, x, state):
-        t = self._pt_r(state)
-        if self.c is None:
-            return t.copy()
-        w = (state["u"] + self.d) ** 2
-        return t - self.c / w
-
-    def _gradient_dot_point_impl(self, x, state):
-        r = state["r"]
-        out = float(np.dot(r, r)) + float(np.dot(r, self.q))
-        if self.c is not None:
-            w = (state["u"] + self.d) ** 2
-            out -= state["u"] / w
-        return out
+        return float(np.dot(r, r)) + float(np.dot(r, self.q))
 
 
 def make_objective(spec: ProblemSpec) -> SmoothObjective:
@@ -276,13 +259,9 @@ def make_objective(spec: ProblemSpec) -> SmoothObjective:
     return LeastSquaresObjective(P, q, barrier=barrier)
 
 
-def make_feasible_set(spec: ProblemSpec) -> SimplexSet:
-    return SimplexSet(spec.n, spec.b)
-
-
 def build_instance(spec: ProblemSpec):
     """(objective, feasible set, barycenter start) for one instance."""
-    D = make_feasible_set(spec)
+    D = SimplexSet(spec.n, spec.b)
     return make_objective(spec), D, D.barycenter()
 
 

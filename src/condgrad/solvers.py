@@ -89,7 +89,7 @@ class StepRecord:
     is None for line-search methods, otherwise the outcome of the
     sufficient-decrease test; `tests` is the number of vertices probed by the
     inexact direction search (0 for exact-oracle methods); `point` is the
-    pre-step iterate when point collection is on.
+    pre-step iterate (not a copy) when point collection is on.
     """
 
     k: int
@@ -199,6 +199,8 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
     # line-search or acceptance-test seed; not part of the per-step cost.
     # The fixed step needs no function values unless it checks descent.
     fx = f.value(x) if step != "fixed" or check_descent else None
+    if fx is not None and not math.isfinite(fx):
+        raise NonFiniteOracleError(f"non-finite objective value f(x0) = {fx}", point=x)
     f_history = None if fx is None else [fx]
     status, stages = None, None
     stage, delta, cursor, iterations = 1, math.nan, 0, 0
@@ -224,12 +226,12 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                 # exact gap from one full gradient; reporting-only, never charged
                 status, g = Status.ITERATION_CAP, f.gradient(x)
                 mu = float(np.dot(g, x)) - feasible_set.b * float(np.min(g))
-                stages.append(StageRecord(stage, delta, iterations, None, x.copy()))
+                stages.append(StageRecord(stage, delta, iterations, None, x))
                 break
             res, cursor = inexact_direction(f, feasible_set, x, delta, cursor)
             if isinstance(res, ExhaustedCycle):
                 mu = res.gap
-                stages.append(StageRecord(stage, delta, iterations, res.gap, x.copy()))
+                stages.append(StageRecord(stage, delta, iterations, res.gap, x))
                 if res.gap <= cfg.eps:
                     status = Status.CONVERGED  # terminal certification; not charged
                     break
@@ -295,7 +297,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                 f_before=fx if fx is not None else math.nan, f_after=f_new,
                 dir_derivative=-descent, vertex=index, accepted=accepted,
                 mu=math.nan if inexact else mu, tests=tests,
-                point=x.copy() if trace.collect_points else None))
+                point=x if trace.collect_points else None))
         x = x_new
         if fx is not None:
             fx = f_new

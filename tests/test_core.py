@@ -353,6 +353,21 @@ def test_cache_does_not_trust_read_only_view(f):
 
 
 @pytest.mark.parametrize("f", _objectives(), ids=["quadratic", "least-squares"])
+def test_untrusted_input_neither_reads_nor_evicts_the_cached_state(f):
+    builds = []
+    build = f._make_state
+    f._make_state = lambda x: builds.append(1) or build(x)
+    x = _frozen(np.full(6, 10.0 / 6.0))
+    f.value(x)
+    y = np.array(x)
+    y[0] += 1.0
+    y[1] -= 1.0
+    f.value(y)
+    f.partial(x, 0)
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("f", _objectives(), ids=["quadratic", "least-squares"])
 def test_cached_iterate_partials_match_gradient_bit_for_bit(f):
     x = step_point(np.full(6, 10.0 / 6.0), SimplexSet(6, 10.0).vertex(4), 0.3)
     f.value(x)

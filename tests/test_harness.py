@@ -61,9 +61,6 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         BenchPlan(cells=(ProblemSpec(series=1, n=5),), methods=("nope",),
                   config=SolverConfig())
-    with pytest.raises(ValueError):
-        BenchPlan(cells=(ProblemSpec(series=1, n=5),), methods=("cgm",),
-                  config=SolverConfig(), repetitions=0)
 
 
 # ---------------------------------------------------------------------------

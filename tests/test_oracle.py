@@ -49,8 +49,6 @@ def test_brute_force_gap_matches_fast_gap():
 def test_fd_settings_validation():
     with pytest.raises(ValueError):
         FDSettings(step=0.0)
-    with pytest.raises(ValueError):
-        FDSettings(rel_tol=-1.0)
 
 
 def test_fd_gradient_exact_on_linear():

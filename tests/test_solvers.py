@@ -460,6 +460,25 @@ def test_no_report_with_non_finite_f_or_gap(name, fn, extra):
 
 
 @pytest.mark.parametrize("name,fn,extra", FIVE_METHODS)
+def test_non_finite_seed_value_is_a_typed_error(name, fn, extra):
+    # f = <a, x> + 0.5||x||^2, NaN only at the start point
+    a = np.array([1.0, 2.0, 3.0])
+    D = SimplexSet(3, 3.0)
+    at0 = lambda x: np.array_equal(x, D.barycenter())
+    obj = CallableObjective(
+        3,
+        fn=lambda x: math.nan if at0(x) else float(np.dot(a, x) + 0.5 * np.dot(x, x)),
+        partial_fn=lambda x, i: float(a[i] + x[i]),
+        gdp_fn=lambda x: float(np.dot(a + x, x)),
+    )
+    kw = {"check_descent": True} if name == "cgmil" else {}
+    with pytest.raises(NonFiniteOracleError) as info:
+        fn(obj, D, SolverConfig(), D.barycenter(), *extra, **kw)
+    assert np.array_equal(info.value.point, D.barycenter())
+    assert obj.kf == 1
+
+
+@pytest.mark.parametrize("name,fn,extra", FIVE_METHODS)
 def test_barrier_pole_is_a_typed_error(name, fn, extra):
     # <c, x0> + d = 3 - 3 = 0 at the barycenter of the 3-simplex of mass 3
     obj = QuadraticFormObjective(np.eye(3), barrier=(np.ones(3), -3.0))
