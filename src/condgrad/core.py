@@ -7,7 +7,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -173,6 +173,14 @@ class SmoothObjective(ABC):
     `condgrad.problems`). A derived state is exact in exact arithmetic, but
     values at it may differ from a fresh build in the last bits; `partial`
     and `gradient` still agree bit for bit, as both read the same state.
+
+    Every Armijo trial lies on a vertex ray y(lam) = step_point(x, i, z_i,
+    lam), and an objective with a closed form along it can offer one
+    through the `_vertex_ray` hook: `vertex_ray` (uncharged) returns f along
+    the ray with a bound on its rounding, so that the line search can reject
+    a trial that is certainly above its threshold without evaluating it.
+    Such a trial is still charged one kf in the run's counters, but not to
+    this object's `kf`, which counts `value` evaluations only.
     """
 
     def __init__(self, n: int):
@@ -212,6 +220,13 @@ class SmoothObjective(ABC):
         `state` must not be modified."""
         return None
 
+    def _vertex_ray(self, x: np.ndarray, state: dict, i: int,
+                    z_i: float) -> Optional["VertexRay"]:
+        """f along step_point(x, i, z_i, lam) for lam in [0, 1], from
+        `state`, the state at x built by `_make_state`; None to have every
+        trial on the ray evaluated. `state` must not be modified."""
+        return None
+
     # counted public interface ----------------------------------------------
 
     def _vector(self, x) -> np.ndarray:
@@ -230,7 +245,7 @@ class SmoothObjective(ABC):
 
     def follow_vertex_step(self, x: np.ndarray, x_new: np.ndarray, i: int,
                            lam: float, b: float) -> None:
-        """Uncharged: tell the oracle that x_new = step_point(x, b*e_i, lam).
+        """Uncharged: tell the oracle that x_new = step_point(x, i, b, lam).
 
         When x is the cached key, x_new is another trusted array, fewer than
         n states in a row were derived, and the `_vertex_step_state` hook
@@ -248,6 +263,17 @@ class SmoothObjective(ABC):
         self._cache_x = x_new
         self._cache_state = state
         self._derived += 1
+
+    def vertex_ray(self, x: np.ndarray, i: int, z_i: float) -> Optional["VertexRay"]:
+        """Uncharged: f along the ray from x toward z_i*e_i, or None.
+
+        Only the cached key with a state built by `_make_state` (not a
+        derived one) is offered to the `_vertex_ray` hook, so the ray reads
+        the same state that `value` at x reads.
+        """
+        if x is not self._cache_x or self._derived:
+            return None
+        return self._vertex_ray(x, self._cache_state, i, z_i)
 
     def value(self, x) -> float:
         """f(x); one kf charge."""
@@ -313,15 +339,14 @@ class SolveReport:
     f_history: Optional[list] = None
 
 
-def exact_lmo(gradient, feasible_set: SimplexSet):
+def exact_lmo(gradient, feasible_set: SimplexSet) -> int:
     """Minimize <gradient, y> over the simplex exactly.
 
-    Returns (i, b*e_i) with i the smallest index attaining min_j gradient_j;
-    ties break toward the lowest index for reproducible runs.
+    Returns the index i of the minimizing vertex b*e_i: the smallest index
+    attaining min_j gradient_j, so ties break toward the lowest index for
+    reproducible runs.
     """
-    g = as_vector(gradient, feasible_set.n)
-    i = int(np.argmin(g))
-    return i, feasible_set.vertex(i)
+    return int(np.argmin(as_vector(gradient, feasible_set.n)))
 
 
 def gap(x, gradient, feasible_set: SimplexSet) -> float:
@@ -337,13 +362,29 @@ def gap(x, gradient, feasible_set: SimplexSet) -> float:
     return float(np.dot(g, xv)) - feasible_set.b * float(np.min(g))
 
 
-def step_point(x: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:
-    """(1-lam)*x + lam*z, as a fresh read-only array (an oracle then trusts
-    it by identity). The convex-combination form keeps iterates on the
-    mass constraint to machine precision; x + lam*(z-x) would drift."""
-    out = (1.0 - lam) * x + lam * z
+def step_point(x: np.ndarray, i: int, z_i: float, lam: float) -> np.ndarray:
+    """(1-lam)*x + lam*z_i*e_i, as a fresh read-only array (an oracle then
+    trusts it by identity). The convex-combination form keeps iterates on
+    the mass constraint to machine precision; x + lam*(z-x) would drift.
+
+    The bits are those of (1-lam)*x + lam*z for the dense z = z_i*e_i: off
+    index i that sum adds lam*0 = +0, which turns a -0.0 into +0.0.
+    """
+    lam1 = 1.0 - lam
+    out = lam1 * x
+    out += 0.0
+    out[i] = lam1 * x[i] + lam * z_i
     out.setflags(write=False)
     return out
+
+
+class VertexRay(NamedTuple):
+    """f along y(lam) = step_point(x, i, z_i, lam) for lam in [0, 1], from
+    `SmoothObjective.vertex_ray`: `value(lam) - margin`, computed in floating
+    point, never exceeds what `SmoothObjective.value` returns at y(lam)."""
+
+    value: Callable[[float], float]
+    margin: float
 
 
 class ArmijoResult(NamedTuple):
@@ -353,24 +394,31 @@ class ArmijoResult(NamedTuple):
     new_point: np.ndarray
 
 
-def armijo_step(f: SmoothObjective, x, d, directional_derivative: float,
-                beta: float, theta: float, f_x: float) -> ArmijoResult:
-    """Backtracking line search along d from x.
+def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
+                directional_derivative: float, beta: float, theta: float,
+                f_x: float) -> ArmijoResult:
+    """Backtracking line search from x toward z_i*e_i.
 
     Finds the smallest m >= 0 with
 
-        f((1-theta^m) x + theta^m (x+d)) <= f_x + beta theta^m <f'(x), d>
+        f(step_point(x, i, z_i, theta^m)) <= f_x + beta theta^m <f'(x), z_i e_i - x>
 
-    and returns the accepted step theta^m, the number of trial evaluations
-    (each charged one kf), the accepted objective value, and the accepted
-    point. `f_x` is the caller's cached value of f at x; this routine never
-    re-evaluates it.
+    and returns the accepted step theta^m, the number of trials (each
+    charged one kf by the caller), the accepted objective value, and the
+    accepted point. `f_x` is the caller's cached value of f at x; this
+    routine never re-evaluates it.
+
+    A trial whose value on `f.vertex_ray` lies above its threshold by more
+    than the ray's rounding margin is rejected without building the point or
+    calling `f.value`; it still counts as a trial. Every other trial, each
+    accepted one included, is evaluated by `f.value`, so the step, value and
+    point returned are those of evaluating every trial.
 
     Raises ValueError when the supplied directional derivative is not
-    negative and LineSearchError when m would exceed MAX_BACKTRACKS. A
-    trial that rounds back to x itself is never accepted: it raises
-    NonFiniteOracleError carrying x when an earlier trial value was not
-    finite, and LineSearchError otherwise.
+    negative or i is not an index of x, and LineSearchError when m would
+    exceed MAX_BACKTRACKS. A trial that rounds back to x itself is never
+    accepted: it raises NonFiniteOracleError carrying x when an earlier
+    evaluated trial value was not finite, and LineSearchError otherwise.
     """
     if not (0.0 < beta < 1.0 and 0.0 < theta < 1.0):
         raise ValueError(f"beta and theta must lie in (0,1), got {beta}, {theta}")
@@ -379,14 +427,18 @@ def armijo_step(f: SmoothObjective, x, d, directional_derivative: float,
             "armijo_step requires a descent direction: "
             f"<f'(x), d> = {directional_derivative} is not negative")
     x = as_vector(x, f.n)
-    d = as_vector(d, f.n)
-    z = x + d
+    if not 0 <= i < f.n:
+        raise ValueError(f"vertex index {i} out of range for dimension {f.n}")
+    ray = f.vertex_ray(x, i, z_i)
     non_finite = False
     for m in range(MAX_BACKTRACKS + 1):
         lam = theta ** m
-        trial = step_point(x, z, lam)
+        threshold = f_x + beta * lam * directional_derivative
+        if ray is not None and ray.value(lam) - ray.margin > threshold:
+            continue  # f(trial) > threshold for certain: rejected unevaluated
+        trial = step_point(x, i, z_i, lam)
         f_trial = f.value(trial)
-        if f_trial <= f_x + beta * lam * directional_derivative:
+        if f_trial <= threshold:
             if f_trial == f_x and np.array_equal(trial, x):
                 # theta^m has rounded the step away: a null step is no progress
                 if non_finite:
@@ -396,13 +448,20 @@ def armijo_step(f: SmoothObjective, x, d, directional_derivative: float,
                 raise LineSearchError(
                     f"the step rounded to zero after {m + 1} trials "
                     f"(directional derivative {directional_derivative})",
-                    point=x, direction=d,
+                    point=x, direction=_direction(x, i, z_i),
                     directional_derivative=directional_derivative, trials=m + 1)
             return ArmijoResult(lam, m + 1, f_trial, trial)
         non_finite = non_finite or not math.isfinite(f_trial)
     raise LineSearchError(
         f"no acceptable step after {MAX_BACKTRACKS + 1} trials "
         f"(directional derivative {directional_derivative})",
-        point=x, direction=d,
+        point=x, direction=_direction(x, i, z_i),
         directional_derivative=directional_derivative,
         trials=MAX_BACKTRACKS + 1)
+
+
+def _direction(x: np.ndarray, i: int, z_i: float) -> np.ndarray:
+    """The dense search direction z_i*e_i - x, for error reports."""
+    d = -x
+    d[i] += z_i
+    return d

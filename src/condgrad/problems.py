@@ -9,8 +9,9 @@ builds of the same instance are bit-identical:
   series 4: series 3 plus barrier
 
 All index formulas are 1-based and all angles are radians. Both objective
-classes build on `_MatrixObjective`, which owns the barrier and the size
-gate for derived states; each adds only its quadratic part.
+classes build on `_MatrixObjective`, which owns the barrier, the size gate
+for derived states and the vertex ray's rounding margin; each adds only its
+quadratic part.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NonFiniteOracleError, SimplexSet, SmoothObjective
+from .core import NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay
 
 # Size gate for derived oracle states, in entries of the problem matrix
 # (rows * n). Below it a matrix-vector product is cheap enough that the
@@ -29,6 +30,19 @@ from .core import NonFiniteOracleError, SimplexSet, SmoothObjective
 # length-rows temporaries) costs more than it saves; see CHANGES.md for the
 # measured crossover.
 DERIVED_STATE_MIN_ENTRIES = 20_000
+
+# Unit roundoff of float64, and the largest error of one rounding into the
+# subnormal range: a rounded result r is off by at most _U*|r| + _ETA.
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
+
+
+def _gamma(k: float) -> float:
+    """k*u/(1 - k*u): bounds the relative error that k roundings leave in a
+    product, and (times the sum of the terms' magnitudes) in any summation
+    order of k terms (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 3.1)."""
+    return k * _U / (1.0 - k * _U)
 
 
 def build_phi1_matrix(n: int) -> np.ndarray:
@@ -109,7 +123,17 @@ class _MatrixObjective(SmoothObjective):
     least DERIVED_STATE_MIN_ENTRIES entries. A subclass supplies the
     quadratic part's state (`_quad_state`), its update across a vertex step
     (`_quad_step`), value, gradient vector and <f'(x), x> (`_quad_value`,
-    `_quad_gradient`, `_quad_dot_point`).
+    `_quad_gradient`, `_quad_dot_point`), and its form along a vertex ray
+    (`_quad_ray`).
+
+    On the ray y(lam) = (1-lam)x + lam z_i e_i the objective is exactly
+
+        0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) + 1/((1-lam)u + lam c_i z_i + d),
+
+    with c0, c1, c2 from `_quad_ray` and u = <c,x>, all read from the state at
+    x in O(rows). The ray's margin bounds the difference between this
+    formula in floating point and `value` at the computed point
+    step_point(x, i, z_i, lam); see `_vertex_ray`.
     """
 
     def __init__(self, P: np.ndarray, barrier):
@@ -122,6 +146,7 @@ class _MatrixObjective(SmoothObjective):
             if self.c.shape != (self.n,):
                 raise ValueError("barrier vector length must match the column count of P")
             self.d = float(d)
+        self._ray_bounds = None  # set on the first line search
 
     def _make_state(self, x):
         state = self._quad_state(x)
@@ -142,6 +167,73 @@ class _MatrixObjective(SmoothObjective):
                 return None  # at the pole: the rebuild reports it
             new["u"] = u
         return new
+
+    def _ray_constants(self) -> tuple:
+        """The data's part of the ray margin: the row sums R of |P|, their
+        maximum, and the total magnitude of the data (sum|P| + sum|c| + |d|,
+        plus sum|q| for least squares); () when the objective has no ray."""
+        R = np.abs(self.P).sum(axis=1)
+        total = float(R.sum())
+        if self.c is not None:
+            total += float(np.abs(self.c).sum()) + abs(self.d)
+        return R, float(R.max()), total
+
+    def _vertex_ray(self, x, state, i, z_i):
+        # Computed on the first line search, not in the constructor, so
+        # that building an instance costs what it did.
+        if self._ray_bounds is None:
+            self._ray_bounds = self._ray_constants()
+        if not self._ray_bounds:
+            return None
+        R, r_max, total = self._ray_bounds
+        rows = self.P.shape[0]
+        ax = np.abs(x)
+        # |y_j(lam)| <= y_max for every j and every lam in [0, 1]
+        y_max = max(float(ax.max()), abs(z_i))
+        c0, c1, c2, T = self._quad_ray(x, ax, state, i, z_i, y_max, R)
+        # Rounding margin, counted over both paths to f(y(lam)): the
+        # products and sums of `value` at the point step_point rounded, the
+        # rounding of that point itself, the coefficients at x and the few
+        # flops of the formula, then the barrier's addition and the screen's
+        # own subtraction. Each quadratic path errs by at most
+        # gamma_{rows + 2n + 11} T, where T (from `_quad_ray`) bounds the
+        # magnitudes of the quadratic part's terms on the whole ray, and the
+        # rounded point moves f by gamma_4 T; k = 2 rows + 4n + 32 covers
+        # their sum with room for the final additions and for R and T being
+        # rounded themselves. Each rounding into the subnormal range errs
+        # by at most _ETA, and no intermediate moves f by more than amp^2.
+        amp = (1.0 + y_max) * (1.0 + total)
+        margin = (_gamma(2 * rows + 4 * self.n + 32) * T
+                  + 8.0 * (rows + 2) * (self.n + 2) * _ETA * amp * amp)
+        if self.c is None:
+            def value(lam):
+                lam1 = 1.0 - lam
+                return 0.5 * (lam1 * lam1 * c0 + 2.0 * lam1 * lam * c1 + lam * lam * c2)
+        else:
+            u, d = state["u"], self.d
+            cz = float(self.c[i]) * z_i
+            # Either path's denominator is within E of the exact one, and
+            # so are u + d and c_i z_i + d of the ray's ends; the exact
+            # denominator is affine in lam, so when those ends share a sign
+            # and clear 2E, no denominator on the ray is smaller than low.
+            E = (_gamma(self.n + 10) * (max(float(np.dot(np.abs(self.c), ax)), abs(cz))
+                                         + abs(d))
+                 + 8.0 * (self.n + 2) * _ETA * amp)
+            low = min(abs(u + d), abs(cz + d)) - 2.0 * E
+            if not (low > 0.0 and (u + d > 0.0) == (cz + d > 0.0)):
+                return None  # the denominator may reach zero on the ray
+            # the two reciprocals differ by <= 2E/low^2, and their
+            # rounding, the addition and the screen add <= gamma_8/low
+            margin += (2.0 * E / low + _gamma(8)) / low
+
+            def value(lam):
+                lam1 = 1.0 - lam
+                return (0.5 * (lam1 * lam1 * c0 + 2.0 * lam1 * lam * c1 + lam * lam * c2)
+                        + 1.0 / (lam1 * u + lam * cz + d))
+        # no intermediate of either path can overflow
+        if not math.isfinite(4.0 * (T + y_max * r_max) + margin + c0 + c1 + c2):
+            return None
+        return VertexRay(value, margin)
 
     def _value_impl(self, x, state):
         f = self._quad_value(x, state)
@@ -202,6 +294,19 @@ class QuadraticFormObjective(_MatrixObjective):
     def _quad_dot_point(self, x, state):
         return float(np.dot(state["px"], x))
 
+    def _ray_constants(self):
+        # the cross term of <Py, y> is 2(1-lam)lam z_i (Px)_i for symmetric P only
+        return super()._ray_constants() if np.array_equal(self.P, self.P.T) else ()
+
+    def _quad_ray(self, x, ax, state, i, z_i, y_max, R):
+        # 0.5 <Py, y> = 0.5((1-lam)^2 <Px,x> + 2(1-lam)lam z_i (Px)_i + lam^2 z_i^2 P_ii).
+        # Both paths err by a multiple of |y|^T |P| |y| <= y_max * sum_k |y_k| R_k,
+        # which is linear in lam, so its larger end value bounds it.
+        px = state["px"]
+        T = y_max * max(float(np.dot(ax, R)), abs(z_i) * float(R[i]))
+        return (float(np.dot(px, x)), z_i * float(px[i]),
+                z_i * z_i * float(self.P[i, i]), T)
+
 
 class LeastSquaresObjective(_MatrixObjective):
     """0.5 ||Px - q||^2, optionally plus 1/(<c,x> + d).
@@ -246,6 +351,20 @@ class LeastSquaresObjective(_MatrixObjective):
     def _quad_dot_point(self, x, state):
         r = state["r"]
         return float(np.dot(r, r)) + float(np.dot(r, self.q))
+
+    def _ray_constants(self):
+        R, r_max, total = super()._ray_constants()
+        return R, r_max, total + float(np.abs(self.q).sum())
+
+    def _quad_ray(self, x, ax, state, i, z_i, y_max, R):
+        # Py - q = (1-lam) r + lam s with s = z_i P[:, i] - q. Both paths err
+        # by a multiple of sum_k w_k^2, where w_k = y_max R_k + |q_k| bounds
+        # |r_k|, |s_k| and |(Py - q)_k| on the whole ray.
+        r = state["r"]
+        s = z_i * self.P[:, i] - self.q
+        w = y_max * R + np.abs(self.q)
+        return (float(np.dot(r, r)), float(np.dot(r, s)), float(np.dot(s, s)),
+                float(np.dot(w, w)))
 
 
 def make_objective(spec: ProblemSpec) -> SmoothObjective:

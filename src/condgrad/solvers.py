@@ -15,7 +15,10 @@ seed evaluation of f(x0) and the terminal certification that stops the run
 are not charged, while the full gradient consumed by the default stage
 tolerance rule is. Under this accounting the exact-oracle methods satisfy
 kg = n*it and the adaptive-step methods satisfy kf = it, both exactly.
-Raw cumulative tallies remain available on the objective itself.
+Each Armijo trial is charged one kf, the paper's cost, whether the objective
+evaluated it or its vertex ray rejected it unevaluated (see `armijo_step`).
+Raw cumulative tallies remain available on the objective itself; its kf
+counts `value` evaluations only, so there it can fall below the run's kf.
 """
 
 from __future__ import annotations
@@ -117,10 +120,10 @@ class Trace:
 
 @dataclass(frozen=True)
 class FoundDirection:
-    """A vertex satisfying the descent threshold: <f'(x), x - vertex> = descent."""
+    """A vertex b*e_index satisfying the descent threshold:
+    <f'(x), x - b*e_index> = descent."""
 
     index: int
-    vertex: np.ndarray
     descent: float
     tests: int
     kg_cost: int
@@ -167,7 +170,7 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
         descent = gx - b * probe(i)
         if descent >= delta_p:
             cost = flat_cost if flat_cost is not None else t + 1
-            return FoundDirection(i, feasible_set.vertex(i), descent, t + 1, cost), (i + 1) % n
+            return FoundDirection(i, descent, t + 1, cost), (i + 1) % n
         if descent > best:
             best = descent
     cost = flat_cost if flat_cost is not None else n
@@ -248,7 +251,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                     failures = 0
                 continue
             counters.kg += res.kg_cost
-            index, vertex, descent, tests = res.index, res.vertex, res.descent, res.tests
+            index, descent, tests = res.index, res.descent, res.tests
         else:
             g = f.gradient(x)
             # x is finite, so <g, x> is non-finite whenever some g_i is
@@ -257,7 +260,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                 raise NonFiniteOracleError(
                     f"non-finite gradient after {counters.it} iterations: "
                     f"<f'(x), x> = {gx}", point=x)
-            index, vertex = exact_lmo(g, feasible_set)
+            index = exact_lmo(g, feasible_set)
             mu = gx - feasible_set.b * float(g[index])
             if mu <= cfg.eps:
                 status = Status.CONVERGED
@@ -269,7 +272,10 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
             descent, tests = mu, 0
         trials, accepted = 0, None
         if step == "armijo":
-            search = armijo_step(f, x, vertex - x, -descent, cfg.beta, cfg.theta, fx)
+            # the bits of x + (b*e_i - x) at index i
+            x_i = float(x[index])
+            z_i = x_i + (feasible_set.b - x_i)
+            search = armijo_step(f, x, index, z_i, -descent, cfg.beta, cfg.theta, fx)
             x_new, f_new, lam, trials = (search.new_point, search.new_value,
                                          search.step, search.trials)
         else:
@@ -277,7 +283,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
             # step costs none (check_descent evaluations are never charged)
             if step == "fixed":
                 lam = min(1.0, lam_bar * delta)
-            x_new = step_point(x, vertex, lam)
+            x_new = step_point(x, index, feasible_set.b, lam)
             # a step to a vertex is rank-one: the oracle may derive its state
             f.follow_vertex_step(x, x_new, index, lam, feasible_set.b)
             f_new = math.nan if fx is None else f.value(x_new)

@@ -129,8 +129,8 @@ def test_criterion_06_armijo_descent_and_minimality(grid, minimality_traces):
         D = SimplexSet(spec.n, spec.b)
         fresh = make_objective(spec)
         lam_prev = 0.5 ** (s.trials - 2)  # theta^(m-1)
-        z = s.point + (D.vertex(s.vertex) - s.point)
-        trial = step_point(s.point, z, lam_prev)
+        x_i = float(s.point[s.vertex])
+        trial = step_point(s.point, s.vertex, x_i + (D.b - x_i), lam_prev)
         f_trial = fresh.value(trial)
         assert f_trial > s.f_before + 0.5 * lam_prev * s.dir_derivative, \
             f"step theta^(m-1) unexpectedly acceptable at k={s.k} of {spec}"

@@ -83,13 +83,9 @@ def test_as_vector_rejects_bad_input():
 
 def test_lmo_trivial_examples():
     D = SimplexSet(3, 10.0)
-    i, v = exact_lmo([3.0, -1.0, 2.0], D)
-    assert i == 1
-    assert np.array_equal(v, [0.0, 10.0, 0.0])
+    assert exact_lmo([3.0, -1.0, 2.0], D) == 1
     # constant gradient: tie broken toward the lowest index
-    i, v = exact_lmo([7.0, 7.0, 7.0], D)
-    assert i == 0
-    assert np.array_equal(v, [10.0, 0.0, 0.0])
+    assert exact_lmo([7.0, 7.0, 7.0], D) == 0
 
 
 def test_lmo_matches_enumeration_on_quadratic_gradient():
@@ -97,10 +93,9 @@ def test_lmo_matches_enumeration_on_quadratic_gradient():
     P = build_phi1_matrix(5)
     g = P @ (2.0 * np.ones(5))
     D = SimplexSet(5, 10.0)
-    i, v = exact_lmo(g, D)
+    i = exact_lmo(g, D)
     assert i == 3
-    assert np.array_equal(v, [0.0, 0.0, 0.0, 10.0, 0.0])
-    assert np.dot(g, v) == min(np.dot(g, D.vertex(j)) for j in range(5))
+    assert np.dot(g, D.vertex(i)) == min(np.dot(g, D.vertex(j)) for j in range(5))
 
 
 def test_lmo_dimension_mismatch():
@@ -114,17 +109,17 @@ def test_lmo_optimality_over_random_gradients():
         n = int(rng.integers(1, 51))
         g = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
         D = SimplexSet(n, 10.0)
-        i, v = exact_lmo(g, D)
+        i = exact_lmo(g, D)
         best = min(float(np.dot(g, D.vertex(j))) for j in range(n))
-        assert float(np.dot(g, v)) == best
+        assert float(np.dot(g, D.vertex(i))) == best
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
 def test_lmo_vertex_value_is_b_times_min(coords):
     g = np.asarray(coords)
     D = SimplexSet(g.size, 10.0)
-    i, v = exact_lmo(g, D)
-    assert np.dot(g, v) == 10.0 * g.min()
+    i = exact_lmo(g, D)
+    assert np.dot(g, D.vertex(i)) == 10.0 * g.min()
     assert i == int(np.argmin(g))
 
 
@@ -155,8 +150,7 @@ def test_gap_nonnegative_and_consistent_with_lmo():
             g = rng.normal(size=n) * 100.0
             mu = gap(x, g, D)
             assert mu >= -1e-12
-            _, v = exact_lmo(g, D)
-            direct = float(np.dot(g, x - v))
+            direct = float(np.dot(g, x - D.vertex(exact_lmo(g, D))))
             assert abs(mu - direct) <= 1e-12 * max(1.0, abs(mu))
 
 
@@ -166,7 +160,7 @@ def test_gap_nonnegative_and_consistent_with_lmo():
 def test_armijo_scalar_quadratic():
     # frozen by scalar brute force over m: f(t)=t^2 from t=1 toward 0
     f = scalar_objective(lambda t: t * t, lambda t: 2.0 * t)
-    res = armijo_step(f, [1.0], [-1.0], -2.0, 0.5, 0.5, f_x=1.0)
+    res = armijo_step(f, [1.0], 0, 0.0, -2.0, 0.5, 0.5, f_x=1.0)
     assert res.step == 1.0
     assert res.trials == 1
     assert res.new_value == 0.0
@@ -176,7 +170,7 @@ def test_armijo_scalar_quadratic():
 def test_armijo_scalar_quartic():
     # frozen by scalar brute force over m=0,1,2: accepts at 0.25
     f = scalar_objective(lambda t: t ** 4, lambda t: 4.0 * t ** 3)
-    res = armijo_step(f, [1.0], [-1.0], -4.0, 0.5, 0.5, f_x=1.0)
+    res = armijo_step(f, [1.0], 0, 0.0, -4.0, 0.5, 0.5, f_x=1.0)
     assert res.step == 0.25
     assert res.trials == 3
     assert res.new_value == pytest.approx(0.75 ** 4, rel=1e-15)
@@ -186,9 +180,17 @@ def test_armijo_scalar_quartic():
 def test_armijo_rejects_non_descent():
     f = scalar_objective(lambda t: t * t, lambda t: 2.0 * t)
     with pytest.raises(ValueError):
-        armijo_step(f, [1.0], [1.0], 2.0, 0.5, 0.5, f_x=1.0)
+        armijo_step(f, [1.0], 0, 2.0, 2.0, 0.5, 0.5, f_x=1.0)
     with pytest.raises(ValueError):
-        armijo_step(f, [1.0], [1.0], 0.0, 0.5, 0.5, f_x=1.0)
+        armijo_step(f, [1.0], 0, 2.0, 0.0, 0.5, 0.5, f_x=1.0)
+
+
+def test_armijo_rejects_a_vertex_index_out_of_range():
+    f = scalar_objective(lambda t: t * t, lambda t: 2.0 * t)
+    for i in (-1, 1):
+        with pytest.raises(ValueError):
+            armijo_step(f, [1.0], i, 0.0, -2.0, 0.5, 0.5, f_x=1.0)
+    assert f.kf == 0
 
 
 def test_armijo_trial_cap_is_an_error():
@@ -197,7 +199,7 @@ def test_armijo_trial_cap_is_an_error():
     # when lam underflows below one ulp
     f = scalar_objective(lambda t: abs(t - 1.0), lambda t: -1.0)
     with pytest.raises(LineSearchError) as err:
-        armijo_step(f, [1.0], [-1.0], -1.0, 0.5, 0.5, f_x=0.0)
+        armijo_step(f, [1.0], 0, 0.0, -1.0, 0.5, 0.5, f_x=0.0)
     assert err.value.trials == 61
     assert f.kf == 61
 
@@ -213,14 +215,14 @@ def test_armijo_null_step_after_non_finite_trials_is_an_error():
     # be returned as progress
     f = _flat_then(1.0, math.nan)
     with pytest.raises(NonFiniteOracleError) as err:
-        armijo_step(f, [1.0], [1.0], -1.0, 0.5, 0.5, f_x=1.0)
+        armijo_step(f, [1.0], 0, 2.0, -1.0, 0.5, 0.5, f_x=1.0)
     assert np.array_equal(err.value.point, [1.0])
 
 
 def test_armijo_null_step_with_finite_trials_is_a_line_search_error():
     f = _flat_then(1.0, 2.0)
     with pytest.raises(LineSearchError) as err:
-        armijo_step(f, [1.0], [1.0], -1.0, 0.5, 0.5, f_x=1.0)
+        armijo_step(f, [1.0], 0, 2.0, -1.0, 0.5, 0.5, f_x=1.0)
     assert np.array_equal(err.value.point, [1.0])
     assert np.array_equal(err.value.direction, [1.0])
     assert err.value.trials == f.kf < 61
@@ -238,20 +240,20 @@ def test_armijo_minimality(a, center, beta, theta):
     f = scalar_objective(lambda t: a * (t - center) ** 2,
                          lambda t: 2.0 * a * (t - center))
     dd = -2.0 * a * (1.0 - center)
-    res = armijo_step(f, [1.0], [-1.0], dd, beta, theta, f_x=a * (1.0 - center) ** 2)
+    res = armijo_step(f, [1.0], 0, 0.0, dd, beta, theta, f_x=a * (1.0 - center) ** 2)
     assert res.new_value <= a * (1.0 - center) ** 2 + beta * res.step * dd
     if res.trials > 1:
         lam_prev = theta ** (res.trials - 2)
         probe = scalar_objective(lambda t: a * (t - center) ** 2,
                                  lambda t: 2.0 * a * (t - center))
-        f_prev = probe.value(step_point(np.array([1.0]), np.array([0.0]), lam_prev))
+        f_prev = probe.value(step_point(np.array([1.0]), 0, 0.0, lam_prev))
         assert f_prev > a * (1.0 - center) ** 2 + beta * lam_prev * dd
 
 
 def test_armijo_accepted_point_is_convex_combination():
     f = scalar_objective(lambda t: t ** 4, lambda t: 4.0 * t ** 3)
-    res = armijo_step(f, [1.0], [-1.0], -4.0, 0.5, 0.5, f_x=1.0)
-    assert np.array_equal(res.new_point, step_point(np.array([1.0]), np.array([0.0]), 0.25))
+    res = armijo_step(f, [1.0], 0, 0.0, -4.0, 0.5, 0.5, f_x=1.0)
+    assert np.array_equal(res.new_point, step_point(np.array([1.0]), 0, 0.0, 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +293,7 @@ def test_step_point_stays_feasible(n, lam, seed):
     rng = np.random.default_rng(seed)
     D = SimplexSet(n, 10.0)
     x = random_simplex_points(rng, n, 10.0, 1)[0]
-    z = D.vertex(int(rng.integers(0, n)))
-    assert D.contains(step_point(x, z, lam))
+    assert D.contains(step_point(x, int(rng.integers(0, n)), D.b, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +315,10 @@ def _frozen(values):
 
 def _twin(f):
     """A fresh objective over the same data, with an empty cache."""
+    barrier = None if f.c is None else (f.c, f.d)
     if isinstance(f, QuadraticFormObjective):
-        return QuadraticFormObjective(f.P, barrier=(f.c, f.d))
-    return LeastSquaresObjective(f.P, f.q, barrier=(f.c, f.d))
+        return QuadraticFormObjective(f.P, barrier=barrier)
+    return LeastSquaresObjective(f.P, f.q, barrier=barrier)
 
 
 def _readings(f, x):
@@ -369,7 +371,7 @@ def test_untrusted_input_neither_reads_nor_evicts_the_cached_state(f):
 
 @pytest.mark.parametrize("f", _objectives(), ids=["quadratic", "least-squares"])
 def test_cached_iterate_partials_match_gradient_bit_for_bit(f):
-    x = step_point(np.full(6, 10.0 / 6.0), SimplexSet(6, 10.0).vertex(4), 0.3)
+    x = step_point(np.full(6, 10.0 / 6.0), 4, 10.0, 0.3)
     f.value(x)
     g = f.gradient(x)
     assert all(f.partial(x, i) == g[i] for i in range(6))
@@ -412,7 +414,7 @@ def test_cache_still_rejects_bad_input_after_a_cached_call(f):
 
 
 def test_step_point_and_report_x_are_read_only():
-    y = step_point(np.full(3, 1.0), np.array([3.0, 0.0, 0.0]), 0.5)
+    y = step_point(np.full(3, 1.0), 0, 3.0, 0.5)
     assert not y.flags.writeable and y.base is None
     with pytest.raises(ValueError):
         y[0] = 0.0
@@ -426,3 +428,120 @@ def test_step_point_and_report_x_are_read_only():
     start = solve_cgmis(objective, D, SolverConfig(eps=1e6), x0)
     assert start.counters.it == 0 and start.x is not x0
     assert not start.x.flags.writeable and np.array_equal(start.x, x0)
+
+
+# ---------------------------------------------------------------------------
+# vertex ray screen of the Armijo search
+
+def _ray_objectives():
+    """Both objectives with and without the barrier."""
+    P3, q = build_phi3_data(4, 6)
+    return _objectives() + [QuadraticFormObjective(build_phi1_matrix(6)),
+                            LeastSquaresObjective(P3, q)]
+
+
+RAY_IDS = ["quadratic-barrier", "least-squares-barrier", "quadratic", "least-squares"]
+
+
+def _uphill_ray(f):
+    """A cached point x, and the index and z_i of the vertex ray from x
+    along which f rises most (f is convex, so it rises along the whole ray)."""
+    x = _frozen(10.0 * np.random.default_rng(3).dirichlet(np.ones(f.n)))
+    z = [float(x[i] + (10.0 - x[i])) for i in range(f.n)]
+    ends = [f.value(step_point(x, i, z[i], 1.0)) for i in range(f.n)]
+    i = int(np.argmax(ends))
+    assert f.value(x) < ends[i]  # and x is the cached key
+    return x, i, z[i]
+
+
+@pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)
+def test_vertex_ray_is_within_its_margin_of_value(f):
+    x, i, z_i = _uphill_ray(f)
+    ray = f.vertex_ray(x, i, z_i)
+    kf = f.kf
+    for lam in (1.0, 0.5, 0.3, 1e-3, 2.0 ** -60, 0.0):
+        y = step_point(x, i, z_i, lam)
+        assert abs(ray.value(lam) - _twin(f).value(y)) <= ray.margin
+    assert 0.0 < ray.margin < 1e-9 * abs(ray.value(1.0))
+    assert f.kf == kf  # the ray is uncharged
+
+
+@pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)
+def test_armijo_evaluates_a_trial_inside_the_ray_margin(f):
+    x, i, z_i = _uphill_ray(f)
+    ray = f.vertex_ray(x, i, z_i)
+    phi = ray.value(1.0)
+    exact = _twin(f).value(step_point(x, i, z_i, 1.0))
+    # the first trial's threshold lies within the margin below the ray value
+    # and below f at the trial, so only its evaluation can reject it
+    f_x = min(phi, exact) - ray.margin / 4.0 + 0.5
+    threshold = f_x + 0.5 * 1.0 * -1.0
+    assert phi - ray.margin < threshold < min(phi, exact)
+    evaluated = []
+    value = f.value
+    f.value = lambda y: evaluated.append(y) or value(y)
+    res = armijo_step(f, x, i, z_i, -1.0, 0.5, 0.5, f_x)
+    # f is convex and rising along the ray, so f(0.5) < f(1) - 0.25 + 0.5
+    assert (res.trials, res.step) == (2, 0.5)
+    assert len(evaluated) == 2
+    assert np.array_equal(evaluated[0], step_point(x, i, z_i, 1.0))
+
+
+@pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)
+def test_armijo_rejects_unevaluated_a_trial_far_above_its_threshold(f):
+    x, i, z_i = _uphill_ray(f)
+    f1, f0 = f.value(step_point(x, i, z_i, 1.0)), f.value(x)
+    # thresholds: (f0 + f1)/2 - 0.25 at lam = 1, far below f1, and at
+    # lam = 0.5 just above (f0 + f1)/2 >= f(0.5), as f is convex on the ray
+    f_x = 0.5 * (f0 + f1) + 0.25 + 1e-9 * abs(f1)
+    evaluated = []
+    value = f.value
+    f.value = lambda y: evaluated.append(y) or value(y)
+    res = armijo_step(f, x, i, z_i, -1.0, 0.5, 0.5, f_x)
+    assert (res.trials, res.step) == (2, 0.5)
+    assert len(evaluated) == 1
+    assert np.array_equal(evaluated[0], step_point(x, i, z_i, 0.5))
+
+
+def test_vertex_ray_only_from_a_built_state_at_the_cached_key():
+    spec = ProblemSpec(series=1, n=150)
+    f, D, x0 = build_instance(spec)
+    x = _frozen(x0)
+    assert f.vertex_ray(x, 0, 10.0) is None  # x is not cached yet
+    f.value(x)
+    assert f.vertex_ray(x, 0, 10.0) is not None
+    assert f.vertex_ray(_frozen(x0), 0, 10.0) is None  # equal values, another key
+    x_new = step_point(x, 0, D.b, 0.5)
+    f.follow_vertex_step(x, x_new, 0, 0.5, D.b)
+    assert f._cache_x is x_new  # a derived state
+    assert f.vertex_ray(x_new, 1, 10.0) is None
+    f.value(_frozen(x_new))
+    f.value(x_new)  # rebuilt by _make_state
+    assert f.vertex_ray(x_new, 1, 10.0) is not None
+
+
+def test_vertex_ray_declines_when_not_finite():
+    f = QuadraticFormObjective(1e308 * np.eye(2))
+    x = _frozen([5.0, 5.0])
+    with np.errstate(over="ignore"):
+        assert f.value(x) == math.inf
+        assert f.vertex_ray(x, 0, 10.0) is None
+
+
+def test_vertex_ray_declines_without_symmetric_p():
+    f = QuadraticFormObjective(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    x = _frozen([5.0, 5.0])
+    f.value(x)
+    assert f.vertex_ray(x, 0, 10.0) is None
+
+
+@pytest.mark.parametrize("d, offered", [(20.0, True), (5.0, False), (10.0 + 4e-14, False)],
+                         ids=["clear", "pole-on-the-ray", "within-the-bound"])
+def test_vertex_ray_declines_when_the_barrier_denominator_may_vanish(d, offered):
+    # from x = (5, 5) toward 10*e_1 the denominator <c,y> + d runs from d
+    # down to d - 10, which is 4e-14 for the last d: positive, but inside
+    # its rounding bound
+    f = QuadraticFormObjective(np.eye(2), barrier=([1.0, -1.0], d))
+    x = _frozen([5.0, 5.0])
+    f.value(x)
+    assert (f.vertex_ray(x, 1, 10.0) is not None) is offered

@@ -47,7 +47,7 @@ def test_derived_state_matches_a_fresh_build_and_refreshes(spec):
     steps = 2 * (f.n + 1) + 3
     for k in range(1, steps + 1):
         i, lam = int(rng.integers(f.n)), float(rng.uniform(0.01, 0.99))
-        x_new = step_point(x, D.vertex(i), lam)
+        x_new = step_point(x, i, D.b, lam)
         f.follow_vertex_step(x, x_new, i, lam, D.b)
         f.value(x_new)
         # every (n+1)-th step is rebuilt, the others are derived
@@ -81,10 +81,10 @@ def test_no_derived_state_unless_x_is_the_key_and_x_new_is_fresh_and_owned():
         f.follow_vertex_step(x, x_new, 3, 0.5, D.b)
         assert f._cache_x is x and f._cache_state is cached
     other = frozen(x0)  # equal values, but not the cached key
-    x_new = step_point(other, vertex, 0.5)
+    x_new = step_point(other, 3, D.b, 0.5)
     f.follow_vertex_step(other, x_new, 3, 0.5, D.b)
     assert f._cache_x is x and f._cache_state is cached
-    x_new = step_point(x, vertex, 0.5)
+    x_new = step_point(x, 3, D.b, 0.5)
     f.follow_vertex_step(x, x_new, 3, 0.5, D.b)
     assert f._cache_x is x_new
 
@@ -95,7 +95,7 @@ def test_no_derived_state_below_the_size_gate():
     f, D, x0 = build_instance(spec)
     x = frozen(x0)
     f.value(x)
-    f.follow_vertex_step(x, step_point(x, D.vertex(0), 0.5), 0, 0.5, D.b)
+    f.follow_vertex_step(x, step_point(x, 0, D.b, 0.5), 0, 0.5, D.b)
     assert f._cache_x is x
 
 

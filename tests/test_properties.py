@@ -6,7 +6,9 @@ point, with eps set from the instance's own scale. Every run of every
 method must keep its counter identities and every traced iterate feasible;
 a converged run must certify its gap by brute force; Armijo methods must
 descend monotonically; and cgmil's fixed step from a valid Lipschitz bound
-must never violate its sufficient-decrease inequality.
+must never violate its sufficient-decrease inequality. With an optional
+barrier whose denominator comes close to 0 on the simplex, every step size
+an Armijo search skipped, evaluated or not, must fail its test.
 """
 
 import math
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condgrad import problems
-from condgrad.core import SimplexSet, Status
+from condgrad.core import SimplexSet, Status, step_point
 from condgrad.oracle import brute_force_gap
 from condgrad.problems import LeastSquaresObjective, QuadraticFormObjective
 from condgrad.solvers import (
@@ -34,7 +36,7 @@ SOLVERS = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
            "cgmis": solve_cgmis, "cgmil": solve_cgmil}
 GAP_RTOL = 1e3 * np.finfo(np.float64).eps
 
-instances = st.fixed_dictionaries({
+INSTANCE = {
     "kind": st.sampled_from(["quadratic", "least_squares"]),
     "n": st.integers(1, 30),
     "b": st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e),
@@ -42,6 +44,17 @@ instances = st.fixed_dictionaries({
     "seed": st.integers(0, 2 ** 32 - 1),
     # every instance is small, so also run it with states derived at each step
     "derive": st.booleans(),
+}
+instances = st.fixed_dictionaries(INSTANCE)
+# plus 1/(<c,x> + d) with c of one sign or of mixed signs, and d set so that
+# the smallest denominator on the simplex is `clearance` * b * max|c|; the
+# vertex start is then the vertex where it is smallest. Down at 1e-15 that
+# denominator is still positive after rounding, but within the rounding
+# bound of the vertex ray, which must decline there.
+barrier_instances = st.fixed_dictionaries({
+    **INSTANCE,
+    "barrier": st.sampled_from([None, "positive", "mixed"]),
+    "clearance": st.sampled_from([1.0, 1e-3, 1e-9, 1e-13, 1e-15]),
 })
 
 
@@ -52,12 +65,13 @@ def build(inst):
     if inst["kind"] == "quadratic":
         A = rng.standard_normal((n, int(rng.integers(1, n + 1))))
         H = A @ A.T
-        f = QuadraticFormObjective(H)
+        make = lambda barrier: QuadraticFormObjective(H, barrier)
     else:
         m = int(rng.integers(1, 2 * n + 1))
         P = rng.standard_normal((m, n))
         H = P.T @ P
-        f = LeastSquaresObjective(P, b * rng.standard_normal(m))
+        q = b * rng.standard_normal(m)
+        make = lambda barrier: LeastSquaresObjective(P, q, barrier)
     D = SimplexSet(n, b)
     i, j = rng.choice(n, size=2) if n > 1 else (0, 0)
     if inst["start"] == "vertex" or i == j:
@@ -66,7 +80,16 @@ def build(inst):
         x0 = 0.5 * (D.vertex(int(i)) + D.vertex(int(j)))
     else:
         x0 = b * rng.dirichlet(np.ones(n))
-    return f, H, D, x0
+    barrier = None
+    if inst.get("barrier"):
+        c = rng.standard_normal(n)
+        if inst["barrier"] == "positive":
+            c = np.abs(c)
+        # <c,x> + d is smallest at the vertex b*e_argmin(c)
+        barrier = (c, b * (inst["clearance"] * float(np.abs(c).max()) - float(c.min())))
+        if inst["start"] == "vertex":
+            x0 = D.vertex(int(np.argmin(c)))
+    return make(barrier), H, D, x0
 
 
 def gap_terms(g, x, D):
@@ -74,14 +97,20 @@ def gap_terms(g, x, D):
     return abs(float(g @ x)) + D.b * float(np.abs(g).max())
 
 
+def scaled_eps(f, D, x0):
+    """A target gap from the instance's own scale: 1% of the gap at x0,
+    above the rounding of the gap's terms."""
+    g0 = f.gradient(x0)
+    mu0 = float(g0 @ x0) - D.b * float(g0.min())
+    return max(0.01 * mu0, 1e-8 * gap_terms(g0, x0, D), 1e-12)
+
+
 @pytest.mark.parametrize("method", list(SOLVERS))
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(inst=instances)
 def test_paper_invariants_on_random_instances(method, inst):
     f, H, D, x0 = build(inst)
-    g0 = f.gradient(x0)
-    mu0 = float(g0 @ x0) - D.b * float(g0.min())
-    eps = max(0.01 * mu0, 1e-8 * gap_terms(g0, x0, D), 1e-12)
+    eps = scaled_eps(f, D, x0)
     cfg = SolverConfig(eps=eps, max_iterations=3000)
     L = max(float(np.abs(H).sum(axis=1).max()), 1e-12)  # >= the spectral norm
     trace = Trace(collect_points=True)
@@ -119,3 +148,24 @@ def test_paper_invariants_on_random_instances(method, inst):
     if method in ("cgm", "cgmi"):
         h = rep.f_history
         assert all(after <= before for before, after in zip(h, h[1:]))
+
+
+@pytest.mark.parametrize("method", ["cgm", "cgmi"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=barrier_instances)
+def test_every_skipped_armijo_step_fails_its_test(method, inst):
+    # most rejected trials are screened by the vertex ray, never evaluated;
+    # evaluate each on a fresh objective and check that it fails
+    f, _, D, x0 = build(inst)
+    cfg = SolverConfig(eps=scaled_eps(f, D, x0), max_iterations=200)
+    trace = Trace(collect_points=True)
+    rep = SOLVERS[method](f, D, cfg, x0, trace=trace)
+    assert rep.status in (Status.CONVERGED, Status.ITERATION_CAP)
+    fresh = build(inst)[0]
+    for s in trace.steps:
+        x_i = float(s.point[s.vertex])
+        z_i = x_i + (D.b - x_i)
+        for k in range(s.trials - 1):
+            lam = cfg.theta ** k
+            f_trial = fresh.value(step_point(s.point, s.vertex, z_i, lam))
+            assert not f_trial <= s.f_before + cfg.beta * lam * s.dir_derivative

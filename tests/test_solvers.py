@@ -1,5 +1,6 @@
 """Solver behavior: counter identities, step rules, stages, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -90,6 +91,45 @@ def test_cgm_counters_and_descent():
     assert all(b <= a for a, b in zip(h, h[1:]))
 
 
+@pytest.mark.parametrize("series", [1, 2, 3, 4])
+@pytest.mark.parametrize("solve", [solve_cgm, solve_cgmi], ids=["cgm", "cgmi"])
+def test_screened_line_search_matches_evaluating_every_trial(series, solve):
+    # the same run with the vertex ray switched off evaluates every trial
+    spec = ProblemSpec(series=series, n=10, m=5 if series > 2 else None)
+    runs = []
+    for screen in (True, False):
+        obj, D, x0 = build_instance(spec)
+        if not screen:
+            obj._vertex_ray = lambda *args: None
+        trace = Trace(collect_points=True)
+        rep = solve(obj, D, SolverConfig(eps=0.01, max_iterations=500), x0, trace=trace)
+        runs.append((rep, repr(trace.steps), obj.kf))
+    (a, steps_a, kf_a), (b, steps_b, kf_b) = runs
+    assert a.counters == b.counters and a.status is b.status
+    assert repr((a.f, a.gap)) == repr((b.f, b.gap)) and a.x.tobytes() == b.x.tobytes()
+    assert steps_a == steps_b
+    # the run charges every trial; the objective counts evaluated ones only
+    assert kf_b == b.counters.kf + 1
+    assert kf_a < kf_b / 2
+
+
+@pytest.mark.parametrize("x0, digests", [
+    # a -0.0 coordinate off the chosen vertex 1 stays -0.0 under (1-lam)*x
+    # alone, but (1-lam)*x + lam*z makes it +0.0; likewise 0*(-1e-13) at a
+    # full step. The digests are those of that dense form.
+    ([8.0, 2.0, -0.0], {"cgm": "0e78deb868638ecc", "cgms": "b17a33b69991a8ae"}),
+    ([8.0, 2.0, -1e-13], {"cgm": "0e78deb868638ecc", "cgms": "b25cee8721d391fa"}),
+])
+def test_a_vertex_step_keeps_the_bits_of_the_dense_convex_combination(x0, digests):
+    P = np.array([[1.0, 0.1, 3.0], [0.1, 0.0, 3.0], [3.0, 3.0, 1.0]])
+    for name, solve in (("cgm", solve_cgm), ("cgms", solve_cgms)):
+        trace = Trace()
+        rep = solve(QuadraticFormObjective(P), SimplexSet(3, 10.0),
+                    SolverConfig(max_iterations=1), np.array(x0), trace=trace)
+        assert trace.steps[0].vertex == 1
+        assert hashlib.sha256(rep.x.tobytes()).hexdigest()[:16] == digests[name]
+
+
 def test_cgm_iteration_cap():
     obj, D, x0 = build_instance(S1N5)
     rep = solve_cgm(obj, D, SolverConfig(max_iterations=0), x0)
@@ -160,7 +200,6 @@ def test_inexact_direction_hand_example():
     res, cursor = inexact_direction(obj, D, x, 1.0, 0)
     assert isinstance(res, FoundDirection)
     assert res.index == 1
-    assert np.array_equal(res.vertex, [0.0, 10.0, 0.0])
     assert res.descent == pytest.approx(70.0 / 3.0, rel=1e-14)
     assert res.tests == 2 and res.kg_cost == 2
     assert cursor == 2
