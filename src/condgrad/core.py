@@ -76,7 +76,9 @@ def as_vector(x, n: Optional[int] = None) -> np.ndarray:
         raise ValueError(f"expected a 1-d vector, got array of shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"dimension mismatch: expected length {n}, got {v.shape[0]}")
-    if not np.isfinite(v).all():
+    # a finite sum proves every entry finite; a sum that overflows does not
+    # prove the converse, so only then is every entry checked
+    if not math.isfinite(v.sum()) and not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
 
@@ -136,6 +138,17 @@ def _trusted(x: np.ndarray) -> bool:
     return not x.flags.writeable and x.base is None
 
 
+def _is_vertex_step(x: np.ndarray, x_new, i: int, lam: float) -> bool:
+    """O(1) validation of x_new, given x_new = step_point(x, i, z_i, lam) for
+    a validated x: off index i, x_new is (1-lam)*x (plus +0), finite for
+    0 <= lam <= 1, so only x_new[i] is checked. x_new must also be a trusted
+    float64 ndarray of x's shape, as `as_vector` would return unchanged."""
+    return (type(x_new) is np.ndarray and x_new.dtype == np.float64
+            and x_new.shape == x.shape and _trusted(x_new)
+            and 0 <= i < x.shape[0] and 0.0 <= lam <= 1.0
+            and math.isfinite(x_new[i]))
+
+
 class SmoothObjective(ABC):
     """Counted first-order oracle for a smooth function on R^n.
 
@@ -149,6 +162,14 @@ class SmoothObjective(ABC):
     read the same per-point state, or states built the same way. The cache
     only avoids recomputing work; it never changes the accounting.
 
+    An objective whose partials all come from one vector of its state can
+    offer them through the `_partials` hook: `partials` (uncharged) then
+    returns every `partial(x, i)` at once, bit for bit, so that a search
+    that probes vertices one by one costs O(1) Python work per probe. The
+    caller charges the probes it reads (the inexact direction search charges
+    one kg per probe to its run), so this object's `kg` counts `partial` and
+    `gradient` evaluations only, as its `kf` counts `value` evaluations only.
+
     The cache holds one point, and only a trusted array enters it: one that
     is read-only and owns its data (`not x.flags.writeable and x.base is
     None`). A trusted array is validated once, when it enters the cache, and
@@ -159,7 +180,8 @@ class SmoothObjective(ABC):
     fresh state on every call, and neither reads nor replaces the cached
     entry, so callers may mutate their own arrays in place. Making a trusted
     array writeable again, or writing to it through a view taken before it
-    was frozen, breaks this contract.
+    was frozen, breaks this contract. A new iterate announced by
+    `follow_vertex_step` is validated there in O(1), not scanned.
 
     A vertex step x -> (1-lam)*x + lam*b*e_i is rank-one, so an objective
     whose state is linear in x can follow it in O(rows) instead of
@@ -190,6 +212,7 @@ class SmoothObjective(ABC):
         self._cache_x: Optional[np.ndarray] = None
         self._cache_state: Optional[dict] = None
         self._derived = 0  # consecutive derived states since the last build
+        self._stepped: Optional[np.ndarray] = None  # last validated vertex step
 
     # hooks -----------------------------------------------------------------
 
@@ -220,6 +243,12 @@ class SmoothObjective(ABC):
         `state` must not be modified."""
         return None
 
+    def _partials(self, x: np.ndarray, state: dict) -> Optional[np.ndarray]:
+        """Every `_partial_impl(x, state, i)`, bit for bit, as one new
+        float64 vector; None to have callers probe the partials one by one.
+        `state` must not be modified."""
+        return None
+
     def _vertex_ray(self, x: np.ndarray, state: dict, i: int,
                     z_i: float) -> Optional["VertexRay"]:
         """f along step_point(x, i, z_i, lam) for lam in [0, 1], from
@@ -230,8 +259,11 @@ class SmoothObjective(ABC):
     # counted public interface ----------------------------------------------
 
     def _vector(self, x) -> np.ndarray:
-        # the cached key was validated when it entered the cache
-        return x if x is self._cache_x else as_vector(x, self.n)
+        # the cached key was validated when it entered the cache, the last
+        # vertex step by `follow_vertex_step`
+        if x is self._cache_x or x is self._stepped:
+            return x
+        return as_vector(x, self.n)
 
     def _state_at(self, x: np.ndarray) -> dict:
         if x is self._cache_x:
@@ -247,18 +279,21 @@ class SmoothObjective(ABC):
                            lam: float, b: float) -> None:
         """Uncharged: tell the oracle that x_new = step_point(x, i, b, lam).
 
-        When x is the cached key, x_new is another trusted array, fewer than
-        n states in a row were derived, and the `_vertex_step_state` hook
-        derives one, x_new is validated once and becomes the cached key with
-        the derived state. Otherwise nothing changes and the next oracle
-        call at x_new builds its state.
+        When x is the cached key, x_new is validated in O(1) by
+        `_is_vertex_step`, which relies on this promise, and recorded: later
+        calls with it skip `as_vector`. When, further, fewer than n states in
+        a row were derived and the `_vertex_step_state` hook derives one,
+        x_new becomes the cached key with the derived state. Otherwise the
+        next oracle call at x_new builds its state, and validates x_new in
+        full unless it was recorded.
         """
-        if (x is not self._cache_x or x_new is x or not _trusted(x_new)
-                or self._derived >= self.n):
+        if x is not self._cache_x or x_new is x or not _is_vertex_step(x, x_new, i, lam):
+            return
+        self._stepped = x_new
+        if self._derived >= self.n:
             return
         state = self._vertex_step_state(self._cache_state, i, lam, b)
-        # validated once, as any key; a non-float64 array cannot be the key
-        if state is None or as_vector(x_new, self.n) is not x_new:
+        if state is None:
             return
         self._cache_x = x_new
         self._cache_state = state
@@ -274,6 +309,13 @@ class SmoothObjective(ABC):
         if x is not self._cache_x or self._derived:
             return None
         return self._vertex_ray(x, self._cache_state, i, z_i)
+
+    def partials(self, x) -> Optional[np.ndarray]:
+        """Uncharged: every partial f'_i(x) as one vector, equal to
+        `partial(x, i)` bit for bit, or None when the objective offers no
+        `_partials` hook. The caller charges the entries it reads."""
+        x = self._vector(x)
+        return self._partials(x, self._state_at(x))
 
     def value(self, x) -> float:
         """f(x); one kf charge."""
@@ -346,7 +388,7 @@ def exact_lmo(gradient, feasible_set: SimplexSet) -> int:
     attaining min_j gradient_j, so ties break toward the lowest index for
     reproducible runs.
     """
-    return int(np.argmin(as_vector(gradient, feasible_set.n)))
+    return int(as_vector(gradient, feasible_set.n).argmin())
 
 
 def gap(x, gradient, feasible_set: SimplexSet) -> float:

@@ -255,6 +255,10 @@ class _MatrixObjective(SmoothObjective):
         w = (state["u"] + self.d) ** 2
         return g - self.c / w
 
+    def _partials(self, x, state):
+        # the gradient vector holds every partial, bit for bit
+        return self._gradient_impl(x, state)
+
     def _gradient_dot_point_impl(self, x, state):
         out = self._quad_dot_point(x, state)
         if self.c is not None:

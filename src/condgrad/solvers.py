@@ -17,8 +17,12 @@ tolerance rule is. Under this accounting the exact-oracle methods satisfy
 kg = n*it and the adaptive-step methods satisfy kf = it, both exactly.
 Each Armijo trial is charged one kf, the paper's cost, whether the objective
 evaluated it or its vertex ray rejected it unevaluated (see `armijo_step`).
-Raw cumulative tallies remain available on the objective itself; its kf
-counts `value` evaluations only, so there it can fall below the run's kf.
+Each probe of the inexact direction search is charged one kg, whether it
+called `partial` or was read from the objective's vector of partials (see
+`inexact_direction`). Raw cumulative tallies remain available on the
+objective itself; its kf counts `value` evaluations only and its kg
+`partial` and `gradient` evaluations only, so there both can fall below
+the run's counts.
 """
 
 from __future__ import annotations
@@ -144,37 +148,59 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
     """Scan vertices cyclically from `cursor` for one with
     <f'(x), x - b e_i> >= delta_p.
 
-    With the <f'(x), x> fast path each probe costs one partial derivative;
-    without it the scan falls back to one full gradient (n kg) for the whole
-    call. Returns (FoundDirection, cursor advanced past the hit) or, after a
-    full failed cycle, (ExhaustedCycle carrying the exact gap, cursor
-    unchanged).
+    Probe t is at index (cursor + t) % n. With the <f'(x), x> fast path each
+    probe costs one partial derivative; without it the scan falls back to
+    one full gradient (n kg) for the whole call. The partials are read from
+    `f.partials` when the objective offers them, which is uncharged there,
+    so the returned kg_cost is the only charge; otherwise each is probed by
+    `f.partial`. Both give the same result. The oracle validates x.
+
+    Returns (FoundDirection, cursor advanced past the hit) or, after a full
+    failed cycle, (ExhaustedCycle carrying the exact gap, cursor unchanged).
+    The gap is the largest descent in probe order: a NaN never becomes it,
+    and of equal descents (such as -0.0 and +0.0) the first probed does.
     """
     if not delta_p > 0.0:
         raise ValueError(f"delta_p must be positive, got {delta_p}")
-    x = as_vector(x, feasible_set.n)
     n = feasible_set.n
+    if f.n != n:
+        raise ValueError(f"objective dimension {f.n} does not match set dimension {n}")
     b = feasible_set.b
     gx = f.gradient_dot_point(x)
     if gx is None:
-        g = f.gradient(x)
+        g = np.asarray(f.gradient(x), dtype=np.float64)
         gx = float(np.dot(g, x))
-        probe = lambda i: float(g[i])
         flat_cost = n
     else:
-        probe = lambda i: f.partial(x, i)
+        g = f.partials(x)
         flat_cost = None
+    if g is None:
+        # no vector of partials: probe them one by one
+        best = -math.inf
+        for t in range(n):
+            i = (cursor + t) % n
+            descent = gx - b * f.partial(x, i)
+            if descent >= delta_p:
+                return FoundDirection(i, descent, t + 1, t + 1), (i + 1) % n
+            if descent > best:
+                best = descent
+        return ExhaustedCycle(best, n, n), cursor
+    descents = gx - b * g
+    start = cursor % n
+    hit = descents >= delta_p
+    i = start + int(hit[start:].argmax())
+    if not hit[i]:
+        i = int(hit[:start].argmax()) if start else 0
+    if hit[i]:
+        t = (i - start) % n
+        cost = flat_cost if flat_cost is not None else t + 1
+        return FoundDirection(i, float(descents[i]), t + 1, cost), (i + 1) % n
+    cycle = np.concatenate((descents[start:], descents[:start]))
+    cycle = cycle[~np.isnan(cycle)]
     best = -math.inf
-    for t in range(n):
-        i = (cursor + t) % n
-        descent = gx - b * probe(i)
-        if descent >= delta_p:
-            cost = flat_cost if flat_cost is not None else t + 1
-            return FoundDirection(i, descent, t + 1, cost), (i + 1) % n
-        if descent > best:
-            best = descent
-    cost = flat_cost if flat_cost is not None else n
-    return ExhaustedCycle(best, n, cost), cursor
+    if cycle.size:
+        best = float(cycle[(cycle == cycle.max()).argmax()])
+    return ExhaustedCycle(best, n, n), cursor
 
 
 # ---------------------------------------------------------------------------

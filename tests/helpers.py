@@ -11,14 +11,16 @@ class CallableObjective(SmoothObjective):
     """Oracle built from plain callables; used to script exact scenarios.
 
     `fn(x) -> float` and `partial_fn(x, i) -> float` must be consistent;
-    `gdp_fn(x)` is the optional <f'(x), x> fast path.
+    `gdp_fn(x)` is the optional <f'(x), x> fast path, and `partials_fn(x)`
+    the optional vector of all partials.
     """
 
-    def __init__(self, n, fn, partial_fn, gdp_fn=None):
+    def __init__(self, n, fn, partial_fn, gdp_fn=None, partials_fn=None):
         super().__init__(n)
         self._fn = fn
         self._partial_fn = partial_fn
         self._gdp_fn = gdp_fn
+        self._partials_fn = partials_fn
 
     def _make_state(self, x):
         return {}
@@ -31,6 +33,9 @@ class CallableObjective(SmoothObjective):
 
     def _gradient_dot_point_impl(self, x, state):
         return None if self._gdp_fn is None else self._gdp_fn(x)
+
+    def _partials(self, x, state):
+        return None if self._partials_fn is None else self._partials_fn(x)
 
 
 class LinearObjective(CallableObjective):

@@ -78,6 +78,14 @@ def test_as_vector_rejects_bad_input():
         as_vector([1.0, 2.0], n=3)
 
 
+def test_as_vector_accepts_a_finite_vector_whose_sum_overflows():
+    with np.errstate(over="ignore"):
+        v = as_vector([1e308, 1e308, -1e308])
+    assert v.tolist() == [1e308, 1e308, -1e308]
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        as_vector([1e308, math.inf, -math.inf])
+
+
 # ---------------------------------------------------------------------------
 # exact vertex oracle
 
@@ -86,6 +94,9 @@ def test_lmo_trivial_examples():
     assert exact_lmo([3.0, -1.0, 2.0], D) == 1
     # constant gradient: tie broken toward the lowest index
     assert exact_lmo([7.0, 7.0, 7.0], D) == 0
+    # ties away from index 0 also go to the lowest tied index
+    assert exact_lmo([3.0, 1.0, 1.0, 2.0], SimplexSet(4, 10.0)) == 1
+    assert exact_lmo([5.0, 4.0, -2.0, 0.0, -2.0], SimplexSet(5, 10.0)) == 2
 
 
 def test_lmo_matches_enumeration_on_quadratic_gradient():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from condgrad import problems
+from condgrad import core, problems
 from condgrad.core import step_point
 from condgrad.problems import ProblemSpec, build_instance, lipschitz_upper_bound
 from condgrad.solvers import SolverConfig, solve_cgmil, solve_cgmis, solve_cgms
@@ -123,3 +123,93 @@ def test_derived_states_leave_the_run_unchanged(spec, method, monkeypatch):
     g = f.gradient(rebuilt.x)
     scale = abs(float(g @ rebuilt.x)) + D.b * float(np.abs(g).max())
     assert abs(derived.gap - rebuilt.gap) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# validation of a stepped iterate
+
+def counting_scans(monkeypatch):
+    """Count the oracle's full validations, as `as_vector` calls in core."""
+    calls = []
+    real = core.as_vector
+    monkeypatch.setattr(core, "as_vector",
+                        lambda x, n=None: calls.append(1) or real(x, n))
+    return calls
+
+
+SIZES = [ProblemSpec(series=2, n=20), GATED[1]]
+SIZE_IDS = ["below-the-gate", "above-the-gate"]
+
+
+@pytest.mark.parametrize("spec", SIZES, ids=SIZE_IDS)
+def test_a_stepped_iterate_is_validated_without_a_scan(spec, monkeypatch):
+    f, D, x0 = build_instance(spec)
+    scans = counting_scans(monkeypatch)
+    x = frozen(x0)
+    f.value(x)
+    assert len(scans) == 1
+    gated = spec.rows * spec.n < problems.DERIVED_STATE_MIN_ENTRIES
+    for k in range(4):
+        x_new = step_point(x, k, D.b, 0.25)
+        f.follow_vertex_step(x, x_new, k, 0.25, D.b)
+        # derived above the gate; below it recorded, and built on first use
+        assert (f._cache_x is x) is gated
+        f.gradient_dot_point(x_new)
+        f.partials(x_new)
+        f.partial(x_new, 1)
+        f.value(x_new)
+        assert f._cache_x is x_new
+        x = x_new
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("method", ["cgmis", "cgmil"])
+@pytest.mark.parametrize("spec", SIZES, ids=SIZE_IDS)
+def test_a_run_scans_only_its_start(spec, method, monkeypatch):
+    scans = counting_scans(monkeypatch)
+    rep, _, _ = _solve(spec, method, SolverConfig(eps=1e-9, max_iterations=300))
+    assert rep.counters.it == 300
+    # the start's copy is validated at the first oracle call; every
+    # iterate after it is a vertex step from the cached key
+    assert len(scans) == 1
+
+
+def _declined_steps(x, D):
+    """(label, x_from, x_new, i, lam, b): announced steps that the O(1) check
+    must not accept; x is the cached key."""
+    bad_dtype = step_point(x, 2, D.b, 0.5).astype(np.float32)
+    bad_dtype.setflags(write=False)
+    return [
+        ("not-the-key", frozen(x), step_point(x, 2, D.b, 0.5), 2, 0.5, D.b),
+        ("lam-above-1", x, step_point(x, 2, D.b, 1.5), 2, 1.5, D.b),
+        ("lam-below-0", x, step_point(x, 2, D.b, -0.5), 2, -0.5, D.b),
+        ("lam-nan", x, step_point(x, 2, D.b, 0.5), 2, math.nan, D.b),
+        ("float32", x, bad_dtype, 2, 0.5, D.b),
+        ("column", x, frozen(step_point(x, 2, D.b, 0.5)[:, None]), 2, 0.5, D.b),
+        ("shorter", x, frozen(step_point(x, 2, D.b, 0.5)[1:]), 2, 0.5, D.b),
+        ("index", x, step_point(x, 2, D.b, 0.5), len(x), 0.5, D.b),
+        # a convex combination of finite entries cannot overflow, so the
+        # non-finite entry at i comes from a non-finite vertex
+        ("inf-at-i", x, step_point(x, 2, math.inf, 0.5), 2, 0.5, math.inf),
+        ("nan-at-i", x, step_point(x, 2, math.inf, 0.0), 2, 0.0, math.inf),
+    ]
+
+
+@pytest.mark.parametrize("spec", SIZES, ids=SIZE_IDS)
+def test_a_step_that_fails_the_check_is_validated_in_full(spec, monkeypatch):
+    f, D, x0 = build_instance(spec)
+    scans = counting_scans(monkeypatch)
+    for k in range(len(_declined_steps(frozen(x0), D))):
+        x = frozen(x0)
+        f.value(x)
+        label, x_from, x_new, i, lam, b = _declined_steps(x, D)[k]
+        before = len(scans)
+        f.follow_vertex_step(x_from, x_new, i, lam, b)
+        assert f._cache_x is x and f._stepped is not x_new, label
+        # the next oracle call validates x_new in full, and may reject it
+        try:
+            with np.errstate(all="ignore"):
+                f.value(x_new)
+        except ValueError:
+            assert label in ("column", "shorter", "inf-at-i", "nan-at-i"), label
+        assert len(scans) == before + 1, label

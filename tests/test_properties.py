@@ -6,7 +6,10 @@ point, with eps set from the instance's own scale. Every run of every
 method must keep its counter identities and every traced iterate feasible;
 a converged run must certify its gap by brute force; Armijo methods must
 descend monotonically; and cgmil's fixed step from a valid Lipschitz bound
-must never violate its sufficient-decrease inequality. With an optional
+must never violate its sufficient-decrease inequality. The same holds on
+objectives without the <f'(x), x> fast path, and the inexact methods give
+the same runs, bit for bit, when each partial is probed one by one instead
+of read from the objective's vector of partials. With an optional
 barrier whose denominator comes close to 0 on the simplex, every step size
 an Armijo search skipped, evaluated or not, must fail its test.
 """
@@ -105,12 +108,14 @@ def scaled_eps(f, D, x0):
     return max(0.01 * mu0, 1e-8 * gap_terms(g0, x0, D), 1e-12)
 
 
-@pytest.mark.parametrize("method", list(SOLVERS))
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(inst=instances)
-def test_paper_invariants_on_random_instances(method, inst):
+def solve(method, inst, twin=None):
+    """Run `method` on the drawn instance, with every iterate traced;
+    `twin(f)` may first switch off one of the objective's fast paths.
+    Returns (report, trace, objective, Hessian, simplex, eps)."""
     f, H, D, x0 = build(inst)
     eps = scaled_eps(f, D, x0)
+    if twin is not None:
+        twin(f)
     cfg = SolverConfig(eps=eps, max_iterations=3000)
     L = max(float(np.abs(H).sum(axis=1).max()), 1e-12)  # >= the spectral norm
     trace = Trace(collect_points=True)
@@ -125,7 +130,10 @@ def test_paper_invariants_on_random_instances(method, inst):
             rep = SOLVERS[method](f, D, cfg, x0, trace=trace)
     finally:
         problems.DERIVED_STATE_MIN_ENTRIES = saved
+    return rep, trace, f, D, eps
 
+
+def check_invariants(method, rep, trace, f, D, eps):
     c, n = rep.counters, D.n
     if method in ("cgm", "cgms"):
         assert c.kg == n * c.it and c.restarts == 0
@@ -148,6 +156,44 @@ def test_paper_invariants_on_random_instances(method, inst):
     if method in ("cgm", "cgmi"):
         h = rep.f_history
         assert all(after <= before for before, after in zip(h, h[1:]))
+
+
+def no_partials_vector(f):
+    f._partials = lambda x, state: None
+
+
+def no_gradient_dot_point(f):
+    f._gradient_dot_point_impl = lambda x, state: None
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=instances)
+def test_paper_invariants_on_random_instances(method, inst):
+    check_invariants(method, *solve(method, inst))
+
+
+@pytest.mark.parametrize("method", ["cgmi", "cgmis", "cgmil"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=instances)
+def test_inexact_runs_match_with_partials_probed_one_by_one(method, inst):
+    by_vector, by_probe = solve(method, inst)[0], solve(method, inst, no_partials_vector)[0]
+    assert by_vector.counters == by_probe.counters
+    assert by_vector.status is by_probe.status
+    assert repr(by_vector.f) == repr(by_probe.f)
+    assert repr(by_vector.gap) == repr(by_probe.gap)
+    assert by_vector.x.tobytes() == by_probe.x.tobytes()
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=instances)
+def test_paper_invariants_without_the_gradient_dot_point_fast_path(method, inst):
+    rep, trace, f, D, eps = solve(method, inst, no_gradient_dot_point)
+    check_invariants(method, rep, trace, f, D, eps)
+    # every direction search then takes one full gradient, n kg
+    assert rep.counters.kg % D.n == 0
+    assert f.gradient_dot_point(rep.x) is None
 
 
 @pytest.mark.parametrize("method", ["cgm", "cgmi"])

@@ -11,6 +11,7 @@ from condgrad.problems import (
     ProblemSpec,
     QuadraticFormObjective,
     build_instance,
+    lipschitz_upper_bound,
     make_objective,
 )
 from condgrad.solvers import (
@@ -30,6 +31,8 @@ from condgrad.solvers import (
 from helpers import CallableObjective, LinearObjective
 
 S1N5 = ProblemSpec(series=1, n=5)
+SOLVERS = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
+           "cgmis": solve_cgmis, "cgmil": solve_cgmil}
 
 
 def run(method_fn, spec=S1N5, cfg=None, trace=None, **kw):
@@ -242,6 +245,119 @@ def test_inexact_direction_rejects_bad_tolerance():
         inexact_direction(obj, D, x, 0.0, 0)
 
 
+def test_inexact_direction_rejects_a_dimension_mismatch():
+    # x fits the objective, so only the dimension check can reject it
+    obj = LinearObjective([3.0, -1.0, 2.0])
+    with pytest.raises(ValueError, match="does not match"):
+        inexact_direction(obj, SimplexSet(4, 10.0), np.full(3, 2.5), 1.0, 0)
+
+
+def _scripted_scan(gx, g, delta_p, cursor, vector):
+    """inexact_direction with <f'(x), x> = gx and f'(x) = g, reading the
+    partials from one vector or probing them one by one; the fields that
+    describe its result, and the objective's raw kg."""
+    g = np.asarray(g, dtype=np.float64)
+    f = CallableObjective(g.size, fn=lambda x: 0.0, partial_fn=lambda x, i: g[i],
+                          gdp_fn=lambda x: gx,
+                          partials_fn=(lambda x: g.copy()) if vector else None)
+    D = SimplexSet(g.size, 10.0)
+    with np.errstate(all="ignore"):
+        res, cursor = inexact_direction(f, D, D.barycenter(), delta_p, cursor)
+    fields = (type(res).__name__, getattr(res, "index", None),
+              repr(getattr(res, "descent", None)), res.tests, res.kg_cost, cursor,
+              repr(getattr(res, "gap", None)))
+    return fields, f.kg
+
+
+def _scan_cases():
+    """(gx, g, delta_p, cursor): random gradients, then adversarial ones."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (1, 2, 5, 13):
+        for _ in range(25):
+            g = rng.standard_normal(n)
+            gx = float(rng.standard_normal())
+            cases.append((gx, g, float(rng.uniform(0.5, 15.0)),
+                          int(rng.integers(-2 * n, 3 * n))))
+    nan, inf = math.nan, math.inf
+    for cursor in (0, 1, 2, 3, 4, 5, 9, -1, -5):
+        cases += [
+            (1.0, [nan, 0.1, nan, -0.2], 2.0, cursor),       # a hit past NaNs
+            (1.0, [nan, 0.1, nan, -0.2], 50.0, cursor),      # NaN never the best
+            (1.0, [inf, -inf, 0.3, 0.0], 2.0, cursor),
+            (1.0, [inf, nan, inf, inf], 2.0, cursor),        # best -inf
+            (inf, [inf, 1.0, -1.0, 0.0], 2.0, cursor),       # NaN and inf descents
+            (nan, [0.0, 1.0, -1.0, 0.0], 2.0, cursor),       # all NaN
+            (-0.0, [0.0, -0.0, 0.0, 1.0], 1.0, cursor),      # -0.0 and +0.0 tie
+            (0.0, [-0.0, 0.0, -0.0, 1.0], 1.0, cursor),
+            (1.0, [0.5, 0.5, 0.5, 0.5], 1.0, cursor),        # all equal, exhausted
+            (20.0, [1.0, 1.0, 1.0, 1.0], 1.0, cursor),       # all equal hits
+            (1.0, [0.0, 0.0, -1.0, 0.0], 5.0, cursor),       # one hit, at 2
+        ]
+    cases += [(1.0, [-1.0], 2.0, c) for c in (0, 1, 7, -3)]   # n = 1, a hit
+    cases += [(1.0, [1.0], 2.0, c) for c in (0, 1, 7, -3)]    # n = 1, exhausted
+    cases += [(-0.0, [0.0], 2.0, 0), (0.0, [-0.0], 2.0, 3), (nan, [1.0], 1.0, 0)]
+    return cases
+
+
+def test_reading_partials_from_a_vector_matches_probing_them_one_by_one():
+    kinds = set()
+    for gx, g, delta_p, cursor in _scan_cases():
+        by_vector, raw_kg = _scripted_scan(gx, g, delta_p, cursor, vector=True)
+        by_probe, probe_kg = _scripted_scan(gx, g, delta_p, cursor, vector=False)
+        assert by_vector == by_probe, (gx, g, delta_p, cursor)
+        # the vector is uncharged on the objective; the probes charge it
+        assert raw_kg == 0 and probe_kg == by_probe[4]
+        kinds.add(by_vector[0])
+    assert kinds == {"FoundDirection", "ExhaustedCycle"}
+
+
+@pytest.mark.parametrize("vector", [True, False], ids=["vector", "probes"])
+def test_inexact_scan_wraps_around_and_breaks_ties_in_cyclic_order(vector):
+    # the only hit is just before the cursor: found on the last probe
+    (kind, index, _, tests, kg_cost, cursor, _), _ = _scripted_scan(
+        1.0, [0.0, 0.0, -1.0, 0.0], 5.0, 3, vector)
+    assert (kind, index, tests, kg_cost, cursor) == ("FoundDirection", 2, 4, 4, 3)
+    # equal hits: the first in cyclic order from the cursor wins, and a
+    # cursor outside [0, n) probes (cursor + t) % n
+    for cursor, expected in ((0, 0), (2, 2), (5, 1), (-1, 3)):
+        (kind, index, _, tests, _, _, _), _ = _scripted_scan(
+            20.0, [1.0, 1.0, 1.0, 1.0], 1.0, cursor, vector)
+        assert (kind, index, tests) == ("FoundDirection", expected, 1)
+    # tied +0.0 and -0.0 maxima of an exhausted cycle: the first probed is
+    # the gap, and the cursor comes back unchanged, even when out of range
+    for cursor, gap in ((0, "-0.0"), (1, "0.0"), (2, "-0.0"), (3, "-0.0"), (9, "0.0")):
+        (kind, _, _, tests, _, back, got), _ = _scripted_scan(
+            -0.0, [0.0, -0.0, 0.0, 1.0], 1.0, cursor, vector)
+        assert (kind, tests, back, got) == ("ExhaustedCycle", 4, cursor, gap)
+
+
+@pytest.mark.parametrize("series", [1, 2, 3, 4])
+@pytest.mark.parametrize("method", ["cgmi", "cgmis", "cgmil"])
+def test_inexact_runs_match_with_the_partials_vector_off(series, method):
+    spec = ProblemSpec(series=series, n=12, m=6 if series > 2 else None)
+    runs = []
+    for vector in (True, False):
+        obj, D, x0 = build_instance(spec)
+        if not vector:
+            obj._partials = lambda x, state: None
+        trace = Trace()
+        cfg = SolverConfig(eps=0.01, max_iterations=3000)
+        if method == "cgmil":
+            rep = solve_cgmil(obj, D, cfg, x0, lipschitz_upper_bound(spec, D), trace=trace)
+        else:
+            rep = SOLVERS[method](obj, D, cfg, x0, trace=trace)
+        runs.append((rep, repr(trace.steps), obj.kg))
+    (a, steps_a, kg_a), (b, steps_b, kg_b) = runs
+    assert a.counters == b.counters and a.status is b.status
+    assert repr((a.f, a.gap)) == repr((b.f, b.gap)) and a.x.tobytes() == b.x.tobytes()
+    assert steps_a == steps_b and repr(a.stages) == repr(b.stages)
+    # the objective's raw kg counts only the probes that called `partial`,
+    # besides the full gradients at x0 (the default delta0 rule) and at a cap
+    capped = a.status is Status.ITERATION_CAP
+    assert kg_a == spec.n * (1 + capped) and kg_b > kg_a
+
+
 # ---------------------------------------------------------------------------
 # inexact method with Armijo
 
@@ -323,8 +439,6 @@ def test_cgmil_step_formula():
 def test_cgmil_descent_check_holds_with_valid_bound():
     spec = S1N5
     obj, D, x0 = build_instance(spec)
-    from condgrad.problems import lipschitz_upper_bound
-
     L = lipschitz_upper_bound(spec, D)
     rep = solve_cgmil(obj, D, SolverConfig(), x0, L, check_descent=True)
     assert rep.status is Status.CONVERGED
@@ -544,3 +658,21 @@ def test_iterates_at_large_mass_stay_feasible():
     spec = ProblemSpec(series=1, n=20, b=1e5)
     rep = run(solve_cgms, spec, SolverConfig(eps=1e3, max_iterations=3000))
     assert SimplexSet(20, 1e5).contains(rep.x)
+
+
+@pytest.mark.parametrize("series", [1, 2, 3, 4])
+@pytest.mark.parametrize("delta0", [None, 1.0], ids=["default-delta0", "delta0"])
+@pytest.mark.parametrize("name,fn,extra", FIVE_METHODS)
+def test_one_vertex_simplex_converges_at_its_only_point(name, fn, extra, delta0, series):
+    spec = ProblemSpec(series=series, n=1, m=3 if series > 2 else None)
+    obj, D, x0 = build_instance(spec)
+    if name == "cgmil":
+        extra = (lipschitz_upper_bound(spec, D),)
+    rep = fn(obj, D, SolverConfig(delta0=delta0), x0, *extra)
+    assert rep.status is Status.CONVERGED
+    assert rep.counters.it == 0 and rep.counters.restarts == 0
+    assert rep.x.tobytes() == x0.tobytes()
+    # the gap at the only point is zero up to the rounding of its two terms
+    g = obj.gradient(rep.x)
+    assert abs(rep.gap) <= 1e-12 * abs(float(g[0]) * D.b)
+    assert rep.f == obj.value(rep.x)
