@@ -181,7 +181,8 @@ class SmoothObjective(ABC):
     entry, so callers may mutate their own arrays in place. Making a trusted
     array writeable again, or writing to it through a view taken before it
     was frozen, breaks this contract. A new iterate announced by
-    `follow_vertex_step` is validated there in O(1), not scanned.
+    `follow_vertex_step` is validated there in O(1), not scanned, and
+    becomes the key: the cached key is the one object the oracle trusts.
 
     A vertex step x -> (1-lam)*x + lam*b*e_i is rank-one, so an objective
     whose state is linear in x can follow it in O(rows) instead of
@@ -192,7 +193,8 @@ class SmoothObjective(ABC):
     `_make_state` (the refresh), which bounds the rounding drift. An
     objective may decline to derive, for instance below a size at which the
     update costs more than the rebuild (the size gate of
-    `condgrad.problems`). A derived state is exact in exact arithmetic, but
+    `condgrad.problems`); the new point then becomes the key with a state
+    built by `_make_state`. A derived state is exact in exact arithmetic, but
     values at it may differ from a fresh build in the last bits; `partial`
     and `gradient` still agree bit for bit, as both read the same state.
 
@@ -212,7 +214,6 @@ class SmoothObjective(ABC):
         self._cache_x: Optional[np.ndarray] = None
         self._cache_state: Optional[dict] = None
         self._derived = 0  # consecutive derived states since the last build
-        self._stepped: Optional[np.ndarray] = None  # last validated vertex step
 
     # hooks -----------------------------------------------------------------
 
@@ -259,9 +260,9 @@ class SmoothObjective(ABC):
     # counted public interface ----------------------------------------------
 
     def _vector(self, x) -> np.ndarray:
-        # the cached key was validated when it entered the cache, the last
+        # the cached key was validated when it entered the cache, or as a
         # vertex step by `follow_vertex_step`
-        if x is self._cache_x or x is self._stepped:
+        if x is self._cache_x:
             return x
         return as_vector(x, self.n)
 
@@ -280,24 +281,26 @@ class SmoothObjective(ABC):
         """Uncharged: tell the oracle that x_new = step_point(x, i, b, lam).
 
         When x is the cached key, x_new is validated in O(1) by
-        `_is_vertex_step`, which relies on this promise, and recorded: later
-        calls with it skip `as_vector`. When, further, fewer than n states in
-        a row were derived and the `_vertex_step_state` hook derives one,
-        x_new becomes the cached key with the derived state. Otherwise the
-        next oracle call at x_new builds its state, and validates x_new in
-        full unless it was recorded.
+        `_is_vertex_step`, which relies on this promise, and becomes the
+        cached key, so later calls with it skip `as_vector`. Its state is
+        derived when fewer than n states in a row were derived and the
+        `_vertex_step_state` hook derives one, and otherwise built by
+        `_make_state`, which the next oracle call at x_new would have done.
+        Any other x_new leaves the cache as it is, and the next oracle call
+        at it validates it in full.
         """
         if x is not self._cache_x or x_new is x or not _is_vertex_step(x, x_new, i, lam):
             return
-        self._stepped = x_new
-        if self._derived >= self.n:
-            return
-        state = self._vertex_step_state(self._cache_state, i, lam, b)
+        state = None
+        if self._derived < self.n:
+            state = self._vertex_step_state(self._cache_state, i, lam, b)
         if state is None:
-            return
+            self._cache_state = self._make_state(x_new)
+            self._derived = 0
+        else:
+            self._cache_state = state
+            self._derived += 1
         self._cache_x = x_new
-        self._cache_state = state
-        self._derived += 1
 
     def vertex_ray(self, x: np.ndarray, i: int, z_i: float) -> Optional["VertexRay"]:
         """Uncharged: f along the ray from x toward z_i*e_i, or None.
@@ -378,7 +381,6 @@ class SolveReport:
     counters: Counters
     status: Status
     stages: Optional[list] = None
-    f_history: Optional[list] = None
 
 
 def exact_lmo(gradient, feasible_set: SimplexSet) -> int:
@@ -456,6 +458,9 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
     accepted one included, is evaluated by `f.value`, so the step, value and
     point returned are those of evaluating every trial.
 
+    x is validated as the oracle validates it: the cached key of `f` is
+    not rescanned, any other array is scanned in full.
+
     Raises ValueError when the supplied directional derivative is not
     negative or i is not an index of x, and LineSearchError when m would
     exceed MAX_BACKTRACKS. A trial that rounds back to x itself is never
@@ -468,7 +473,7 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
         raise ValueError(
             "armijo_step requires a descent direction: "
             f"<f'(x), d> = {directional_derivative} is not negative")
-    x = as_vector(x, f.n)
+    x = f._vector(x)
     if not 0 <= i < f.n:
         raise ValueError(f"vertex index {i} out of range for dimension {f.n}")
     ray = f.vertex_ray(x, i, z_i)

@@ -1,5 +1,8 @@
 """Benchmark harness: run plans over the problem grid, emit CSV/markdown
-tables, and the `condgrad` command line (subcommands bench, solve, check)."""
+tables, and the `condgrad` command line (subcommands bench and solve).
+
+`condgrad bench` writes its table to `--out` or stdout and a summary line,
+`K/N runs converged, S s of solve time`, to stderr."""
 
 from __future__ import annotations
 
@@ -303,11 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--format", choices=("csv", "md"), default="csv")
     solve.add_argument("--out", help="output path for the result row (default: stdout)")
     solve.add_argument("--trace", help="write per-iteration records as CSV to this path")
-
-    check = sub.add_parser("check", help="run the acceptance test suite")
-    check.add_argument("--tests-dir", default=None,
-                       help="directory holding test_acceptance.py (default: ./tests "
-                            "or the repository checkout next to the package)")
     return parser
 
 
@@ -321,6 +319,10 @@ def _cmd_bench(parser, args) -> int:
         parser.error(str(exc))
     rows = run_plan(plan)
     emit_table(rows, fmt=args.format, destination=args.out)
+    converged = sum(r.status == Status.CONVERGED.value for r in rows)
+    solve_s = sum(r.wall_ms for r in rows) / 1e3
+    print(f"{converged}/{len(rows)} runs converged, {solve_s:.1f} s of solve time",
+          file=sys.stderr)
     return 1 if any(r.status == Status.ERROR.value for r in rows) else 0
 
 
@@ -341,34 +343,6 @@ def _cmd_solve(parser, args) -> int:
     return 0
 
 
-def _locate_acceptance_tests(tests_dir: Optional[str]) -> Path:
-    candidates = []
-    if tests_dir is not None:
-        candidates.append(Path(tests_dir))
-    else:
-        candidates.append(Path.cwd() / "tests")
-        candidates.append(Path(__file__).resolve().parents[2] / "tests")
-    for c in candidates:
-        if (c / "test_acceptance.py").is_file():
-            return c / "test_acceptance.py"
-        if c.is_file():
-            return c
-    raise FileNotFoundError(
-        "could not find test_acceptance.py; pass --tests-dir")
-
-
-def _cmd_check(parser, args) -> int:
-    import pytest
-
-    try:
-        target = _locate_acceptance_tests(args.tests_dir)
-    except FileNotFoundError as exc:
-        print(f"condgrad: {exc}", file=sys.stderr)
-        return 1
-    code = pytest.main(["-v", str(target)])
-    return 0 if code == 0 else 1
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -376,8 +350,6 @@ def main(argv=None) -> int:
         return _cmd_bench(parser, args)
     if args.command == "solve":
         return _cmd_solve(parser, args)
-    if args.command == "check":
-        return _cmd_check(parser, args)
     parser.error(f"unknown command {args.command!r}")
 
 

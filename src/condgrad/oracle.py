@@ -6,7 +6,6 @@ objective oracle interface."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +22,6 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
         self.best_value = best_value
         self.best_gap = best_gap
-
-
-@dataclass(frozen=True)
-class FDSettings:
-    """Central-difference settings: per-coordinate step
-    h_i = step * max(1, |x_i|)."""
-
-    step: float = 1e-6
-
-    def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
 
 
 def brute_force_gap(f: SmoothObjective, feasible_set: SimplexSet, x) -> float:
@@ -55,12 +42,15 @@ def brute_force_gap(f: SmoothObjective, feasible_set: SimplexSet, x) -> float:
     return best
 
 
-def fd_gradient(f: SmoothObjective, x, settings: FDSettings = FDSettings()) -> np.ndarray:
-    """Central finite differences, (f(x + h e_i) - f(x - h e_i)) / 2h."""
+def fd_gradient(f: SmoothObjective, x, step: float = 1e-6) -> np.ndarray:
+    """Central finite differences, (f(x + h e_i) - f(x - h e_i)) / 2h, with
+    the per-coordinate step h_i = step * max(1, |x_i|)."""
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step}")
     x = as_vector(x, f.n)
     out = np.empty(f.n)
     for i in range(f.n):
-        h = settings.step * max(1.0, abs(float(x[i])))
+        h = step * max(1.0, abs(float(x[i])))
         xp = x.copy()
         xp[i] += h
         xm = x.copy()

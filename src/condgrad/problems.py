@@ -171,7 +171,7 @@ class _MatrixObjective(SmoothObjective):
     def _ray_constants(self) -> tuple:
         """The data's part of the ray margin: the row sums R of |P|, their
         maximum, and the total magnitude of the data (sum|P| + sum|c| + |d|,
-        plus sum|q| for least squares); () when the objective has no ray."""
+        plus sum|q| for least squares)."""
         R = np.abs(self.P).sum(axis=1)
         total = float(R.sum())
         if self.c is not None:
@@ -183,8 +183,6 @@ class _MatrixObjective(SmoothObjective):
         # that building an instance costs what it did.
         if self._ray_bounds is None:
             self._ray_bounds = self._ray_constants()
-        if not self._ray_bounds:
-            return None
         R, r_max, total = self._ray_bounds
         rows = self.P.shape[0]
         ax = np.abs(x)
@@ -272,12 +270,16 @@ class QuadraticFormObjective(_MatrixObjective):
 
     The quadratic part's state is Px, which is also its gradient vector and
     gives <f'(x), x> for free; a vertex step updates it with one column of P.
+    P must be symmetric bit for bit: for any other P the gradient of
+    0.5 <Px, x> is 0.5 (P + P^T) x, not Px.
     """
 
     def __init__(self, P: np.ndarray, barrier=None):
         P = np.asarray(P, dtype=np.float64)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"P must be square, got shape {P.shape}")
+        if not (P == P.T).all():
+            raise ValueError("P must be symmetric")
         super().__init__(P, barrier)
 
     def _quad_state(self, x):
@@ -298,12 +300,9 @@ class QuadraticFormObjective(_MatrixObjective):
     def _quad_dot_point(self, x, state):
         return float(np.dot(state["px"], x))
 
-    def _ray_constants(self):
-        # the cross term of <Py, y> is 2(1-lam)lam z_i (Px)_i for symmetric P only
-        return super()._ray_constants() if np.array_equal(self.P, self.P.T) else ()
-
     def _quad_ray(self, x, ax, state, i, z_i, y_max, R):
-        # 0.5 <Py, y> = 0.5((1-lam)^2 <Px,x> + 2(1-lam)lam z_i (Px)_i + lam^2 z_i^2 P_ii).
+        # 0.5 <Py, y> = 0.5((1-lam)^2 <Px,x> + 2(1-lam)lam z_i (Px)_i + lam^2 z_i^2 P_ii),
+        # whose cross term holds as P is symmetric.
         # Both paths err by a multiple of |y|^T |P| |y| <= y_max * sum_k |y_k| R_k,
         # which is linear in lam, so its larger end value bounds it.
         px = state["px"]

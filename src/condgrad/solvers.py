@@ -116,7 +116,11 @@ class StepRecord:
 
 @dataclass
 class Trace:
-    """Per-iteration recording, opt-in via the solvers' `trace` argument."""
+    """Per-iteration recording, opt-in via the solvers' `trace` argument.
+
+    A run's objective values, from f(x0) to the reported f, are
+    `[s.f_before for s in steps] + [report.f]` (NaN where no value was
+    computed, as in cgmil without `check_descent`)."""
 
     collect_points: bool = False
     steps: list = field(default_factory=list)
@@ -230,7 +234,6 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
     fx = f.value(x) if step != "fixed" or check_descent else None
     if fx is not None and not math.isfinite(fx):
         raise NonFiniteOracleError(f"non-finite objective value f(x0) = {fx}", point=x)
-    f_history = None if fx is None else [fx]
     status, stages = None, None
     stage, delta, cursor, iterations = 1, math.nan, 0, 0
     if inexact:
@@ -333,7 +336,6 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
         x = x_new
         if fx is not None:
             fx = f_new
-            f_history.append(fx)
         counters.it += 1
         iterations += 1
         if accepted is False:
@@ -347,7 +349,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
             f"non-finite result after {counters.it} iterations: "
             f"f = {final_f}, gap = {mu}", point=x)
     return SolveReport(x=x, f=final_f, gap=mu, counters=counters, status=status,
-                       stages=stages, f_history=f_history)
+                       stages=stages)
 
 
 # ---------------------------------------------------------------------------

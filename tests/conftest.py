@@ -12,6 +12,8 @@ from condgrad.harness import default_plan, run_single
 from condgrad.problems import ProblemSpec
 from condgrad.solvers import Trace
 
+from helpers import f_history
+
 
 @dataclass
 class CellOutcome:
@@ -47,7 +49,7 @@ def grid(request):
                          for s in trace.steps]
             outcomes[(spec.series, spec.rows, spec.n, method)] = CellOutcome(
                 spec=spec, method=method, row=row,
-                f_history=report.f_history, stages=report.stages,
+                f_history=f_history(report, trace), stages=report.stages,
                 final_x=report.x, max_mass_dev=mass_dev,
                 min_coord=min_coord, light_steps=light)
     elapsed = time.perf_counter() - started

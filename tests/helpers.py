@@ -64,3 +64,8 @@ def scalar_objective(fn, dfn):
 def random_simplex_points(rng, n, b, count):
     """`count` points uniform on the scaled simplex (Dirichlet(1,...,1) * b)."""
     return rng.dirichlet(np.ones(n), size=count) * b
+
+
+def f_history(report, trace):
+    """f at every iterate of a traced run, from f(x0) to the reported f."""
+    return [s.f_before for s in trace.steps] + [report.f]

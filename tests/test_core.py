@@ -539,11 +539,12 @@ def test_vertex_ray_declines_when_not_finite():
         assert f.vertex_ray(x, 0, 10.0) is None
 
 
-def test_vertex_ray_declines_without_symmetric_p():
-    f = QuadraticFormObjective(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    x = _frozen([5.0, 5.0])
-    f.value(x)
-    assert f.vertex_ray(x, 0, 10.0) is None
+def test_quadratic_form_rejects_a_non_symmetric_p():
+    # its gradient would be 0.5 (P + P^T) x, not the Px that the oracle returns
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticFormObjective(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticFormObjective(np.array([[1.0, 0.1 + 0.2], [0.3, 1.0]]))
 
 
 @pytest.mark.parametrize("d, offered", [(20.0, True), (5.0, False), (10.0 + 4e-14, False)],

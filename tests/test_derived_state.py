@@ -93,10 +93,14 @@ def test_no_derived_state_below_the_size_gate():
     spec = ProblemSpec(series=1, n=100)
     assert spec.n * spec.n < problems.DERIVED_STATE_MIN_ENTRIES
     f, D, x0 = build_instance(spec)
+    builds = counting_builds(f)
     x = frozen(x0)
     f.value(x)
-    f.follow_vertex_step(x, step_point(x, 0, D.b, 0.5), 0, 0.5, D.b)
-    assert f._cache_x is x
+    x_new = step_point(x, 0, D.b, 0.5)
+    f.follow_vertex_step(x, x_new, 0, 0.5, D.b)
+    # x_new is the key with a state built at once, bit for bit a fresh one
+    assert f._cache_x is x_new and len(builds) == 2
+    assert np.array_equal(f._cache_state["px"], type(f)._make_state(f, x_new)["px"])
 
 
 def _solve(spec, method, cfg):
@@ -148,12 +152,11 @@ def test_a_stepped_iterate_is_validated_without_a_scan(spec, monkeypatch):
     x = frozen(x0)
     f.value(x)
     assert len(scans) == 1
-    gated = spec.rows * spec.n < problems.DERIVED_STATE_MIN_ENTRIES
     for k in range(4):
         x_new = step_point(x, k, D.b, 0.25)
         f.follow_vertex_step(x, x_new, k, 0.25, D.b)
-        # derived above the gate; below it recorded, and built on first use
-        assert (f._cache_x is x) is gated
+        # the key on both sides of the gate: derived above it, built below
+        assert f._cache_x is x_new
         f.gradient_dot_point(x_new)
         f.partials(x_new)
         f.partial(x_new, 1)
@@ -203,9 +206,9 @@ def test_a_step_that_fails_the_check_is_validated_in_full(spec, monkeypatch):
         x = frozen(x0)
         f.value(x)
         label, x_from, x_new, i, lam, b = _declined_steps(x, D)[k]
-        before = len(scans)
+        before, cached = len(scans), f._cache_state
         f.follow_vertex_step(x_from, x_new, i, lam, b)
-        assert f._cache_x is x and f._stepped is not x_new, label
+        assert f._cache_x is x and f._cache_state is cached, label
         # the next oracle call validates x_new in full, and may reject it
         try:
             with np.errstate(all="ignore"):

@@ -1,6 +1,7 @@
 """Harness: plans, rows, table emission, trace files, and the CLI."""
 
 import json
+import re
 import time
 
 import numpy as np
@@ -237,13 +238,16 @@ def test_cli_bench_markdown(tmp_path):
     assert out.read_text().startswith("## Series 2")
 
 
-def test_cli_check_runs_pytest_on_target(tmp_path):
-    # distinct module names keep the nested pytest runs from clashing over
-    # the import cache
-    ok = tmp_path / "test_check_probe_ok.py"
-    ok.write_text("def test_ok():\n    assert True\n")
-    bad = tmp_path / "test_check_probe_bad.py"
-    bad.write_text("def test_bad():\n    assert False\n")
-    assert main(["check", "--tests-dir", str(ok)]) == 0
-    assert main(["check", "--tests-dir", str(bad)]) == 1
-    assert main(["check", "--tests-dir", str(tmp_path / "missing")]) == 1
+def test_cli_bench_writes_a_summary_line_to_stderr(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--series", "1", "--n", "5", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"4/4 runs converged, \d+\.\d s of solve time\n", captured.err)
+    assert out.read_text().split("\n")[0] == CSV_HEADER
+
+
+def test_cli_has_no_check_subcommand():
+    with pytest.raises(SystemExit) as e:
+        main(["check"])
+    assert e.value.code == 2

@@ -5,7 +5,6 @@ import pytest
 
 from condgrad.core import SimplexSet, gap
 from condgrad.oracle import (
-    FDSettings,
     NonConvergenceError,
     brute_force_gap,
     fd_gradient,
@@ -47,8 +46,9 @@ def test_brute_force_gap_matches_fast_gap():
 
 
 def test_fd_settings_validation():
+    obj = LinearObjective([2.0, -3.0, 0.5])
     with pytest.raises(ValueError):
-        FDSettings(step=0.0)
+        fd_gradient(obj, [1.0, 1.0, 1.0], step=0.0)
 
 
 def test_fd_gradient_exact_on_linear():

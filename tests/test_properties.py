@@ -35,6 +35,8 @@ from condgrad.solvers import (
     solve_cgms,
 )
 
+from helpers import f_history
+
 SOLVERS = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
            "cgmis": solve_cgmis, "cgmil": solve_cgmil}
 GAP_RTOL = 1e3 * np.finfo(np.float64).eps
@@ -154,7 +156,7 @@ def check_invariants(method, rep, trace, f, D, eps):
         assert math.isfinite(rep.f) and rep.gap <= eps
 
     if method in ("cgm", "cgmi"):
-        h = rep.f_history
+        h = f_history(rep, trace)
         assert all(after <= before for before, after in zip(h, h[1:]))
 
 

@@ -28,7 +28,7 @@ from condgrad.solvers import (
     solve_cgms,
 )
 
-from helpers import CallableObjective, LinearObjective
+from helpers import CallableObjective, LinearObjective, f_history
 
 S1N5 = ProblemSpec(series=1, n=5)
 SOLVERS = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
@@ -70,13 +70,14 @@ def test_infeasible_start_rejected():
 def test_cgm_stationary_start_converges_immediately():
     obj = QuadraticFormObjective(np.eye(2))
     D = SimplexSet(2, 10.0)
-    rep = solve_cgm(obj, D, SolverConfig(), np.array([5.0, 5.0]))
+    trace = Trace()
+    rep = solve_cgm(obj, D, SolverConfig(), np.array([5.0, 5.0]), trace=trace)
     assert rep.status is Status.CONVERGED
     assert rep.counters.it == 0
     assert rep.counters.kf == 0 and rep.counters.kg == 0
     assert rep.gap == 0.0
     assert rep.f == 25.0
-    assert rep.f_history == [25.0]
+    assert f_history(rep, trace) == [25.0]
 
 
 def test_cgm_counters_and_descent():
@@ -89,7 +90,7 @@ def test_cgm_counters_and_descent():
     assert rep.counters.restarts == 0
     assert rep.stages is None
     # monotone descent, strictly at every accepted step
-    h = rep.f_history
+    h = f_history(rep, trace)
     assert len(h) == rep.counters.it + 1
     assert all(b <= a for a, b in zip(h, h[1:]))
 
@@ -389,7 +390,7 @@ def test_cgmi_stage_structure_and_descent_bound():
     # gradient work stays below the exact-oracle cost
     assert rep.counters.kg < 5 * rep.counters.it
     # monotone descent
-    h = rep.f_history
+    h = f_history(rep, trace)
     assert all(b <= a for a, b in zip(h, h[1:]))
 
 
@@ -440,10 +441,11 @@ def test_cgmil_descent_check_holds_with_valid_bound():
     spec = S1N5
     obj, D, x0 = build_instance(spec)
     L = lipschitz_upper_bound(spec, D)
-    rep = solve_cgmil(obj, D, SolverConfig(), x0, L, check_descent=True)
+    trace = Trace()
+    rep = solve_cgmil(obj, D, SolverConfig(), x0, L, trace=trace, check_descent=True)
     assert rep.status is Status.CONVERGED
     assert rep.counters.kf == 0  # debug evaluations are never charged
-    h = rep.f_history
+    h = f_history(rep, trace)
     assert h is not None and all(b <= a for a, b in zip(h, h[1:]))
 
 
