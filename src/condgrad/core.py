@@ -152,23 +152,24 @@ def _is_vertex_step(x: np.ndarray, x_new, i: int, lam: float) -> bool:
 class SmoothObjective(ABC):
     """Counted first-order oracle for a smooth function on R^n.
 
+    A subclass implements three hooks: `_make_state` (the per-point state),
+    `_value_impl` and `_gradient_impl` (the gradient vector, read from that
+    state), plus optionally `_gradient_dot_point_impl`.
+
     Call accounting is exact and unconditional: `value` adds 1 to `kf`,
     `gradient` adds n to `kg`, `partial` adds 1 to `kg`.
     `gradient_dot_point` returns <f'(x), x> for free when it is derivable
     from the state of a value evaluation (returns None when it is not, in
     which case callers fall back to a full gradient).
 
-    Component i of `gradient(x)` equals `partial(x, i)` bit-for-bit: both
-    read the same per-point state, or states built the same way. The cache
-    only avoids recomputing work; it never changes the accounting.
-
-    An objective whose partials all come from one vector of its state can
-    offer them through the `_partials` hook: `partials` (uncharged) then
-    returns every `partial(x, i)` at once, bit for bit, so that a search
+    Every derivative comes from the one `_gradient_impl` hook: `partial(x,
+    i)` is entry i of its vector, so it equals `gradient(x)[i]` bit for bit,
+    and `partials` (uncharged) returns the whole vector, so that a search
     that probes vertices one by one costs O(1) Python work per probe. The
     caller charges the probes it reads (the inexact direction search charges
     one kg per probe to its run), so this object's `kg` counts `partial` and
     `gradient` evaluations only, as its `kf` counts `value` evaluations only.
+    The cache only avoids recomputing work; it never changes the accounting.
 
     The cache holds one point, and only a trusted array enters it: one that
     is read-only and owns its data (`not x.flags.writeable and x.base is
@@ -226,13 +227,9 @@ class SmoothObjective(ABC):
         ...
 
     @abstractmethod
-    def _partial_impl(self, x: np.ndarray, state: dict, i: int) -> float:
-        ...
-
     def _gradient_impl(self, x: np.ndarray, state: dict) -> np.ndarray:
-        # default path: assemble from the partial formula, which guarantees
-        # the bit-exact gradient/partial agreement
-        return np.array([self._partial_impl(x, state, i) for i in range(self.n)])
+        """f'(x) as a new float64 vector, which callers may keep or modify.
+        `state` must not be modified."""
 
     def _gradient_dot_point_impl(self, x: np.ndarray, state: dict) -> Optional[float]:
         return None
@@ -241,12 +238,6 @@ class SmoothObjective(ABC):
                            b: float) -> Optional[dict]:
         """The state at (1-lam)*x + lam*b*e_i, derived from `state`, the
         state at x; None to have it rebuilt by `_make_state` instead.
-        `state` must not be modified."""
-        return None
-
-    def _partials(self, x: np.ndarray, state: dict) -> Optional[np.ndarray]:
-        """Every `_partial_impl(x, state, i)`, bit for bit, as one new
-        float64 vector; None to have callers probe the partials one by one.
         `state` must not be modified."""
         return None
 
@@ -313,12 +304,11 @@ class SmoothObjective(ABC):
             return None
         return self._vertex_ray(x, self._cache_state, i, z_i)
 
-    def partials(self, x) -> Optional[np.ndarray]:
+    def partials(self, x) -> np.ndarray:
         """Uncharged: every partial f'_i(x) as one vector, equal to
-        `partial(x, i)` bit for bit, or None when the objective offers no
-        `_partials` hook. The caller charges the entries it reads."""
+        `partial(x, i)` bit for bit. The caller charges the entries it reads."""
         x = self._vector(x)
-        return self._partials(x, self._state_at(x))
+        return self._gradient_impl(x, self._state_at(x))
 
     def value(self, x) -> float:
         """f(x); one kf charge."""
@@ -333,12 +323,12 @@ class SmoothObjective(ABC):
         return self._gradient_impl(x, self._state_at(x))
 
     def partial(self, x, i: int) -> float:
-        """f'_i(x); one kg charge."""
+        """f'_i(x), entry i of the gradient vector; one kg charge."""
         x = self._vector(x)
         if not 0 <= i < self.n:
             raise ValueError(f"partial index {i} out of range for dimension {self.n}")
         self.kg += 1
-        return float(self._partial_impl(x, self._state_at(x), i))
+        return float(self._gradient_impl(x, self._state_at(x))[i])
 
     def gradient_dot_point(self, x) -> Optional[float]:
         """<f'(x), x> without any kg charge, or None if no fast path exists."""

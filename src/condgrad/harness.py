@@ -30,8 +30,6 @@ from .solvers import (
 
 METHOD_ORDER = ("cgm", "cgms", "cgmi", "cgmis", "cgmil")
 
-CSV_HEADER = "series,method,m,n,it,kf,kg,restarts,f_final,mu_final,status,wall_ms"
-
 _SERIES_TITLES = {
     1: "quadratic form",
     2: "quadratic form plus inverse barrier",
@@ -56,6 +54,23 @@ class RunRow:
     mu_final: float
     status: str
     wall_ms: float
+
+
+def _fmt_float(v: float) -> str:
+    return f"{v:.6g}"
+
+
+# (name, formatter) per RunRow field, in column order: the one layout that
+# the CSV and markdown tables share
+_COLUMNS = tuple((f.name, _fmt_float if f.type == "float" else str)
+                 for f in dataclasses.fields(RunRow))
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+# a markdown table's heading names its series
+_MD_COLUMNS = tuple(c for c in _COLUMNS if c[0] != "series")
+
+
+def _cells(row: RunRow, columns) -> list:
+    return [fmt(getattr(row, name)) for name, fmt in columns]
 
 
 @dataclass(frozen=True)
@@ -152,20 +167,9 @@ def run_plan(plan: BenchPlan):
             for spec in cells for method in plan.methods]
 
 
-def _fmt_float(v: float) -> str:
-    return f"{v:.6g}"
-
-
-def _csv_line(row: RunRow) -> str:
-    return ",".join([
-        str(row.series), row.method, str(row.m), str(row.n), str(row.it),
-        str(row.kf), str(row.kg), str(row.restarts), _fmt_float(row.f_final),
-        _fmt_float(row.mu_final), row.status, _fmt_float(row.wall_ms),
-    ])
-
-
 def format_rows_csv(rows) -> str:
-    return "\n".join([CSV_HEADER] + [_csv_line(r) for r in rows]) + "\n"
+    lines = [CSV_HEADER] + [",".join(_cells(r, _COLUMNS)) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def format_rows_markdown(rows) -> str:
@@ -177,13 +181,10 @@ def format_rows_markdown(rows) -> str:
         chunk.sort(key=lambda r: (METHOD_ORDER.index(r.method), r.m, r.n))
         out.append(f"## Series {series}: {_SERIES_TITLES.get(series, '')}".rstrip())
         out.append("")
-        out.append("| method | m | n | it | kf | kg | restarts | f_final | mu_final | status | wall_ms |")
-        out.append("|---|---|---|---|---|---|---|---|---|---|---|")
+        out.append("| " + " | ".join(name for name, _ in _MD_COLUMNS) + " |")
+        out.append("|" + "---|" * len(_MD_COLUMNS))
         for r in chunk:
-            out.append(
-                f"| {r.method} | {r.m} | {r.n} | {r.it} | {r.kf} | {r.kg} "
-                f"| {r.restarts} | {_fmt_float(r.f_final)} | {_fmt_float(r.mu_final)} "
-                f"| {r.status} | {_fmt_float(r.wall_ms)} |")
+            out.append("| " + " | ".join(_cells(r, _MD_COLUMNS)) + " |")
         out.append("")
     return "\n".join(out)
 
@@ -251,15 +252,16 @@ def write_trace_csv(report, trace: Trace, destination) -> None:
 # command line
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=0.1, help="target gap (default 0.1)")
-    p.add_argument("--beta", type=float, default=0.5, help="sufficient-decrease slope")
-    p.add_argument("--theta", type=float, default=0.5, help="backtracking ratio")
-    p.add_argument("--sigma", type=float, default=0.9, help="step shrink factor")
-    p.add_argument("--nu", type=float, default=0.5, help="stage tolerance decrease")
-    p.add_argument("--delta0", type=float, default=None,
+    d = SolverConfig()
+    p.add_argument("--eps", type=float, default=d.eps, help=f"target gap (default {d.eps})")
+    p.add_argument("--beta", type=float, default=d.beta, help="sufficient-decrease slope")
+    p.add_argument("--theta", type=float, default=d.theta, help="backtracking ratio")
+    p.add_argument("--sigma", type=float, default=d.sigma, help="step shrink factor")
+    p.add_argument("--nu", type=float, default=d.nu, help="stage tolerance decrease")
+    p.add_argument("--delta0", type=float, default=d.delta0,
                    help="initial stage tolerance (default: max(eps, nu*gap(x0)))")
-    p.add_argument("--tau0", type=float, default=0.9, help="initial step ceiling")
-    p.add_argument("--max-iter", type=int, default=1_000_000, dest="max_iter",
+    p.add_argument("--tau0", type=float, default=d.tau0, help="initial step ceiling")
+    p.add_argument("--max-iter", type=int, default=d.max_iterations, dest="max_iter",
                    help="iteration cap per run")
     p.add_argument("--dump-config", action="store_true",
                    help="print the fully resolved solver configuration as JSON")

@@ -239,23 +239,12 @@ class _MatrixObjective(SmoothObjective):
             f += 1.0 / (state["u"] + self.d)
         return f
 
-    def _partial_impl(self, x, state, i):
-        g = self._quad_gradient(state)[i]
-        if self.c is not None:
-            w = (state["u"] + self.d) ** 2
-            g = g - self.c[i] / w
-        return g
-
     def _gradient_impl(self, x, state):
         g = self._quad_gradient(state)
         if self.c is None:
             return g.copy()
         w = (state["u"] + self.d) ** 2
         return g - self.c / w
-
-    def _partials(self, x, state):
-        # the gradient vector holds every partial, bit for bit
-        return self._gradient_impl(x, state)
 
     def _gradient_dot_point_impl(self, x, state):
         out = self._quad_dot_point(x, state)

@@ -17,8 +17,8 @@ tolerance rule is. Under this accounting the exact-oracle methods satisfy
 kg = n*it and the adaptive-step methods satisfy kf = it, both exactly.
 Each Armijo trial is charged one kf, the paper's cost, whether the objective
 evaluated it or its vertex ray rejected it unevaluated (see `armijo_step`).
-Each probe of the inexact direction search is charged one kg, whether it
-called `partial` or was read from the objective's vector of partials (see
+Each probe of the inexact direction search is charged one kg, although it
+is read from the objective's uncharged vector of partials (see
 `inexact_direction`). Raw cumulative tallies remain available on the
 objective itself; its kf counts `value` evaluations only and its kg
 `partial` and `gradient` evaluations only, so there both can fall below
@@ -153,11 +153,11 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
     <f'(x), x - b e_i> >= delta_p.
 
     Probe t is at index (cursor + t) % n. With the <f'(x), x> fast path each
-    probe costs one partial derivative; without it the scan falls back to
-    one full gradient (n kg) for the whole call. The partials are read from
-    `f.partials` when the objective offers them, which is uncharged there,
-    so the returned kg_cost is the only charge; otherwise each is probed by
-    `f.partial`. Both give the same result. The oracle validates x.
+    probe costs one partial derivative, read from the uncharged vector
+    `f.partials`, so the returned kg_cost (t + 1, or n for a full cycle) is
+    the only charge; without it the scan takes one charged full gradient
+    (n kg) for the whole call. Either way the result is that of probing
+    `f.partial` one vertex at a time. The oracle validates x.
 
     Returns (FoundDirection, cursor advanced past the hit) or, after a full
     failed cycle, (ExhaustedCycle carrying the exact gap, cursor unchanged).
@@ -171,24 +171,12 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
         raise ValueError(f"objective dimension {f.n} does not match set dimension {n}")
     b = feasible_set.b
     gx = f.gradient_dot_point(x)
-    if gx is None:
-        g = np.asarray(f.gradient(x), dtype=np.float64)
+    full = gx is None
+    if full:
+        g = f.gradient(x)
         gx = float(np.dot(g, x))
-        flat_cost = n
     else:
         g = f.partials(x)
-        flat_cost = None
-    if g is None:
-        # no vector of partials: probe them one by one
-        best = -math.inf
-        for t in range(n):
-            i = (cursor + t) % n
-            descent = gx - b * f.partial(x, i)
-            if descent >= delta_p:
-                return FoundDirection(i, descent, t + 1, t + 1), (i + 1) % n
-            if descent > best:
-                best = descent
-        return ExhaustedCycle(best, n, n), cursor
     descents = gx - b * g
     start = cursor % n
     hit = descents >= delta_p
@@ -197,7 +185,7 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
         i = int(hit[:start].argmax()) if start else 0
     if hit[i]:
         t = (i - start) % n
-        cost = flat_cost if flat_cost is not None else t + 1
+        cost = n if full else t + 1
         return FoundDirection(i, float(descents[i]), t + 1, cost), (i + 1) % n
     cycle = np.concatenate((descents[start:], descents[:start]))
     cycle = cycle[~np.isnan(cycle)]

@@ -2,25 +2,27 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from condgrad.core import SmoothObjective
+from condgrad.solvers import ExhaustedCycle, FoundDirection
 
 
 class CallableObjective(SmoothObjective):
     """Oracle built from plain callables; used to script exact scenarios.
 
     `fn(x) -> float` and `partial_fn(x, i) -> float` must be consistent;
-    `gdp_fn(x)` is the optional <f'(x), x> fast path, and `partials_fn(x)`
-    the optional vector of all partials.
+    the gradient vector is assembled from `partial_fn`, and `gdp_fn(x)` is
+    the optional <f'(x), x> fast path.
     """
 
-    def __init__(self, n, fn, partial_fn, gdp_fn=None, partials_fn=None):
+    def __init__(self, n, fn, partial_fn, gdp_fn=None):
         super().__init__(n)
         self._fn = fn
         self._partial_fn = partial_fn
         self._gdp_fn = gdp_fn
-        self._partials_fn = partials_fn
 
     def _make_state(self, x):
         return {}
@@ -28,14 +30,12 @@ class CallableObjective(SmoothObjective):
     def _value_impl(self, x, state):
         return self._fn(x)
 
-    def _partial_impl(self, x, state, i):
-        return self._partial_fn(x, i)
+    def _gradient_impl(self, x, state):
+        return np.array([self._partial_fn(x, i) for i in range(self.n)],
+                        dtype=np.float64)
 
     def _gradient_dot_point_impl(self, x, state):
         return None if self._gdp_fn is None else self._gdp_fn(x)
-
-    def _partials(self, x, state):
-        return None if self._partials_fn is None else self._partials_fn(x)
 
 
 class LinearObjective(CallableObjective):
@@ -69,3 +69,32 @@ def random_simplex_points(rng, n, b, count):
 def f_history(report, trace):
     """f at every iterate of a traced run, from f(x0) to the reported f."""
     return [s.f_before for s in trace.steps] + [report.f]
+
+
+def reference_scan(f, feasible_set, x, delta_p, cursor):
+    """`condgrad.solvers.inexact_direction` as a loop over the probes: the
+    reference its vector scan is compared against, and a drop-in for it.
+
+    Probe t reads vertex (cursor + t) % n. With the <f'(x), x> fast path
+    each probe calls `f.partial` (one kg on the objective) and the run is
+    charged t + 1; without it one full gradient is taken and charged n.
+    A NaN descent never becomes the gap, and of equal descents the first
+    probed does.
+    """
+    n, b = feasible_set.n, feasible_set.b
+    gx = f.gradient_dot_point(x)
+    full = gx is None
+    if full:
+        g = f.gradient(x)
+        gx, partial = float(np.dot(g, x)), lambda i: float(g[i])
+    else:
+        partial = lambda i: f.partial(x, i)
+    best = -math.inf
+    for t in range(n):
+        i = (cursor + t) % n
+        descent = gx - b * partial(i)
+        if descent >= delta_p:
+            return FoundDirection(i, descent, t + 1, n if full else t + 1), (i + 1) % n
+        if descent > best:
+            best = descent
+    return ExhaustedCycle(best, n, n), cursor

@@ -1,5 +1,6 @@
 """Harness: plans, rows, table emission, trace files, and the CLI."""
 
+import dataclasses
 import json
 import re
 import time
@@ -193,6 +194,28 @@ def test_cli_trace_file_has_it_plus_one_records(tmp_path, capsys):
     assert float(last[2]) == float(out_row[8]) or abs(float(last[2]) - float(out_row[8])) < 1e-4
 
 
+def test_cli_trace_of_an_inexact_method_follows_its_stages(tmp_path, capsys):
+    trace_path = tmp_path / "t.csv"
+    assert main(["solve", "--series", "2", "--n", "5", "--method", "cgmi",
+                 "--trace", str(trace_path)]) == 0
+    it = int(capsys.readouterr().out.strip().split("\n")[1].split(",")[4])
+    lines = trace_path.read_text().strip().split("\n")
+    assert len(lines) - 1 == it + 1
+    records = [(int(ln.split(",")[4]), float(ln.split(",")[5])) for ln in lines[1:]]
+    nu = SolverConfig().nu
+    for (stage, delta), (next_stage, next_delta) in zip(records, records[1:]):
+        assert next_stage >= stage
+        if next_stage > stage:
+            # nu = 0.5 scales delta_p exactly
+            assert next_delta == delta * nu ** (next_stage - stage)
+        else:
+            assert next_delta == delta
+    _, report = run_single(ProblemSpec(series=2, n=5), "cgmi", SolverConfig())
+    assert report.counters.restarts >= 2 and report.counters.it == it
+    last = report.stages[-1]
+    assert records[-1] == (last.stage, last.delta)
+
+
 def test_cli_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["solve", "--series", "1", "--n", "5", "--method", "cgms",
@@ -218,6 +241,15 @@ def test_cli_dump_config(capsys):
     assert cfg["eps"] == 0.2
     assert cfg["max_iterations"] == 10 ** 6
     assert cfg["delta0"] is None
+
+
+@pytest.mark.parametrize("command", [["solve", "--method", "cgm"], ["bench"]])
+def test_cli_dump_config_defaults_are_the_solver_config(command, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(command + ["--series", "1", "--n", "5", "--out", str(out),
+                           "--dump-config"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == json.dumps(dataclasses.asdict(SolverConfig()), sort_keys=True) + "\n"
 
 
 def test_cli_bench_subset(tmp_path):

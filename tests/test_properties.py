@@ -8,8 +8,9 @@ a converged run must certify its gap by brute force; Armijo methods must
 descend monotonically; and cgmil's fixed step from a valid Lipschitz bound
 must never violate its sufficient-decrease inequality. The same holds on
 objectives without the <f'(x), x> fast path, and the inexact methods give
-the same runs, bit for bit, when each partial is probed one by one instead
-of read from the objective's vector of partials. With an optional
+the same runs, bit for bit, when each partial is probed one by one (the
+reference scan of the tests' helpers) instead of read from the objective's
+vector of partials. With an optional
 barrier whose denominator comes close to 0 on the simplex, every step size
 an Armijo search skipped, evaluated or not, must fail its test.
 """
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condgrad import problems
+from condgrad import problems, solvers
 from condgrad.core import SimplexSet, Status, step_point
 from condgrad.oracle import brute_force_gap
 from condgrad.problems import LeastSquaresObjective, QuadraticFormObjective
@@ -35,7 +36,7 @@ from condgrad.solvers import (
     solve_cgms,
 )
 
-from helpers import f_history
+from helpers import f_history, reference_scan
 
 SOLVERS = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
            "cgmis": solve_cgmis, "cgmil": solve_cgmil}
@@ -160,10 +161,6 @@ def check_invariants(method, rep, trace, f, D, eps):
         assert all(after <= before for before, after in zip(h, h[1:]))
 
 
-def no_partials_vector(f):
-    f._partials = lambda x, state: None
-
-
 def no_gradient_dot_point(f):
     f._gradient_dot_point_impl = lambda x, state: None
 
@@ -179,12 +176,17 @@ def test_paper_invariants_on_random_instances(method, inst):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(inst=instances)
 def test_inexact_runs_match_with_partials_probed_one_by_one(method, inst):
-    by_vector, by_probe = solve(method, inst)[0], solve(method, inst, no_partials_vector)[0]
+    by_vector, vector_trace = solve(method, inst)[:2]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "inexact_direction", reference_scan)
+        by_probe, probe_trace = solve(method, inst)[:2]
     assert by_vector.counters == by_probe.counters
     assert by_vector.status is by_probe.status
     assert repr(by_vector.f) == repr(by_probe.f)
     assert repr(by_vector.gap) == repr(by_probe.gap)
     assert by_vector.x.tobytes() == by_probe.x.tobytes()
+    assert repr(vector_trace.steps) == repr(probe_trace.steps)
+    assert repr(by_vector.stages) == repr(by_probe.stages)
 
 
 @pytest.mark.parametrize("method", list(SOLVERS))

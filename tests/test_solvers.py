@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from condgrad.core import DescentViolationError, NonFiniteOracleError, SimplexSet, Status, gap
+from condgrad import solvers
+from condgrad.core import (
+    DescentViolationError,
+    NonFiniteOracleError,
+    SimplexSet,
+    SmoothObjective,
+    Status,
+    gap,
+)
 from condgrad.problems import (
     ProblemSpec,
     QuadraticFormObjective,
@@ -28,7 +36,7 @@ from condgrad.solvers import (
     solve_cgms,
 )
 
-from helpers import CallableObjective, LinearObjective, f_history
+from helpers import CallableObjective, LinearObjective, f_history, reference_scan
 
 S1N5 = ProblemSpec(series=1, n=5)
 SOLVERS = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
@@ -207,7 +215,9 @@ def test_inexact_direction_hand_example():
     assert res.descent == pytest.approx(70.0 / 3.0, rel=1e-14)
     assert res.tests == 2 and res.kg_cost == 2
     assert cursor == 2
-    assert obj.kg == 2  # one partial per probed vertex
+    # the run is charged the two probes; they are read from the uncharged
+    # vector of partials, so the objective's raw kg stays 0
+    assert obj.kg == 0
 
 
 def test_inexact_direction_cursor_persistence():
@@ -253,17 +263,16 @@ def test_inexact_direction_rejects_a_dimension_mismatch():
         inexact_direction(obj, SimplexSet(4, 10.0), np.full(3, 2.5), 1.0, 0)
 
 
-def _scripted_scan(gx, g, delta_p, cursor, vector):
-    """inexact_direction with <f'(x), x> = gx and f'(x) = g, reading the
-    partials from one vector or probing them one by one; the fields that
-    describe its result, and the objective's raw kg."""
+def _scripted_scan(scan, gx, g, delta_p, cursor):
+    """`scan` (inexact_direction or reference_scan) with <f'(x), x> = gx and
+    f'(x) = g; the fields that describe its result, and the objective's
+    raw kg."""
     g = np.asarray(g, dtype=np.float64)
     f = CallableObjective(g.size, fn=lambda x: 0.0, partial_fn=lambda x, i: g[i],
-                          gdp_fn=lambda x: gx,
-                          partials_fn=(lambda x: g.copy()) if vector else None)
+                          gdp_fn=lambda x: gx)
     D = SimplexSet(g.size, 10.0)
     with np.errstate(all="ignore"):
-        res, cursor = inexact_direction(f, D, D.barycenter(), delta_p, cursor)
+        res, cursor = scan(f, D, D.barycenter(), delta_p, cursor)
     fields = (type(res).__name__, getattr(res, "index", None),
               repr(getattr(res, "descent", None)), res.tests, res.kg_cost, cursor,
               repr(getattr(res, "gap", None)))
@@ -304,8 +313,8 @@ def _scan_cases():
 def test_reading_partials_from_a_vector_matches_probing_them_one_by_one():
     kinds = set()
     for gx, g, delta_p, cursor in _scan_cases():
-        by_vector, raw_kg = _scripted_scan(gx, g, delta_p, cursor, vector=True)
-        by_probe, probe_kg = _scripted_scan(gx, g, delta_p, cursor, vector=False)
+        by_vector, raw_kg = _scripted_scan(inexact_direction, gx, g, delta_p, cursor)
+        by_probe, probe_kg = _scripted_scan(reference_scan, gx, g, delta_p, cursor)
         assert by_vector == by_probe, (gx, g, delta_p, cursor)
         # the vector is uncharged on the objective; the probes charge it
         assert raw_kg == 0 and probe_kg == by_probe[4]
@@ -313,35 +322,35 @@ def test_reading_partials_from_a_vector_matches_probing_them_one_by_one():
     assert kinds == {"FoundDirection", "ExhaustedCycle"}
 
 
-@pytest.mark.parametrize("vector", [True, False], ids=["vector", "probes"])
-def test_inexact_scan_wraps_around_and_breaks_ties_in_cyclic_order(vector):
+@pytest.mark.parametrize("scan", [inexact_direction, reference_scan],
+                         ids=["vector", "probes"])
+def test_inexact_scan_wraps_around_and_breaks_ties_in_cyclic_order(scan):
     # the only hit is just before the cursor: found on the last probe
     (kind, index, _, tests, kg_cost, cursor, _), _ = _scripted_scan(
-        1.0, [0.0, 0.0, -1.0, 0.0], 5.0, 3, vector)
+        scan, 1.0, [0.0, 0.0, -1.0, 0.0], 5.0, 3)
     assert (kind, index, tests, kg_cost, cursor) == ("FoundDirection", 2, 4, 4, 3)
     # equal hits: the first in cyclic order from the cursor wins, and a
     # cursor outside [0, n) probes (cursor + t) % n
     for cursor, expected in ((0, 0), (2, 2), (5, 1), (-1, 3)):
         (kind, index, _, tests, _, _, _), _ = _scripted_scan(
-            20.0, [1.0, 1.0, 1.0, 1.0], 1.0, cursor, vector)
+            scan, 20.0, [1.0, 1.0, 1.0, 1.0], 1.0, cursor)
         assert (kind, index, tests) == ("FoundDirection", expected, 1)
     # tied +0.0 and -0.0 maxima of an exhausted cycle: the first probed is
     # the gap, and the cursor comes back unchanged, even when out of range
     for cursor, gap in ((0, "-0.0"), (1, "0.0"), (2, "-0.0"), (3, "-0.0"), (9, "0.0")):
         (kind, _, _, tests, _, back, got), _ = _scripted_scan(
-            -0.0, [0.0, -0.0, 0.0, 1.0], 1.0, cursor, vector)
+            scan, -0.0, [0.0, -0.0, 0.0, 1.0], 1.0, cursor)
         assert (kind, tests, back, got) == ("ExhaustedCycle", 4, cursor, gap)
 
 
 @pytest.mark.parametrize("series", [1, 2, 3, 4])
 @pytest.mark.parametrize("method", ["cgmi", "cgmis", "cgmil"])
-def test_inexact_runs_match_with_the_partials_vector_off(series, method):
+def test_inexact_runs_match_the_reference_scan(series, method, monkeypatch):
     spec = ProblemSpec(series=series, n=12, m=6 if series > 2 else None)
     runs = []
-    for vector in (True, False):
+    for scan in (inexact_direction, reference_scan):
+        monkeypatch.setattr(solvers, "inexact_direction", scan)
         obj, D, x0 = build_instance(spec)
-        if not vector:
-            obj._partials = lambda x, state: None
         trace = Trace()
         cfg = SolverConfig(eps=0.01, max_iterations=3000)
         if method == "cgmil":
@@ -353,8 +362,9 @@ def test_inexact_runs_match_with_the_partials_vector_off(series, method):
     assert a.counters == b.counters and a.status is b.status
     assert repr((a.f, a.gap)) == repr((b.f, b.gap)) and a.x.tobytes() == b.x.tobytes()
     assert steps_a == steps_b and repr(a.stages) == repr(b.stages)
-    # the objective's raw kg counts only the probes that called `partial`,
-    # besides the full gradients at x0 (the default delta0 rule) and at a cap
+    # the objective's raw kg counts only the probes that called `partial`
+    # (the reference's), besides the full gradients at x0 (the default
+    # delta0 rule) and at a cap
     capped = a.status is Status.ITERATION_CAP
     assert kg_a == spec.n * (1 + capped) and kg_b > kg_a
 
@@ -678,3 +688,40 @@ def test_one_vertex_simplex_converges_at_its_only_point(name, fn, extra, delta0,
     g = obj.gradient(rep.x)
     assert abs(rep.gap) <= 1e-12 * abs(float(g[0]) * D.b)
     assert rep.f == obj.value(rep.x)
+
+
+class SeparableQuadratic(SmoothObjective):
+    """0.5 sum_i a_i (x_i - c_i)^2, from the three required hooks only."""
+
+    def __init__(self, a, c):
+        super().__init__(len(a))
+        self.a = np.asarray(a, dtype=np.float64)
+        self.c = np.asarray(c, dtype=np.float64)
+
+    def _make_state(self, x):
+        return {"r": x - self.c}
+
+    def _value_impl(self, x, state):
+        r = state["r"]
+        return 0.5 * float(np.dot(self.a * r, r))
+
+    def _gradient_impl(self, x, state):
+        return self.a * state["r"]
+
+
+@pytest.mark.parametrize("name,fn,extra", FIVE_METHODS)
+def test_a_subclass_with_only_the_required_hooks_converges(name, fn, extra):
+    f = SeparableQuadratic([1.0, 2.0, 3.0, 4.0], [4.0, -1.0, 3.0, 6.0])
+    D = SimplexSet(4, 10.0)
+    if name == "cgmil":
+        extra = (float(f.a.max()),)  # the Hessian is diag(a)
+    x0 = D.barycenter()
+    rep = fn(f, D, SolverConfig(), x0, *extra)
+    assert rep.status is Status.CONVERGED
+    assert D.contains(rep.x)
+    assert gap(rep.x, f.gradient(rep.x), D) <= 0.1
+    # partial(x, i) is entry i of the gradient vector, bit for bit
+    for x in (x0, rep.x):
+        g = f.gradient(x)
+        assert np.array([f.partial(x, i) for i in range(4)]).tobytes() == g.tobytes()
+        assert f.partials(x).tobytes() == g.tobytes()
