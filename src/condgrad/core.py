@@ -3,11 +3,12 @@ exact vertex oracle, the gap function, and Armijo backtracking."""
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -200,12 +201,18 @@ class SmoothObjective(ABC):
     and `gradient` still agree bit for bit, as both read the same state.
 
     Every Armijo trial lies on a vertex ray y(lam) = step_point(x, i, z_i,
-    lam), and an objective with a closed form along it can offer one
-    through the `_vertex_ray` hook: `vertex_ray` (uncharged) returns f along
-    the ray with a bound on its rounding, so that the line search can reject
-    a trial that is certainly above its threshold without evaluating it.
-    Such a trial is still charged one kf in the run's counters, but not to
-    this object's `kf`, which counts `value` evaluations only.
+    lam), and an objective that is a quadratic in lam along it (optionally
+    plus the reciprocal of an affine function of lam) can offer that form
+    through the `_vertex_ray` hook: `vertex_ray` (uncharged) returns it as a
+    `VertexRay` with a bound on its rounding, so that the line search can
+    reject a trial that is certainly above its threshold without evaluating
+    it. Such a trial is still charged one kf in the run's counters, but not
+    to this object's `kf`, which counts `value` evaluations only.
+
+    A hook must not change what `state` holds, but it may add memo entries
+    that depend only on the state (and so on the point it belongs to), as
+    the benchmark objectives memoize <Px, x> or <r, r> for their value, the
+    <f'(x), x> fast path and the vertex ray to share.
     """
 
     def __init__(self, n: int):
@@ -229,7 +236,7 @@ class SmoothObjective(ABC):
     @abstractmethod
     def _gradient_impl(self, x: np.ndarray, state: dict) -> np.ndarray:
         """f'(x) as a new float64 vector, which callers may keep or modify.
-        `state` must not be modified."""
+        `state` may gain memo entries only (see the class docstring)."""
 
     def _gradient_dot_point_impl(self, x: np.ndarray, state: dict) -> Optional[float]:
         return None
@@ -238,14 +245,16 @@ class SmoothObjective(ABC):
                            b: float) -> Optional[dict]:
         """The state at (1-lam)*x + lam*b*e_i, derived from `state`, the
         state at x; None to have it rebuilt by `_make_state` instead.
-        `state` must not be modified."""
+        `state` may gain memo entries only, and the new state must not
+        carry over the memo entries of `state`, which belong to x."""
         return None
 
     def _vertex_ray(self, x: np.ndarray, state: dict, i: int,
                     z_i: float) -> Optional["VertexRay"]:
-        """f along step_point(x, i, z_i, lam) for lam in [0, 1], from
-        `state`, the state at x built by `_make_state`; None to have every
-        trial on the ray evaluated. `state` must not be modified."""
+        """f along step_point(x, i, z_i, lam) for lam in [0, 1] in the
+        closed form of `VertexRay`, from `state`, the state at x built by
+        `_make_state`; None to have every trial on the ray evaluated.
+        `state` may gain memo entries only."""
         return None
 
     # counted public interface ----------------------------------------------
@@ -414,11 +423,66 @@ def step_point(x: np.ndarray, i: int, z_i: float, lam: float) -> np.ndarray:
 
 class VertexRay(NamedTuple):
     """f along y(lam) = step_point(x, i, z_i, lam) for lam in [0, 1], from
-    `SmoothObjective.vertex_ray`: `value(lam) - margin`, computed in floating
-    point, never exceeds what `SmoothObjective.value` returns at y(lam)."""
+    `SmoothObjective.vertex_ray`, in the closed form
 
-    value: Callable[[float], float]
+        0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) + 1/((1-lam)u + lam w + d),
+
+    the reciprocal term only when `d` is not None: `value(lam) - margin`,
+    computed in floating point, never exceeds what `SmoothObjective.value`
+    returns at y(lam)."""
+
+    c0: float
+    c1: float
+    c2: float
     margin: float
+    u: float = 0.0
+    w: float = 0.0
+    d: Optional[float] = None
+
+    def value(self, lam: float) -> float:
+        lam1 = 1.0 - lam
+        q = 0.5 * (lam1 * lam1 * self.c0 + 2.0 * lam1 * lam * self.c1 + lam * lam * self.c2)
+        if self.d is None:
+            return q
+        return q + 1.0 / (lam1 * self.u + lam * self.w + self.d)
+
+    def first_open(self, ladder: tuple, m: int, f_x: float,
+                   directional_derivative: float) -> int:
+        """The first rung k >= m of `ladder` (see `_ladder`) whose trial is
+        not certainly rejected, or len(ladder): the trial at step lam is
+        certainly rejected when value(lam) - margin > f_x +
+        beta*lam*directional_derivative. Each rung is tested with the bits,
+        and so the decision (NaN included), of that expression, from the
+        products of lam that the rung holds."""
+        c0, c1, c2, margin, u, w, d = self
+        dd = directional_derivative
+        rungs = ladder[m:] if m else ladder  # most searches start at rung 0
+        if d is None:
+            for _, blam, _, a0, a1, a2 in rungs:
+                if not 0.5 * (a0 * c0 + a1 * c1 + a2 * c2) - margin > f_x + blam * dd:
+                    return m
+                m += 1
+        else:
+            for lam, blam, lam1, a0, a1, a2 in rungs:
+                if not ((0.5 * (a0 * c0 + a1 * c1 + a2 * c2) + 1.0 / (lam1 * u + lam * w + d))
+                        - margin > f_x + blam * dd):
+                    return m
+                m += 1
+        return m
+
+
+@functools.lru_cache(maxsize=16)
+def _ladder(theta: float, beta: float) -> tuple:
+    """The steps of `armijo_step` for one (theta, beta): rung m is
+    (lam, beta*lam, 1-lam, (1-lam)^2, 2(1-lam)lam, lam^2) for lam = theta^m,
+    m = 0..MAX_BACKTRACKS, each product rounded in the order in which the
+    search and `VertexRay.value` compute it."""
+    rungs = []
+    for m in range(MAX_BACKTRACKS + 1):
+        lam = theta ** m
+        lam1 = 1.0 - lam
+        rungs.append((lam, beta * lam, lam1, lam1 * lam1, 2.0 * lam1 * lam, lam * lam))
+    return tuple(rungs)
 
 
 class ArmijoResult(NamedTuple):
@@ -442,11 +506,16 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
     accepted point. `f_x` is the caller's cached value of f at x; this
     routine never re-evaluates it.
 
-    A trial whose value on `f.vertex_ray` lies above its threshold by more
-    than the ray's rounding margin is rejected without building the point or
-    calling `f.value`; it still counts as a trial. Every other trial, each
-    accepted one included, is evaluated by `f.value`, so the step, value and
-    point returned are those of evaluating every trial.
+    The steps come from a ladder cached per (theta, beta) (`_ladder`): rung
+    m holds theta^m, beta*theta^m and the products of theta^m that the ray
+    needs, each rounded as the search would round it, so no trial
+    recomputes a power. A trial whose value on `f.vertex_ray` lies above
+    its threshold by more than the ray's rounding margin is rejected
+    without building the point or calling `f.value`; it still counts as a
+    trial. `VertexRay.first_open` screens the rungs in one loop over
+    floats, and every other trial, each accepted one included, is
+    evaluated by `f.value`, so the step, value and point returned are those
+    of evaluating every trial.
 
     x is validated as the oracle validates it: the cached key of `f` is
     not rescanned, any other array is scanned in full.
@@ -467,12 +536,19 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
     if not 0 <= i < f.n:
         raise ValueError(f"vertex index {i} out of range for dimension {f.n}")
     ray = f.vertex_ray(x, i, z_i)
+    # as floats, so that an equal numpy scalar neither shares nor sets the
+    # type of a cached rung
+    ladder = _ladder(float(theta), float(beta))
     non_finite = False
-    for m in range(MAX_BACKTRACKS + 1):
-        lam = theta ** m
-        threshold = f_x + beta * lam * directional_derivative
-        if ray is not None and ray.value(lam) - ray.margin > threshold:
-            continue  # f(trial) > threshold for certain: rejected unevaluated
+    m = 0
+    while True:
+        if ray is not None:
+            # the rungs it skips are rejected unevaluated: f(trial) > threshold for certain
+            m = ray.first_open(ladder, m, f_x, directional_derivative)
+        if m > MAX_BACKTRACKS:
+            break
+        lam, blam = ladder[m][:2]
+        threshold = f_x + blam * directional_derivative
         trial = step_point(x, i, z_i, lam)
         f_trial = f.value(trial)
         if f_trial <= threshold:
@@ -489,6 +565,7 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
                     directional_derivative=directional_derivative, trials=m + 1)
             return ArmijoResult(lam, m + 1, f_trial, trial)
         non_finite = non_finite or not math.isfinite(f_trial)
+        m += 1
     raise LineSearchError(
         f"no acceptable step after {MAX_BACKTRACKS + 1} trials "
         f"(directional derivative {directional_derivative})",

@@ -264,7 +264,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=d.max_iterations, dest="max_iter",
                    help="iteration cap per run")
     p.add_argument("--dump-config", action="store_true",
-                   help="print the fully resolved solver configuration as JSON")
+                   help="print the fully resolved solver configuration as JSON "
+                        "to stderr")
 
 
 def _config_from_args(parser: argparse.ArgumentParser,
@@ -279,7 +280,7 @@ def _config_from_args(parser: argparse.ArgumentParser,
 
 def _maybe_dump_config(args: argparse.Namespace, config: SolverConfig) -> None:
     if args.dump_config:
-        print(json.dumps(dataclasses.asdict(config), sort_keys=True))
+        print(json.dumps(dataclasses.asdict(config), sort_keys=True), file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:

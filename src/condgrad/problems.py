@@ -124,16 +124,21 @@ class _MatrixObjective(SmoothObjective):
     quadratic part's state (`_quad_state`), its update across a vertex step
     (`_quad_step`), value, gradient vector and <f'(x), x> (`_quad_value`,
     `_quad_gradient`, `_quad_dot_point`), and its form along a vertex ray
-    (`_quad_ray`).
+    (`_quad_ray`) with the per-instance bounds behind its margin
+    (`_quad_bounds`).
 
     On the ray y(lam) = (1-lam)x + lam z_i e_i the objective is exactly
 
         0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) + 1/((1-lam)u + lam c_i z_i + d),
 
     with c0, c1, c2 from `_quad_ray` and u = <c,x>, all read from the state at
-    x in O(rows). The ray's margin bounds the difference between this
+    x in O(rows); c0 is twice the quadratic part's value at x, which the
+    state memoizes. The ray's margin bounds the difference between this
     formula in floating point and `value` at the computed point
-    step_point(x, i, z_i, lam); see `_vertex_ray`.
+    step_point(x, i, z_i, lam); see `_vertex_ray`. The margin reads x only
+    through s = max(||x||_1, |z_i|) and bounds the data's part once per
+    instance, so it can be looser than a bound summed over x for each ray;
+    a looser margin only lets more trials through to `value`.
     """
 
     def __init__(self, P: np.ndarray, barrier):
@@ -169,26 +174,36 @@ class _MatrixObjective(SmoothObjective):
         return new
 
     def _ray_constants(self) -> tuple:
-        """The data's part of the ray margin: the row sums R of |P|, their
-        maximum, and the total magnitude of the data (sum|P| + sum|c| + |d|,
-        plus sum|q| for least squares)."""
+        """The instance's part of the ray margin, computed once: the
+        subclass's bounds on the quadratic part (`_quad_bounds`), the
+        largest row sum of |P|, the total magnitude of the data (sum|P| +
+        sum|c| + |d|, plus sum|q| for least squares), max|c|, and the
+        constants of both rounding bounds for this instance's rows and n."""
+        rows, n = self.P.shape
         R = np.abs(self.P).sum(axis=1)
         total = float(R.sum())
+        c_max = 0.0
         if self.c is not None:
-            total += float(np.abs(self.c).sum()) + abs(self.d)
-        return R, float(R.max()), total
+            ac = np.abs(self.c)
+            c_max = float(ac.max())
+            total += float(ac.sum()) + abs(self.d)
+        r_max = float(R.max())
+        quad, q_sum = self._quad_bounds(R, r_max)
+        return (quad, r_max, total + q_sum, c_max,
+                _gamma(2 * rows + 4 * n + 32), 8.0 * (rows + 2) * (n + 2) * _ETA,
+                _gamma(n + 10), 8.0 * (n + 2) * _ETA)
 
     def _vertex_ray(self, x, state, i, z_i):
         # Computed on the first line search, not in the constructor, so
         # that building an instance costs what it did.
         if self._ray_bounds is None:
             self._ray_bounds = self._ray_constants()
-        R, r_max, total = self._ray_bounds
-        rows = self.P.shape[0]
-        ax = np.abs(x)
-        # |y_j(lam)| <= y_max for every j and every lam in [0, 1]
-        y_max = max(float(ax.max()), abs(z_i))
-        c0, c1, c2, T = self._quad_ray(x, ax, state, i, z_i, y_max, R)
+        quad, r_max, total, c_max, g_quad, eta_quad, g_bar, eta_bar = self._ray_bounds
+        # ||y(lam)||_1 <= (1-lam)||x||_1 + lam|z_i| <= s for every lam in
+        # [0, 1], and so |y_j(lam)| <= s for every j: the ray reads x
+        # through s and the state only
+        s = max(float(np.abs(x).sum()), abs(z_i))
+        c0, c1, c2, T = self._quad_ray(x, state, i, z_i, s, quad)
         # Rounding margin, counted over both paths to f(y(lam)): the
         # products and sums of `value` at the point step_point rounded, the
         # rounding of that point itself, the coefficients at x and the few
@@ -196,17 +211,15 @@ class _MatrixObjective(SmoothObjective):
         # own subtraction. Each quadratic path errs by at most
         # gamma_{rows + 2n + 11} T, where T (from `_quad_ray`) bounds the
         # magnitudes of the quadratic part's terms on the whole ray, and the
-        # rounded point moves f by gamma_4 T; k = 2 rows + 4n + 32 covers
-        # their sum with room for the final additions and for R and T being
-        # rounded themselves. Each rounding into the subnormal range errs
-        # by at most _ETA, and no intermediate moves f by more than amp^2.
-        amp = (1.0 + y_max) * (1.0 + total)
-        margin = (_gamma(2 * rows + 4 * self.n + 32) * T
-                  + 8.0 * (rows + 2) * (self.n + 2) * _ETA * amp * amp)
+        # rounded point moves f by gamma_4 T; k = 2 rows + 4n + 32 (g_quad)
+        # covers their sum with room for the final additions and for R and
+        # T being rounded themselves. Each rounding into the subnormal range
+        # errs by at most _ETA, and no intermediate moves f by more than
+        # amp^2.
+        amp = (1.0 + s) * (1.0 + total)
+        margin = g_quad * T + eta_quad * amp * amp
         if self.c is None:
-            def value(lam):
-                lam1 = 1.0 - lam
-                return 0.5 * (lam1 * lam1 * c0 + 2.0 * lam1 * lam * c1 + lam * lam * c2)
+            ray = VertexRay(c0, c1, c2, margin)
         else:
             u, d = state["u"], self.d
             cz = float(self.c[i]) * z_i
@@ -214,24 +227,22 @@ class _MatrixObjective(SmoothObjective):
             # so are u + d and c_i z_i + d of the ray's ends; the exact
             # denominator is affine in lam, so when those ends share a sign
             # and clear 2E, no denominator on the ray is smaller than low.
-            E = (_gamma(self.n + 10) * (max(float(np.dot(np.abs(self.c), ax)), abs(cz))
-                                         + abs(d))
-                 + 8.0 * (self.n + 2) * _ETA * amp)
+            # E counts gamma_{n+10} times the magnitude of <c, y> + d, where
+            # |<c, y>| <= sum_k |c_k| |y_k| <= max|c| ||y||_1 <= s max|c| on the
+            # whole ray (at its ends: |c|.|x| <= max|c| ||x||_1 <= s max|c|
+            # and |c_i z_i| <= s max|c|).
+            E = g_bar * (s * c_max + abs(d)) + eta_bar * amp
             low = min(abs(u + d), abs(cz + d)) - 2.0 * E
             if not (low > 0.0 and (u + d > 0.0) == (cz + d > 0.0)):
                 return None  # the denominator may reach zero on the ray
             # the two reciprocals differ by <= 2E/low^2, and their
             # rounding, the addition and the screen add <= gamma_8/low
             margin += (2.0 * E / low + _gamma(8)) / low
-
-            def value(lam):
-                lam1 = 1.0 - lam
-                return (0.5 * (lam1 * lam1 * c0 + 2.0 * lam1 * lam * c1 + lam * lam * c2)
-                        + 1.0 / (lam1 * u + lam * cz + d))
+            ray = VertexRay(c0, c1, c2, margin, u, cz, d)
         # no intermediate of either path can overflow
-        if not math.isfinite(4.0 * (T + y_max * r_max) + margin + c0 + c1 + c2):
+        if not math.isfinite(4.0 * (T + s * r_max) + margin + c0 + c1 + c2):
             return None
-        return VertexRay(value, margin)
+        return ray
 
     def _value_impl(self, x, state):
         f = self._quad_value(x, state)
@@ -280,24 +291,36 @@ class QuadraticFormObjective(_MatrixObjective):
         px += (lam * b) * self.P[:, i]
         return {"px": px}
 
+    def _xpx(self, x, state):
+        """<Px, x>, computed once per state: the value, <f'(x), x> and the
+        vertex ray all read this one number."""
+        xpx = state.get("xpx")
+        if xpx is None:
+            xpx = state["xpx"] = float(np.dot(state["px"], x))
+        return xpx
+
     def _quad_value(self, x, state):
-        return 0.5 * float(np.dot(state["px"], x))
+        return 0.5 * self._xpx(x, state)
 
     def _quad_gradient(self, state):
         return state["px"]
 
     def _quad_dot_point(self, x, state):
-        return float(np.dot(state["px"], x))
+        return self._xpx(x, state)
 
-    def _quad_ray(self, x, ax, state, i, z_i, y_max, R):
+    def _quad_bounds(self, R, r_max):
+        return r_max, 0.0
+
+    def _quad_ray(self, x, state, i, z_i, s, r_max):
         # 0.5 <Py, y> = 0.5((1-lam)^2 <Px,x> + 2(1-lam)lam z_i (Px)_i + lam^2 z_i^2 P_ii),
         # whose cross term holds as P is symmetric.
-        # Both paths err by a multiple of |y|^T |P| |y| <= y_max * sum_k |y_k| R_k,
-        # which is linear in lam, so its larger end value bounds it.
+        # Both paths err by a multiple of
+        # |y|^T |P| |y| = sum_k |y_k| (|P| |y|)_k <= ||y||_1 max_k (|P| |y|)_k
+        #              <= ||y||_1 max|y_j| max_k R_k <= s^2 max R,
+        # with R the row sums of |P|.
         px = state["px"]
-        T = y_max * max(float(np.dot(ax, R)), abs(z_i) * float(R[i]))
-        return (float(np.dot(px, x)), z_i * float(px[i]),
-                z_i * z_i * float(self.P[i, i]), T)
+        return (self._xpx(x, state), z_i * float(px[i]),
+                z_i * z_i * float(self.P[i, i]), s * s * r_max)
 
 
 class LeastSquaresObjective(_MatrixObjective):
@@ -334,29 +357,39 @@ class LeastSquaresObjective(_MatrixObjective):
             state["t"] = self.P.T @ state["r"]
         return state["t"]
 
+    def _rr(self, state):
+        """<r, r>, computed once per state: the value, <f'(x), x> and the
+        vertex ray all read this one number."""
+        rr = state.get("rr")
+        if rr is None:
+            r = state["r"]
+            rr = state["rr"] = float(np.dot(r, r))
+        return rr
+
     def _quad_value(self, x, state):
-        return 0.5 * float(np.dot(state["r"], state["r"]))
+        return 0.5 * self._rr(state)
 
     def _quad_gradient(self, state):
         return self._pt_r(state)
 
     def _quad_dot_point(self, x, state):
-        r = state["r"]
-        return float(np.dot(r, r)) + float(np.dot(r, self.q))
+        return self._rr(state) + float(np.dot(state["r"], self.q))
 
-    def _ray_constants(self):
-        R, r_max, total = super()._ray_constants()
-        return R, r_max, total + float(np.abs(self.q).sum())
+    def _quad_bounds(self, R, r_max):
+        aq = np.abs(self.q)
+        return ((float(np.dot(R, R)), float(np.dot(R, aq)), float(np.dot(self.q, self.q))),
+                float(aq.sum()))
 
-    def _quad_ray(self, x, ax, state, i, z_i, y_max, R):
-        # Py - q = (1-lam) r + lam s with s = z_i P[:, i] - q. Both paths err
-        # by a multiple of sum_k w_k^2, where w_k = y_max R_k + |q_k| bounds
-        # |r_k|, |s_k| and |(Py - q)_k| on the whole ray.
+    def _quad_ray(self, x, state, i, z_i, s, sums):
+        # Py - q = (1-lam) r + lam v with v = z_i P[:, i] - q. Both paths err
+        # by a multiple of sum_k w_k^2, where w_k = s R_k + |q_k| bounds
+        # |r_k|, |v_k| and |(Py - q)_k| on the whole ray, as every |y_j| <= s;
+        # expanded, sum_k w_k^2 = s^2 sum R_k^2 + 2 s sum R_k |q_k| + sum q_k^2.
+        r2, rq, qq = sums
         r = state["r"]
-        s = z_i * self.P[:, i] - self.q
-        w = y_max * R + np.abs(self.q)
-        return (float(np.dot(r, r)), float(np.dot(r, s)), float(np.dot(s, s)),
-                float(np.dot(w, w)))
+        v = z_i * self.P[:, i] - self.q
+        return (self._rr(state), float(np.dot(r, v)), float(np.dot(v, v)),
+                (s * s * r2 + 2.0 * s * rq) + qq)
 
 
 def make_objective(spec: ProblemSpec) -> SmoothObjective:

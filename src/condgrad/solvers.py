@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -126,8 +126,7 @@ class Trace:
     steps: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class FoundDirection:
+class FoundDirection(NamedTuple):
     """A vertex b*e_index satisfying the descent threshold:
     <f'(x), x - b*e_index> = descent."""
 
@@ -137,8 +136,7 @@ class FoundDirection:
     kg_cost: int
 
 
-@dataclass(frozen=True)
-class ExhaustedCycle:
+class ExhaustedCycle(NamedTuple):
     """A full failed cycle; `gap` is the exact gap at x (vertices are the
     extreme points, so the cycle maximum is the true maximum over the set)."""
 

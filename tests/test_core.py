@@ -26,6 +26,7 @@ from condgrad.problems import (
     build_phi1_matrix,
     build_phi2_terms,
     build_phi3_data,
+    make_objective,
 )
 from condgrad.solvers import SolverConfig, solve_cgmis
 
@@ -465,16 +466,121 @@ def _uphill_ray(f):
     return x, i, z[i]
 
 
+def _assert_ray_within_margin(f, x, i, z_i, lams, scale=None):
+    ray = f.vertex_ray(x, i, z_i)
+    kf = f.kf
+    for lam in lams:
+        y = step_point(x, i, z_i, lam)
+        assert abs(ray.value(lam) - _twin(f).value(y)) <= ray.margin, lam
+    assert 0.0 < ray.margin < 1e-9 * (abs(ray.value(1.0)) if scale is None else scale)
+    assert f.kf == kf  # the ray is uncharged
+
+
 @pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)
 def test_vertex_ray_is_within_its_margin_of_value(f):
     x, i, z_i = _uphill_ray(f)
-    ray = f.vertex_ray(x, i, z_i)
-    kf = f.kf
-    for lam in (1.0, 0.5, 0.3, 1e-3, 2.0 ** -60, 0.0):
-        y = step_point(x, i, z_i, lam)
-        assert abs(ray.value(lam) - _twin(f).value(y)) <= ray.margin
-    assert 0.0 < ray.margin < 1e-9 * abs(ray.value(1.0))
-    assert f.kf == kf  # the ray is uncharged
+    _assert_ray_within_margin(f, x, i, z_i, (1.0, 0.5, 0.3, 1e-3, 2.0 ** -60, 0.0))
+
+
+EDGE_CASES = ["vertex", "negative-coordinate", "b=1e-2", "b=1e4", "n=1"]
+
+
+def _edge_ray(case, series):
+    """An objective of `series`, a cached point x of the kind `case` names,
+    and the index and z_i of a vertex ray from it."""
+    n = 1 if case == "n=1" else 6
+    b = {"b=1e-2": 1e-2, "b=1e4": 1e4}.get(case, 10.0)
+    m = (1 if n == 1 else 4) if series > 2 else None
+    f = make_objective(ProblemSpec(series=series, n=n, m=m, b=b))
+    x = b * np.random.default_rng(7).dirichlet(np.ones(n))
+    if case == "vertex":
+        x = np.zeros(n)
+        x[1] = b
+    elif case == "negative-coordinate":
+        x[0] = -1e-13  # stays negative, scaled by 1 - lam, along the ray
+    x = _frozen(x)
+    f.value(x)
+    i = n - 1
+    return f, x, i, float(x[i] + (b - x[i]))
+
+
+@pytest.mark.parametrize("series", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_vertex_ray_is_within_its_margin_at_edge_cases(case, series):
+    f, x, i, z_i = _edge_ray(case, series)
+    lams = [0.5 ** m for m in range(core.MAX_BACKTRACKS + 1)] + [0.3, 1e-3, 0.0]
+    # at n = 1 the least-squares residual vanishes at the only point, b*e_1,
+    # where f = 0, so there the margin is compared with 1 instead
+    scale = 1.0 if (case, series) == ("n=1", 3) else None
+    _assert_ray_within_margin(f, x, i, z_i, lams, scale)
+
+
+def _reference_first_open(ray, theta, beta, m, f_x, dd):
+    """The first k >= m at which the trial is not certainly rejected, with
+    the step and threshold computed per trial."""
+    for k in range(m, core.MAX_BACKTRACKS + 1):
+        lam = theta ** k
+        if not ray.value(lam) - ray.margin > f_x + beta * lam * dd:
+            return k
+    return core.MAX_BACKTRACKS + 1
+
+
+def _screened_rays():
+    rays = [f.vertex_ray(*_uphill_ray(f)) for f in _ray_objectives()]
+    for series in (1, 2, 3, 4):
+        f, x, i, z_i = _edge_ray("vertex", series)
+        rays.append(f.vertex_ray(x, i, z_i))
+    nan, inf = math.nan, math.inf
+    # NaN and infinite coefficients: a NaN value is never a certain rejection
+    return rays + [core.VertexRay(nan, 1.0, 1.0, 0.0), core.VertexRay(1.0, 1.0, inf, 1e-9),
+                   core.VertexRay(1.0, -inf, inf, 0.0), core.VertexRay(2.0, 1.0, 3.0, nan),
+                   core.VertexRay(2.0, 1.0, 3.0, 1e-12, 1.0, nan, 5.0),
+                   core.VertexRay(2.0, 1.0, 3.0, 1e-12, 1.0, 2.0, 5.0)]
+
+
+@pytest.mark.parametrize("theta, beta", [(0.5, 0.5), (0.3, 0.1), (0.9, 0.9)])
+def test_the_ladder_screen_takes_the_decisions_of_value_minus_margin(theta, beta):
+    ladder = core._ladder(theta, beta)
+    assert len(ladder) == core.MAX_BACKTRACKS + 1
+    for k, (lam, blam, *_) in enumerate(ladder):
+        assert (repr(lam), repr(blam)) == (repr(theta ** k), repr(beta * theta ** k))
+    opened = set()
+    for ray in _screened_rays():
+        ends = [ray.value(1.0), ray.value(0.5), ray.value(0.0)]
+        for f_x in [v for v in ends if math.isfinite(v)] or [1.0]:
+            for dd in (-1e-6, -1.0, -1e6):
+                for m in range(core.MAX_BACKTRACKS + 2):
+                    got = ray.first_open(ladder, m, f_x, dd)
+                    assert got == _reference_first_open(ray, theta, beta, m, f_x, dd)
+                    opened.add(got - m)
+    # the cases reach both the first rung, deep rungs and past the last one
+    assert 0 in opened and max(opened) == core.MAX_BACKTRACKS + 1
+    assert any(10 < k <= core.MAX_BACKTRACKS for k in opened)
+
+
+@pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)
+def test_value_dot_point_and_ray_read_one_memo_in_either_order(f):
+    x = _frozen(10.0 * np.random.default_rng(5).dirichlet(np.ones(f.n)))
+
+    def readings(g, order):
+        g.partials(x)  # x becomes the cached key; the memo is left empty
+        out = {}
+        for name in order:
+            if name == "value":
+                out[name] = g.value(x)
+            elif name == "dot":
+                out[name] = g.gradient_dot_point(x)
+            else:
+                out[name] = tuple(g.vertex_ray(x, 2, 10.0))
+        return repr(sorted(out.items()))
+
+    first = readings(f, ("value", "dot", "ray"))
+    assert readings(_twin(f), ("ray", "dot", "value")) == first
+    assert readings(_twin(f), ("dot", "ray", "value")) == first
+    # and a fresh evaluation, from an untrusted copy, gives the same bits
+    fresh = _twin(f)
+    assert repr((fresh.value(x.copy()), fresh.gradient_dot_point(x.copy()))) == \
+        repr((f.value(x), f.gradient_dot_point(x)))
 
 
 @pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)

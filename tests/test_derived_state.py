@@ -216,3 +216,25 @@ def test_a_step_that_fails_the_check_is_validated_in_full(spec, monkeypatch):
         except ValueError:
             assert label in ("column", "shorter", "inf-at-i", "nan-at-i"), label
         assert len(scans) == before + 1, label
+
+
+@pytest.mark.parametrize("spec", GATED, ids=lambda s: f"series{s.series}")
+def test_a_derived_state_never_reads_the_memo_of_the_state_it_came_from(spec):
+    f, D, x0 = build_instance(spec)
+    x = frozen(x0)
+    f.value(x)
+    f.gradient_dot_point(x)
+    parent = f._cache_state
+    memo = [key for key in ("xpx", "rr") if key in parent]
+    assert memo  # <Px, x> or <r, r>, memoized at x
+    for key in memo:
+        parent[key] = math.nan  # a derived state that read it would return NaN
+    x_new = step_point(x, 3, D.b, 0.25)
+    f.follow_vertex_step(x, x_new, 3, 0.25, D.b)
+    assert f._cache_x is x_new and f._cache_state is not parent  # derived
+    raw = {key: f._cache_state[key] for key in ("px", "r", "u") if key in f._cache_state}
+    value, dot = f.value(x_new), f.gradient_dot_point(x_new)
+    assert math.isfinite(value) and math.isfinite(dot)
+    # the bits of the derived state's own entries, without any memo
+    assert repr((value, dot)) == repr((f._value_impl(x_new, dict(raw)),
+                                       f._gradient_dot_point_impl(x_new, dict(raw))))

@@ -236,11 +236,14 @@ def test_cli_dump_config(capsys):
     code = main(["solve", "--series", "1", "--n", "5", "--method", "cgm",
                  "--eps", "0.2", "--dump-config"])
     assert code == 0
-    first = capsys.readouterr().out.strip().split("\n")[0]
+    captured = capsys.readouterr()
+    first = captured.err.strip().split("\n")[0]
     cfg = json.loads(first)
     assert cfg["eps"] == 0.2
     assert cfg["max_iterations"] == 10 ** 6
     assert cfg["delta0"] is None
+    # standard output stays one table
+    assert captured.out.split("\n")[0] == CSV_HEADER
 
 
 @pytest.mark.parametrize("command", [["solve", "--method", "cgm"], ["bench"]])
@@ -248,8 +251,11 @@ def test_cli_dump_config_defaults_are_the_solver_config(command, tmp_path, capsy
     out = tmp_path / "rows.csv"
     assert main(command + ["--series", "1", "--n", "5", "--out", str(out),
                            "--dump-config"]) == 0
-    printed = capsys.readouterr().out
+    captured = capsys.readouterr()
+    # the JSON line comes first on stderr; bench's summary line follows it
+    printed = captured.err.split("\n")[0] + "\n"
     assert printed == json.dumps(dataclasses.asdict(SolverConfig()), sort_keys=True) + "\n"
+    assert captured.out == ""
 
 
 def test_cli_bench_subset(tmp_path):

@@ -8,7 +8,9 @@ import pytest
 
 from condgrad import solvers
 from condgrad.core import (
+    MAX_BACKTRACKS,
     DescentViolationError,
+    LineSearchError,
     NonFiniteOracleError,
     SimplexSet,
     SmoothObjective,
@@ -103,25 +105,42 @@ def test_cgm_counters_and_descent():
     assert all(b <= a for a, b in zip(h, h[1:]))
 
 
+@pytest.mark.parametrize("theta, beta", [(0.5, 0.5), (0.3, 0.1), (0.9, 0.9)])
 @pytest.mark.parametrize("series", [1, 2, 3, 4])
 @pytest.mark.parametrize("solve", [solve_cgm, solve_cgmi], ids=["cgm", "cgmi"])
-def test_screened_line_search_matches_evaluating_every_trial(series, solve):
+def test_screened_line_search_matches_evaluating_every_trial(series, solve, theta, beta):
     # the same run with the vertex ray switched off evaluates every trial
     spec = ProblemSpec(series=series, n=10, m=5 if series > 2 else None)
+    cfg = SolverConfig(eps=0.01, max_iterations=500, theta=theta, beta=beta)
     runs = []
     for screen in (True, False):
         obj, D, x0 = build_instance(spec)
         if not screen:
             obj._vertex_ray = lambda *args: None
         trace = Trace(collect_points=True)
-        rep = solve(obj, D, SolverConfig(eps=0.01, max_iterations=500), x0, trace=trace)
-        runs.append((rep, repr(trace.steps), obj.kf))
-    (a, steps_a, kf_a), (b, steps_b, kf_b) = runs
-    assert a.counters == b.counters and a.status is b.status
-    assert repr((a.f, a.gap)) == repr((b.f, b.gap)) and a.x.tobytes() == b.x.tobytes()
-    assert steps_a == steps_b
+        try:
+            rep = solve(obj, D, cfg, x0, trace=trace)
+            charged = rep.counters.kf
+        except LineSearchError as exc:
+            rep = exc
+            charged = sum(s.trials for s in trace.steps) + exc.trials
+        runs.append((rep, trace.steps, obj.kf, charged))
+    (a, steps_a, kf_a, _), (b, steps_b, kf_b, charged) = runs
+    assert repr(steps_a) == repr(steps_b)
+    if theta == 0.9:
+        # the ladder's deepest rung, 0.9^60 ~ 1.8e-3, is too long a step for
+        # beta = 0.9 near the solution: both runs screen or evaluate every
+        # rung of one search and fail it alike
+        assert isinstance(a, LineSearchError) and isinstance(b, LineSearchError)
+        assert (str(a), a.trials) == (str(b), MAX_BACKTRACKS + 1)
+        assert a.point.tobytes() == b.point.tobytes()
+        assert a.direction.tobytes() == b.direction.tobytes()
+        assert max(s.trials for s in steps_b) > 40
+    else:
+        assert a.counters == b.counters and a.status is b.status
+        assert repr((a.f, a.gap)) == repr((b.f, b.gap)) and a.x.tobytes() == b.x.tobytes()
     # the run charges every trial; the objective counts evaluated ones only
-    assert kf_b == b.counters.kf + 1
+    assert kf_b == charged + 1
     assert kf_a < kf_b / 2
 
 
@@ -273,9 +292,10 @@ def _scripted_scan(scan, gx, g, delta_p, cursor):
     D = SimplexSet(g.size, 10.0)
     with np.errstate(all="ignore"):
         res, cursor = scan(f, D, D.barycenter(), delta_p, cursor)
-    fields = (type(res).__name__, getattr(res, "index", None),
-              repr(getattr(res, "descent", None)), res.tests, res.kg_cost, cursor,
-              repr(getattr(res, "gap", None)))
+    named = res._asdict()  # by field name: `index` is also a tuple method
+    fields = (type(res).__name__, named.get("index"),
+              repr(named.get("descent")), res.tests, res.kg_cost, cursor,
+              repr(named.get("gap")))
     return fields, f.kg
 
 
