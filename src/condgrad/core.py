@@ -1,5 +1,5 @@
 """Shared primitives: the scaled simplex, counted first-order oracles, the
-exact vertex oracle, the gap function, and Armijo backtracking."""
+exact vertex oracle, and Armijo backtracking."""
 
 from __future__ import annotations
 
@@ -19,7 +19,10 @@ import numpy as np
 MASS_RTOL = 1e-10
 COORD_FLOOR = -1e-12
 
-# Largest backtracking exponent before the line search is declared broken.
+# Smallest cap on the backtracking exponent. `_ladder` raises it for a theta
+# close to 1 to the first m with theta^m <= 2^-54, where 1 - theta^m rounds
+# to 1: from there on a trial equals x off the vertex index i and moves x_i
+# by at most 2^-54 |z_i|, so deeper rungs would add trials but no progress.
 MAX_BACKTRACKS = 60
 
 
@@ -102,11 +105,6 @@ class SimplexSet:
             raise ValueError(f"mass must be a positive finite real, got {self.b}")
 
     @property
-    def diameter(self) -> float:
-        """Distance between two distinct vertices, b*sqrt(2)."""
-        return self.b * math.sqrt(2.0)
-
-    @property
     def diameter_squared(self) -> float:
         """Exact square of the diameter, 2*b**2 (avoids sqrt round-off)."""
         return 2.0 * self.b * self.b
@@ -120,14 +118,6 @@ class SimplexSet:
             return False
         return (abs(float(v.sum()) - self.b) <= MASS_RTOL * self.b
                 and float(v.min()) >= COORD_FLOOR)
-
-    def vertex(self, i: int) -> np.ndarray:
-        """The i-th vertex b*e_i."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"vertex index {i} out of range for dimension {self.n}")
-        v = np.zeros(self.n)
-        v[i] = self.b
-        return v
 
     def barycenter(self) -> np.ndarray:
         """The uniform point (b/n, ..., b/n)."""
@@ -392,19 +382,6 @@ def exact_lmo(gradient, feasible_set: SimplexSet) -> int:
     return int(as_vector(gradient, feasible_set.n).argmin())
 
 
-def gap(x, gradient, feasible_set: SimplexSet) -> float:
-    """max_{y in D} <gradient, x - y> = <g, x> - b * min_i g_i.
-
-    Nonnegative (up to rounding) for feasible x; zero exactly at stationary
-    points. Raises ValueError when x is infeasible.
-    """
-    g = as_vector(gradient, feasible_set.n)
-    xv = as_vector(x, feasible_set.n)
-    if not feasible_set.contains(xv):
-        raise ValueError("gap is only defined for feasible points")
-    return float(np.dot(g, xv)) - feasible_set.b * float(np.min(g))
-
-
 def step_point(x: np.ndarray, i: int, z_i: float, lam: float) -> np.ndarray:
     """(1-lam)*x + lam*z_i*e_i, as a fresh read-only array (an oracle then
     trusts it by identity). The convex-combination form keeps iterates on
@@ -475,10 +452,12 @@ class VertexRay(NamedTuple):
 def _ladder(theta: float, beta: float) -> tuple:
     """The steps of `armijo_step` for one (theta, beta): rung m is
     (lam, beta*lam, 1-lam, (1-lam)^2, 2(1-lam)lam, lam^2) for lam = theta^m,
-    m = 0..MAX_BACKTRACKS, each product rounded in the order in which the
-    search and `VertexRay.value` compute it."""
+    m = 0..max(MAX_BACKTRACKS, ceil(54 ln 2 / -ln theta)), each product
+    rounded in the order in which the search and `VertexRay.value` compute
+    it."""
+    top = max(MAX_BACKTRACKS, math.ceil(54.0 * math.log(2.0) / -math.log(theta)))
     rungs = []
-    for m in range(MAX_BACKTRACKS + 1):
+    for m in range(top + 1):
         lam = theta ** m
         lam1 = 1.0 - lam
         rungs.append((lam, beta * lam, lam1, lam1 * lam1, 2.0 * lam1 * lam, lam * lam))
@@ -522,7 +501,7 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
 
     Raises ValueError when the supplied directional derivative is not
     negative or i is not an index of x, and LineSearchError when m would
-    exceed MAX_BACKTRACKS. A trial that rounds back to x itself is never
+    pass the ladder's last rung. A trial that rounds back to x itself is never
     accepted: it raises NonFiniteOracleError carrying x when an earlier
     evaluated trial value was not finite, and LineSearchError otherwise.
     """
@@ -545,7 +524,7 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
         if ray is not None:
             # the rungs it skips are rejected unevaluated: f(trial) > threshold for certain
             m = ray.first_open(ladder, m, f_x, directional_derivative)
-        if m > MAX_BACKTRACKS:
+        if m >= len(ladder):
             break
         lam, blam = ladder[m][:2]
         threshold = f_x + blam * directional_derivative
@@ -567,11 +546,11 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
         non_finite = non_finite or not math.isfinite(f_trial)
         m += 1
     raise LineSearchError(
-        f"no acceptable step after {MAX_BACKTRACKS + 1} trials "
+        f"no acceptable step after {len(ladder)} trials "
         f"(directional derivative {directional_derivative})",
         point=x, direction=_direction(x, i, z_i),
         directional_derivative=directional_derivative,
-        trials=MAX_BACKTRACKS + 1)
+        trials=len(ladder))
 
 
 def _direction(x: np.ndarray, i: int, z_i: float) -> np.ndarray:

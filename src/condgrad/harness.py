@@ -225,8 +225,9 @@ def _trace_cell(v) -> str:
 
 
 def write_trace_csv(report, trace: Trace, destination) -> None:
-    """Per-iterate records (it+1 of them, the terminal point included):
-    columns k, lam, f, mu, stage, delta_p; unknown values stay empty."""
+    """Write per-iterate records (it+1 of them, the terminal point
+    included) to the file at `destination`: columns k, lam, f, mu, stage,
+    delta_p; unknown values stay empty."""
     lines = [TRACE_HEADER]
     last_stage = 1
     last_delta = math.nan
@@ -241,11 +242,7 @@ def write_trace_csv(report, trace: Trace, destination) -> None:
     lines.append(",".join([
         str(report.counters.it), "", _trace_cell(report.f),
         _trace_cell(report.gap), str(last_stage), _trace_cell(last_delta)]))
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
+    Path(destination).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

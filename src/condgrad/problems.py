@@ -120,10 +120,12 @@ class _MatrixObjective(SmoothObjective):
     across a vertex step, and its term in every oracle output. At the pole
     <c,x> + d = 0 the oracle raises NonFiniteOracleError. It also owns the
     size gate: a state follows a vertex step in O(rows) only when P has at
-    least DERIVED_STATE_MIN_ENTRIES entries. A subclass supplies the
-    quadratic part's state (`_quad_state`), its update across a vertex step
-    (`_quad_step`), value, gradient vector and <f'(x), x> (`_quad_value`,
-    `_quad_gradient`, `_quad_dot_point`), and its form along a vertex ray
+    least DERIVED_STATE_MIN_ENTRIES entries, and the memo of twice the
+    quadratic part's value, `_sq`, which the value, <f'(x), x> and the
+    vertex ray all read. A subclass supplies the quadratic part's state
+    (`_quad_state`), its update across a vertex step (`_quad_step`), twice
+    its value (`_quad_sq`), its gradient vector and <f'(x), x>
+    (`_quad_gradient`, `_quad_dot_point`), and its form along a vertex ray
     (`_quad_ray`) with the per-instance bounds behind its margin
     (`_quad_bounds`).
 
@@ -161,6 +163,13 @@ class _MatrixObjective(SmoothObjective):
                 raise NonFiniteOracleError("x is a pole of the barrier 1/(<c,x> + d)", point=x)
             state["u"] = u
         return state
+
+    def _sq(self, x, state) -> float:
+        """Twice the quadratic part's value, computed once per state."""
+        sq = state.get("sq")
+        if sq is None:
+            sq = state["sq"] = self._quad_sq(x, state)
+        return sq
 
     def _vertex_step_state(self, state, i, lam, b):
         if self.P.size < DERIVED_STATE_MIN_ENTRIES:
@@ -245,7 +254,7 @@ class _MatrixObjective(SmoothObjective):
         return ray
 
     def _value_impl(self, x, state):
-        f = self._quad_value(x, state)
+        f = 0.5 * self._sq(x, state)
         if self.c is not None:
             f += 1.0 / (state["u"] + self.d)
         return f
@@ -291,22 +300,14 @@ class QuadraticFormObjective(_MatrixObjective):
         px += (lam * b) * self.P[:, i]
         return {"px": px}
 
-    def _xpx(self, x, state):
-        """<Px, x>, computed once per state: the value, <f'(x), x> and the
-        vertex ray all read this one number."""
-        xpx = state.get("xpx")
-        if xpx is None:
-            xpx = state["xpx"] = float(np.dot(state["px"], x))
-        return xpx
-
-    def _quad_value(self, x, state):
-        return 0.5 * self._xpx(x, state)
+    def _quad_sq(self, x, state):
+        return float(np.dot(state["px"], x))
 
     def _quad_gradient(self, state):
         return state["px"]
 
     def _quad_dot_point(self, x, state):
-        return self._xpx(x, state)
+        return self._sq(x, state)
 
     def _quad_bounds(self, R, r_max):
         return r_max, 0.0
@@ -319,7 +320,7 @@ class QuadraticFormObjective(_MatrixObjective):
         #              <= ||y||_1 max|y_j| max_k R_k <= s^2 max R,
         # with R the row sums of |P|.
         px = state["px"]
-        return (self._xpx(x, state), z_i * float(px[i]),
+        return (self._sq(x, state), z_i * float(px[i]),
                 z_i * z_i * float(self.P[i, i]), s * s * r_max)
 
 
@@ -357,23 +358,15 @@ class LeastSquaresObjective(_MatrixObjective):
             state["t"] = self.P.T @ state["r"]
         return state["t"]
 
-    def _rr(self, state):
-        """<r, r>, computed once per state: the value, <f'(x), x> and the
-        vertex ray all read this one number."""
-        rr = state.get("rr")
-        if rr is None:
-            r = state["r"]
-            rr = state["rr"] = float(np.dot(r, r))
-        return rr
-
-    def _quad_value(self, x, state):
-        return 0.5 * self._rr(state)
+    def _quad_sq(self, x, state):
+        r = state["r"]
+        return float(np.dot(r, r))
 
     def _quad_gradient(self, state):
         return self._pt_r(state)
 
     def _quad_dot_point(self, x, state):
-        return self._rr(state) + float(np.dot(state["r"], self.q))
+        return self._sq(x, state) + float(np.dot(state["r"], self.q))
 
     def _quad_bounds(self, R, r_max):
         aq = np.abs(self.q)
@@ -388,7 +381,7 @@ class LeastSquaresObjective(_MatrixObjective):
         r2, rq, qq = sums
         r = state["r"]
         v = z_i * self.P[:, i] - self.q
-        return (self._rr(state), float(np.dot(r, v)), float(np.dot(v, v)),
+        return (self._sq(x, state), float(np.dot(r, v)), float(np.dot(v, v)),
                 (s * s * r2 + 2.0 * s * rq) + qq)
 
 

@@ -196,6 +196,11 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
 # ---------------------------------------------------------------------------
 # the conditional gradient loop
 
+def _gap(g: np.ndarray, x: np.ndarray, b: float) -> float:
+    """The Frank-Wolfe gap max_i <g, x - b e_i> = <g, x> - b min_i g_i."""
+    return float(np.dot(g, x)) - b * float(np.min(g))
+
+
 def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
          trace: Optional[Trace], direction: str, step: str,
          lam_bar: float = math.nan, check_descent: bool = False) -> SolveReport:
@@ -227,9 +232,8 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
         # an explicit delta0 costs nothing
         delta0 = cfg.delta0
         if delta0 is None:
-            g = f.gradient(x)
             counters.kg += feasible_set.n
-            mu0 = float(np.dot(g, x)) - feasible_set.b * float(np.min(g))
+            mu0 = _gap(f.gradient(x), x, feasible_set.b)
             if mu0 <= cfg.eps:  # the start is already good enough: skip the loop
                 status, mu = Status.CONVERGED, mu0
             delta0 = max(cfg.eps, cfg.nu * mu0)
@@ -242,8 +246,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
         if inexact:
             if counters.it >= cfg.max_iterations:
                 # exact gap from one full gradient; reporting-only, never charged
-                status, g = Status.ITERATION_CAP, f.gradient(x)
-                mu = float(np.dot(g, x)) - feasible_set.b * float(np.min(g))
+                status, mu = Status.ITERATION_CAP, _gap(f.gradient(x), x, feasible_set.b)
                 stages.append(StageRecord(stage, delta, iterations, None, x))
                 break
             res, cursor = inexact_direction(f, feasible_set, x, delta, cursor)

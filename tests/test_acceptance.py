@@ -13,7 +13,7 @@ import pytest
 
 from condgrad.core import SimplexSet, Status, step_point
 from condgrad.harness import default_plan, format_rows_csv, run_plan, run_single
-from condgrad.oracle import brute_force_gap, fd_gradient, reference_fstar
+from condgrad.oracle import brute_force_gap
 from condgrad.problems import (
     ProblemSpec,
     build_instance,
@@ -22,7 +22,7 @@ from condgrad.problems import (
 )
 from condgrad.solvers import SolverConfig, Trace, solve_cgmil
 
-from helpers import random_simplex_points
+from helpers import fd_gradient, random_simplex_points, reference_fstar
 
 EPS = 0.1
 

@@ -15,7 +15,6 @@ from condgrad.core import (
     armijo_step,
     as_vector,
     exact_lmo,
-    gap,
     step_point,
 )
 from condgrad.problems import (
@@ -28,9 +27,9 @@ from condgrad.problems import (
     build_phi3_data,
     make_objective,
 )
-from condgrad.solvers import SolverConfig, solve_cgmis
+from condgrad.solvers import SolverConfig, _gap, solve_cgmis
 
-from helpers import CallableObjective, LinearObjective, random_simplex_points, scalar_objective
+from helpers import LinearObjective, random_simplex_points, scalar_objective, vertex
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +47,7 @@ def test_simplex_validation():
 def test_simplex_membership():
     D = SimplexSet(3, 10.0)
     assert D.contains(D.barycenter())
-    assert D.contains(D.vertex(0))
+    assert D.contains(vertex(D, 0))
     assert D.contains([10.0, 0.0, 0.0])
     assert not D.contains([10.0, 0.0])           # wrong length
     assert not D.contains([5.0, 5.0, 5.0])       # wrong mass
@@ -62,12 +61,8 @@ def test_simplex_membership():
 
 def test_simplex_geometry():
     D = SimplexSet(4, 10.0)
-    assert D.diameter == pytest.approx(10.0 * math.sqrt(2.0), rel=1e-15)
     assert D.diameter_squared == 200.0
-    assert np.array_equal(D.vertex(2), [0.0, 0.0, 10.0, 0.0])
     assert np.allclose(D.barycenter(), 2.5)
-    with pytest.raises(ValueError):
-        D.vertex(4)
 
 
 def test_as_vector_rejects_bad_input():
@@ -107,7 +102,7 @@ def test_lmo_matches_enumeration_on_quadratic_gradient():
     D = SimplexSet(5, 10.0)
     i = exact_lmo(g, D)
     assert i == 3
-    assert np.dot(g, D.vertex(i)) == min(np.dot(g, D.vertex(j)) for j in range(5))
+    assert np.dot(g, vertex(D, i)) == min(np.dot(g, vertex(D, j)) for j in range(5))
 
 
 def test_lmo_dimension_mismatch():
@@ -122,8 +117,8 @@ def test_lmo_optimality_over_random_gradients():
         g = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
         D = SimplexSet(n, 10.0)
         i = exact_lmo(g, D)
-        best = min(float(np.dot(g, D.vertex(j))) for j in range(n))
-        assert float(np.dot(g, D.vertex(i))) == best
+        best = min(float(np.dot(g, vertex(D, j))) for j in range(n))
+        assert float(np.dot(g, vertex(D, i))) == best
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
@@ -131,28 +126,12 @@ def test_lmo_vertex_value_is_b_times_min(coords):
     g = np.asarray(coords)
     D = SimplexSet(g.size, 10.0)
     i = exact_lmo(g, D)
-    assert np.dot(g, D.vertex(i)) == 10.0 * g.min()
+    assert np.dot(g, vertex(D, i)) == 10.0 * g.min()
     assert i == int(np.argmin(g))
 
 
 # ---------------------------------------------------------------------------
 # gap function
-
-def test_gap_examples():
-    D = SimplexSet(3, 10.0)
-    x = (10.0 / 3.0) * np.ones(3)
-    g = np.array([3.0, -1.0, 2.0])
-    # frozen from brute-force enumeration: max is at vertex 1, value 70/3
-    assert gap(x, g, D) == pytest.approx(70.0 / 3.0, rel=1e-14)
-    # stationary vertex of a constant gradient field
-    assert gap(D.vertex(1), g, D) == 0.0
-
-
-def test_gap_requires_feasible_point():
-    D = SimplexSet(3, 10.0)
-    with pytest.raises(ValueError):
-        gap([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], D)
-
 
 def test_gap_nonnegative_and_consistent_with_lmo():
     rng = np.random.default_rng(11)
@@ -160,9 +139,9 @@ def test_gap_nonnegative_and_consistent_with_lmo():
         D = SimplexSet(n, 10.0)
         for x in random_simplex_points(rng, n, 10.0, 50):
             g = rng.normal(size=n) * 100.0
-            mu = gap(x, g, D)
+            mu = _gap(g, x, D.b)
             assert mu >= -1e-12
-            direct = float(np.dot(g, x - D.vertex(exact_lmo(g, D))))
+            direct = float(np.dot(g, x - vertex(D, exact_lmo(g, D))))
             assert abs(mu - direct) <= 1e-12 * max(1.0, abs(mu))
 
 
@@ -214,6 +193,15 @@ def test_armijo_trial_cap_is_an_error():
         armijo_step(f, [1.0], 0, 0.0, -1.0, 0.5, 0.5, f_x=0.0)
     assert err.value.trials == 61
     assert f.kf == 61
+
+
+def test_armijo_trial_cap_follows_the_ladder_of_theta():
+    # as above with theta = 0.9: the search runs to the ladder's last rung,
+    # the first at which 1 - 0.9^m rounds to 1
+    f = scalar_objective(lambda t: abs(t - 1.0), lambda t: -1.0)
+    with pytest.raises(LineSearchError, match="after 357 trials") as err:
+        armijo_step(f, [1.0], 0, 0.0, -1.0, 0.5, 0.9, f_x=0.0)
+    assert err.value.trials == f.kf == len(core._ladder(0.9, 0.5)) == 357
 
 
 def _flat_then(x0, elsewhere):
@@ -515,14 +503,16 @@ def test_vertex_ray_is_within_its_margin_at_edge_cases(case, series):
     _assert_ray_within_margin(f, x, i, z_i, lams, scale)
 
 
-def _reference_first_open(ray, theta, beta, m, f_x, dd):
-    """The first k >= m at which the trial is not certainly rejected, with
-    the step and threshold computed per trial."""
-    for k in range(m, core.MAX_BACKTRACKS + 1):
+def _reference_first_opens(ray, theta, beta, rungs, f_x, dd):
+    """For every start m in 0..rungs, the first k >= m below `rungs` at
+    which the trial is not certainly rejected (else `rungs`), with the step
+    and threshold computed per trial."""
+    first = [rungs] * (rungs + 1)
+    for k in reversed(range(rungs)):
         lam = theta ** k
-        if not ray.value(lam) - ray.margin > f_x + beta * lam * dd:
-            return k
-    return core.MAX_BACKTRACKS + 1
+        is_open = not ray.value(lam) - ray.margin > f_x + beta * lam * dd
+        first[k] = k if is_open else first[k + 1]
+    return first
 
 
 def _screened_rays():
@@ -538,10 +528,20 @@ def _screened_rays():
                    core.VertexRay(2.0, 1.0, 3.0, 1e-12, 1.0, 2.0, 5.0)]
 
 
+@pytest.mark.parametrize("theta, rungs", [(0.3, 61), (0.5, 61), (0.9, 357), (0.99, 3726)])
+def test_the_ladder_ends_where_one_minus_the_step_rounds_to_one(theta, rungs):
+    ladder = core._ladder(theta, 0.1)
+    assert len(ladder) == rungs == max(core.MAX_BACKTRACKS + 1, len(ladder))
+    lam1 = [rung[2] for rung in ladder]
+    assert lam1[-1] == 1.0
+    if rungs > core.MAX_BACKTRACKS + 1:
+        assert lam1[-2] < 1.0  # no rung past the first at which 1 - lam is 1
+
+
 @pytest.mark.parametrize("theta, beta", [(0.5, 0.5), (0.3, 0.1), (0.9, 0.9)])
 def test_the_ladder_screen_takes_the_decisions_of_value_minus_margin(theta, beta):
     ladder = core._ladder(theta, beta)
-    assert len(ladder) == core.MAX_BACKTRACKS + 1
+    rungs = len(ladder)
     for k, (lam, blam, *_) in enumerate(ladder):
         assert (repr(lam), repr(blam)) == (repr(theta ** k), repr(beta * theta ** k))
     opened = set()
@@ -549,13 +549,14 @@ def test_the_ladder_screen_takes_the_decisions_of_value_minus_margin(theta, beta
         ends = [ray.value(1.0), ray.value(0.5), ray.value(0.0)]
         for f_x in [v for v in ends if math.isfinite(v)] or [1.0]:
             for dd in (-1e-6, -1.0, -1e6):
-                for m in range(core.MAX_BACKTRACKS + 2):
+                expected = _reference_first_opens(ray, theta, beta, rungs, f_x, dd)
+                for m in range(rungs + 1):
                     got = ray.first_open(ladder, m, f_x, dd)
-                    assert got == _reference_first_open(ray, theta, beta, m, f_x, dd)
+                    assert got == expected[m]
                     opened.add(got - m)
     # the cases reach both the first rung, deep rungs and past the last one
-    assert 0 in opened and max(opened) == core.MAX_BACKTRACKS + 1
-    assert any(10 < k <= core.MAX_BACKTRACKS for k in opened)
+    assert 0 in opened and max(opened) == rungs
+    assert any(10 < k < rungs for k in opened)
 
 
 @pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)

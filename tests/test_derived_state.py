@@ -10,6 +10,8 @@ from condgrad.core import step_point
 from condgrad.problems import ProblemSpec, build_instance, lipschitz_upper_bound
 from condgrad.solvers import SolverConfig, solve_cgmil, solve_cgmis, solve_cgms
 
+from helpers import vertex
+
 # one instance of each series above the size gate, small enough to step fast
 GATED = [ProblemSpec(series=1, n=150), ProblemSpec(series=2, n=150),
          ProblemSpec(series=3, n=150, m=150), ProblemSpec(series=4, n=150, m=150)]
@@ -74,8 +76,7 @@ def test_no_derived_state_unless_x_is_the_key_and_x_new_is_fresh_and_owned():
     x = frozen(x0)
     f.value(x)
     cached = f._cache_state
-    vertex = D.vertex(3)
-    writeable = (1.0 - 0.5) * x + 0.5 * vertex
+    writeable = (1.0 - 0.5) * x + 0.5 * vertex(D, 3)
     view = frozen(np.concatenate([writeable, [0.0]]))[:-1]
     for x_new in (writeable, view, x):
         f.follow_vertex_step(x, x_new, 3, 0.5, D.b)
@@ -225,7 +226,7 @@ def test_a_derived_state_never_reads_the_memo_of_the_state_it_came_from(spec):
     f.value(x)
     f.gradient_dot_point(x)
     parent = f._cache_state
-    memo = [key for key in ("xpx", "rr") if key in parent]
+    memo = [key for key in ("sq",) if key in parent]
     assert memo  # <Px, x> or <r, r>, memoized at x
     for key in memo:
         parent[key] = math.nan  # a derived state that read it would return NaN

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from condgrad.core import SimplexSet, gap
-from condgrad.oracle import (
-    NonConvergenceError,
-    brute_force_gap,
-    fd_gradient,
-    reference_fstar,
-)
+from condgrad.core import SimplexSet
+from condgrad.oracle import brute_force_gap
 from condgrad.problems import ProblemSpec, build_phi2_terms, make_objective
+from condgrad.solvers import _gap
 
-from helpers import LinearObjective, random_simplex_points
+from helpers import (
+    LinearObjective,
+    NonConvergenceError,
+    fd_gradient,
+    random_simplex_points,
+    reference_fstar,
+    vertex,
+)
 
 ALL_SPECS = (
     ProblemSpec(series=1, n=10),
@@ -28,7 +31,7 @@ def test_brute_force_gap_hand_cases():
     x = (10.0 / 3.0) * np.ones(3)
     assert brute_force_gap(obj, D, x) == pytest.approx(70.0 / 3.0, rel=1e-14)
     # stationary vertex of the constant field
-    assert brute_force_gap(obj, D, D.vertex(1)) == 0.0
+    assert brute_force_gap(obj, D, vertex(D, 1)) == 0.0
     with pytest.raises(ValueError):
         brute_force_gap(obj, D, np.ones(3))
 
@@ -40,7 +43,7 @@ def test_brute_force_gap_matches_fast_gap():
         for x in random_simplex_points(rng, spec.n, spec.b, 200):
             obj = make_objective(spec)
             brute = brute_force_gap(obj, D, x)
-            fast = gap(x, make_objective(spec).gradient(x), D)
+            fast = _gap(make_objective(spec).gradient(x), x, D.b)
             assert abs(brute - fast) <= 1e-12 * max(1.0, abs(brute))
             assert brute >= -1e-12
 

@@ -36,7 +36,7 @@ from condgrad.solvers import (
     solve_cgms,
 )
 
-from helpers import f_history, reference_scan
+from helpers import f_history, reference_scan, vertex
 
 SOLVERS = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
            "cgmis": solve_cgmis, "cgmil": solve_cgmil}
@@ -81,9 +81,9 @@ def build(inst):
     D = SimplexSet(n, b)
     i, j = rng.choice(n, size=2) if n > 1 else (0, 0)
     if inst["start"] == "vertex" or i == j:
-        x0 = D.vertex(int(i))
+        x0 = vertex(D, int(i))
     elif inst["start"] == "edge":
-        x0 = 0.5 * (D.vertex(int(i)) + D.vertex(int(j)))
+        x0 = 0.5 * (vertex(D, int(i)) + vertex(D, int(j)))
     else:
         x0 = b * rng.dirichlet(np.ones(n))
     barrier = None
@@ -94,7 +94,7 @@ def build(inst):
         # <c,x> + d is smallest at the vertex b*e_argmin(c)
         barrier = (c, b * (inst["clearance"] * float(np.abs(c).max()) - float(c.min())))
         if inst["start"] == "vertex":
-            x0 = D.vertex(int(np.argmin(c)))
+            x0 = vertex(D, int(np.argmin(c)))
     return make(barrier), H, D, x0
 
 

@@ -1,0 +1,49 @@
+"""The public surface: what the package exports and what its reference
+module defines, pinned so that neither grows back unnoticed."""
+
+import ast
+import inspect
+import re
+import types
+from pathlib import Path
+
+import condgrad
+from condgrad import core, oracle
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+TOP_LEVEL = {
+    "solve_cgm", "solve_cgms", "solve_cgmi", "solve_cgmis", "solve_cgmil",
+    "SolverConfig", "Trace", "SolveReport", "Status", "SimplexSet",
+    "SmoothObjective", "StageLimitError", "NonFiniteOracleError",
+    "LineSearchError", "DescentViolationError", "armijo_step", "exact_lmo",
+    "step_point", "ProblemSpec", "build_instance", "lipschitz_upper_bound",
+    "QuadraticFormObjective", "LeastSquaresObjective",
+}
+
+
+def test_the_package_exports_exactly_the_names_the_readme_lists():
+    exported = {name for name, value in vars(condgrad).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == TOP_LEVEL and len(TOP_LEVEL) == 23
+    text = " ".join(README.read_text().split())
+    paragraph = re.search(r"The top level of `condgrad` exports (.*?) Everything else", text)
+    assert set(re.findall(r"`(\w+)`", paragraph.group(1))) == TOP_LEVEL
+
+
+def test_the_oracle_module_defines_only_the_brute_force_gap():
+    defined = [name for name, value in vars(oracle).items()
+               if not name.startswith("_") and callable(value)
+               and getattr(value, "__module__", None) == oracle.__name__]
+    assert defined == ["brute_force_gap"]
+    # it checks the solvers, so it reads nothing of them or of the problems
+    tree = ast.parse(inspect.getsource(oracle))
+    sources = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert sources == {"core"}
+
+
+def test_core_keeps_no_second_gap_formula():
+    assert not hasattr(core, "gap")
+    assert not hasattr(core.SimplexSet, "vertex")
+    assert not hasattr(core.SimplexSet, "diameter")
