@@ -19,11 +19,13 @@ import numpy as np
 MASS_RTOL = 1e-10
 COORD_FLOOR = -1e-12
 
-# Smallest cap on the backtracking exponent. `_ladder` raises it for a theta
-# close to 1 to the first m with theta^m <= 2^-54, where 1 - theta^m rounds
-# to 1: from there on a trial equals x off the vertex index i and moves x_i
-# by at most 2^-54 |z_i|, so deeper rungs would add trials but no progress.
+# Bounds on the backtracking exponent m, the rungs of `_ladder`. Every
+# ladder runs to rung MAX_BACKTRACKS. For a theta close to 1 it runs on to
+# the first m at which 1 - theta^m rounds to 1, where a trial differs from x
+# at the vertex index i alone, but never past MAX_RUNGS rungs (theta above
+# about 0.991), so that the ladder's cost stays bounded for any theta.
 MAX_BACKTRACKS = 60
+MAX_RUNGS = 4096
 
 
 class LineSearchError(RuntimeError):
@@ -452,15 +454,16 @@ class VertexRay(NamedTuple):
 def _ladder(theta: float, beta: float) -> tuple:
     """The steps of `armijo_step` for one (theta, beta): rung m is
     (lam, beta*lam, 1-lam, (1-lam)^2, 2(1-lam)lam, lam^2) for lam = theta^m,
-    m = 0..max(MAX_BACKTRACKS, ceil(54 ln 2 / -ln theta)), each product
-    rounded in the order in which the search and `VertexRay.value` compute
-    it."""
-    top = max(MAX_BACKTRACKS, math.ceil(54.0 * math.log(2.0) / -math.log(theta)))
+    each product rounded in the order in which the search and
+    `VertexRay.value` compute it. The rungs run from m = 0 to the first
+    m >= MAX_BACKTRACKS at which 1 - lam rounds to 1, or to MAX_RUNGS - 1."""
     rungs = []
-    for m in range(top + 1):
+    for m in range(MAX_RUNGS):
         lam = theta ** m
         lam1 = 1.0 - lam
         rungs.append((lam, beta * lam, lam1, lam1 * lam1, 2.0 * lam1 * lam, lam * lam))
+        if m >= MAX_BACKTRACKS and lam1 == 1.0:
+            break
     return tuple(rungs)
 
 

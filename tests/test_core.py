@@ -1,6 +1,7 @@
 """Core primitives: simplex set, vertex oracle, gap, Armijo, call counting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -531,11 +532,27 @@ def _screened_rays():
 @pytest.mark.parametrize("theta, rungs", [(0.3, 61), (0.5, 61), (0.9, 357), (0.99, 3726)])
 def test_the_ladder_ends_where_one_minus_the_step_rounds_to_one(theta, rungs):
     ladder = core._ladder(theta, 0.1)
-    assert len(ladder) == rungs == max(core.MAX_BACKTRACKS + 1, len(ladder))
-    lam1 = [rung[2] for rung in ladder]
-    assert lam1[-1] == 1.0
-    if rungs > core.MAX_BACKTRACKS + 1:
-        assert lam1[-2] < 1.0  # no rung past the first at which 1 - lam is 1
+    assert len(ladder) == rungs
+    assert ladder[-1][2] == 1.0
+
+
+@pytest.mark.parametrize("theta", [0.999, 1.0 - 1e-12, math.nextafter(1.0, 0.0)])
+def test_the_ladder_and_the_search_stay_bounded_as_theta_nears_1(theta):
+    # 1 - theta^m would round to 1 only after some 37/(1 - theta) rungs
+    # (3.4e17 at the largest theta below 1); the ladder stops at MAX_RUNGS
+    tracemalloc.start()
+    try:
+        ladder = core._ladder.__wrapped__(theta, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ladder) == core.MAX_RUNGS and ladder[-1][2] < 1.0
+    assert peak < 4 * 2 ** 20
+    # the search of test_armijo_trial_cap_is_an_error ends at the last rung
+    f = scalar_objective(lambda t: abs(t - 1.0), lambda t: -1.0)
+    with pytest.raises(LineSearchError) as err:
+        armijo_step(f, [1.0], 0, 0.0, -1.0, 0.5, theta, f_x=0.0)
+    assert err.value.trials == f.kf == core.MAX_RUNGS
 
 
 @pytest.mark.parametrize("theta, beta", [(0.5, 0.5), (0.3, 0.1), (0.9, 0.9)])
