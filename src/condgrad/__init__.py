@@ -25,7 +25,6 @@ from .problems import (
 from .solvers import (
     SolverConfig,
     StageLimitError,
-    Trace,
     solve_cgm,
     solve_cgmi,
     solve_cgmil,

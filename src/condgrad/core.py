@@ -351,11 +351,11 @@ class Counters:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One tolerance stage of a restarted solver: its index, tolerance,
-    iteration count, the exact gap certified when the stage ended by
-    exhaustion (None if the run was capped mid-stage), and its end point."""
+    """One tolerance stage of a restarted solver: its tolerance, iteration
+    count, the exact gap certified when the stage ended by exhaustion (None
+    if the run was capped mid-stage), and its end point. Stage p is
+    `report.stages[p - 1]`."""
 
-    stage: int
     delta: float
     iterations: int
     exit_gap: Optional[float]

@@ -20,7 +20,6 @@ from .core import Status
 from .problems import ProblemSpec, build_instance, lipschitz_upper_bound
 from .solvers import (
     SolverConfig,
-    Trace,
     solve_cgm,
     solve_cgmi,
     solve_cgmil,
@@ -125,9 +124,10 @@ def default_plan(include_cgmil: bool = False,
 
 
 def run_single(spec: ProblemSpec, method: str, config: SolverConfig,
-               trace: Optional[Trace] = None):
+               trace: Optional[list] = None):
     """Run one (instance, method) pair. Returns (RunRow, SolveReport or None);
     the report is None when the solve raised (the row then carries Error).
+    With a `trace` list, the solver appends one StepRecord per iteration.
     `wall_ms` times the solve_* call only, not the instance build or the
     Lipschitz bound (0 when the run fails before its solve starts)."""
     started = None
@@ -190,7 +190,8 @@ def format_rows_markdown(rows) -> str:
 
 
 def emit_table(rows, fmt: str = "csv", destination=None) -> None:
-    """Write rows as CSV or markdown to a path, a file object, or stdout.
+    """Write rows as CSV or markdown to a path, or to stdout when
+    `destination` is None.
 
     Refuses empty row lists before touching the destination.
     """
@@ -204,8 +205,6 @@ def emit_table(rows, fmt: str = "csv", destination=None) -> None:
         raise ValueError(f"format must be csv or md, got {fmt!r}")
     if destination is None:
         sys.stdout.write(text)
-    elif hasattr(destination, "write"):
-        destination.write(text)
     else:
         Path(destination).write_text(text)
 
@@ -224,24 +223,21 @@ def _trace_cell(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def write_trace_csv(report, trace: Trace, destination) -> None:
+def write_trace_csv(report, steps: list, destination) -> None:
     """Write per-iterate records (it+1 of them, the terminal point
     included) to the file at `destination`: columns k, lam, f, mu, stage,
-    delta_p; unknown values stay empty."""
+    delta_p; unknown values stay empty. `steps` is the run's trace list;
+    the terminal record's stage is the run's last, or 1 for a run without
+    stages."""
     lines = [TRACE_HEADER]
-    last_stage = 1
-    last_delta = math.nan
-    for s in trace.steps:
+    for k, s in enumerate(steps):
         lines.append(",".join([
-            str(s.k), _trace_cell(s.lam), _trace_cell(s.f_before),
+            str(k), _trace_cell(s.lam), _trace_cell(s.f_before),
             _trace_cell(s.mu), str(s.stage), _trace_cell(s.delta)]))
-        last_stage, last_delta = s.stage, s.delta
-    if report.stages:
-        last_stage = report.stages[-1].stage
-        last_delta = report.stages[-1].delta
+    stages = report.stages or ()
     lines.append(",".join([
-        str(report.counters.it), "", _trace_cell(report.f),
-        _trace_cell(report.gap), str(last_stage), _trace_cell(last_delta)]))
+        str(report.counters.it), "", _trace_cell(report.f), _trace_cell(report.gap),
+        str(len(stages) or 1), _trace_cell(stages[-1].delta if stages else math.nan)]))
     Path(destination).write_text("\n".join(lines) + "\n")
 
 
@@ -333,7 +329,7 @@ def _cmd_solve(parser, args) -> int:
         spec = ProblemSpec(series=args.series, n=args.n, m=args.m)
     except ValueError as exc:
         parser.error(str(exc))
-    trace = Trace() if args.trace else None
+    trace = [] if args.trace else None
     row, report = run_single(spec, args.method, config, trace=trace)
     if report is None:
         return 1

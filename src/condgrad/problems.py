@@ -405,21 +405,18 @@ def build_instance(spec: ProblemSpec):
 def lipschitz_upper_bound(spec: ProblemSpec, region: SimplexSet) -> float:
     """A valid upper bound on the gradient Lipschitz constant over the region.
 
-    Row-sum (infinity-norm) bounds on the Hessian: for the quadratic form the
-    Hessian is P itself, for least squares it is P^T P; the barrier adds at
-    most 2||c||^2/d^3 because <c,x> >= 0 on the nonnegative orthant. Cheap,
+    Row-sum (infinity-norm) bounds on the Hessian of the objective that
+    `make_objective(spec)` builds: for the quadratic form the Hessian is P
+    itself, for least squares it is P^T P; the barrier adds at most
+    2||c||^2/d^3 because <c,x> >= 0 on the nonnegative orthant. Cheap,
     deterministic, and only an upper bound is ever needed: a larger constant
     just shrinks the derived fixed step.
     """
     if region.n != spec.n:
         raise ValueError(f"region dimension {region.n} does not match spec n={spec.n}")
-    if spec.series in (1, 2):
-        H = build_phi1_matrix(spec.n)
-    else:
-        P, _ = build_phi3_data(spec.m, spec.n, spec.b)
-        H = P.T @ P
+    f = make_objective(spec)
+    H = f.P if isinstance(f, QuadraticFormObjective) else f.P.T @ f.P
     L = float(np.abs(H).sum(axis=1).max())
-    if spec.series in (2, 4):
-        c, d = build_phi2_terms(spec.n)
-        L += 2.0 * float(np.dot(c, c)) / d ** 3
+    if f.c is not None:
+        L += 2.0 * float(np.dot(f.c, f.c)) / f.d ** 3
     return L

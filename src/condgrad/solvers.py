@@ -28,7 +28,7 @@ the run's counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -47,6 +47,12 @@ from .core import (
     exact_lmo,
     step_point,
 )
+
+
+# The most tolerance stages a restarted solver may open. Restarts add no
+# iterations, so for nu close to 1, where each stage's tolerance is barely
+# below the last, only this constant bounds the run.
+MAX_STAGES = 60
 
 
 class StageLimitError(RuntimeError):
@@ -70,7 +76,6 @@ class SolverConfig:
     delta0: Optional[float] = None
     tau0: float = 0.9          # initial step ceiling
     max_iterations: int = 1_000_000
-    max_stages: int = 60
 
     def __post_init__(self):
         for name in ("beta", "theta", "sigma", "nu", "tau0"):
@@ -84,46 +89,30 @@ class SolverConfig:
             raise ValueError(f"delta0 must be positive when given, got {self.delta0!r}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if self.max_stages < 1:
-            raise ValueError(f"max_stages must be >= 1, got {self.max_stages}")
 
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One accepted iteration, as recorded in a Trace.
+    """One iteration, as appended to a solver's `trace` list: iteration k is
+    the record at index k, and f from x0 to the end is `[s.f_before for s in
+    trace] + [report.f]`.
 
-    `delta` and `mu` are NaN where the solver did not know them; `accepted`
-    is None for line-search methods, otherwise the outcome of the
+    `delta`, `mu` and `f_before` are NaN where the solver did not know them;
+    `accepted` is None for line-search methods, otherwise the outcome of the
     sufficient-decrease test; `tests` is the number of vertices probed by the
-    inexact direction search (0 for exact-oracle methods); `point` is the
-    pre-step iterate (not a copy) when point collection is on.
+    inexact direction search (0 for exact-oracle methods).
     """
 
-    k: int
     stage: int
     delta: float
     lam: float
     trials: int
     f_before: float
-    f_after: float
     dir_derivative: float
     vertex: int
     accepted: Optional[bool]
     mu: float
     tests: int
-    point: Optional[np.ndarray]
-
-
-@dataclass
-class Trace:
-    """Per-iteration recording, opt-in via the solvers' `trace` argument.
-
-    A run's objective values, from f(x0) to the reported f, are
-    `[s.f_before for s in steps] + [report.f]` (NaN where no value was
-    computed, as in cgmil without `check_descent`)."""
-
-    collect_points: bool = False
-    steps: list = field(default_factory=list)
 
 
 class FoundDirection(NamedTuple):
@@ -132,15 +121,6 @@ class FoundDirection(NamedTuple):
 
     index: int
     descent: float
-    tests: int
-    kg_cost: int
-
-
-class ExhaustedCycle(NamedTuple):
-    """A full failed cycle; `gap` is the exact gap at x (vertices are the
-    extreme points, so the cycle maximum is the true maximum over the set)."""
-
-    gap: float
     tests: int
     kg_cost: int
 
@@ -158,9 +138,9 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
     `f.partial` one vertex at a time. The oracle validates x.
 
     Returns (FoundDirection, cursor advanced past the hit) or, after a full
-    failed cycle, (ExhaustedCycle carrying the exact gap, cursor unchanged).
-    The gap is the largest descent in probe order: a NaN never becomes it,
-    and of equal descents (such as -0.0 and +0.0) the first probed does.
+    failed cycle, (the exact gap at x as a float, cursor unchanged). The gap
+    is the largest descent in probe order: a NaN never becomes it, and of
+    equal descents (such as -0.0 and +0.0) the first probed does.
     """
     if not delta_p > 0.0:
         raise ValueError(f"delta_p must be positive, got {delta_p}")
@@ -190,7 +170,7 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
     best = -math.inf
     if cycle.size:
         best = float(cycle[(cycle == cycle.max()).argmax()])
-    return ExhaustedCycle(best, n, n), cursor
+    return best, cursor
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +182,15 @@ def _gap(g: np.ndarray, x: np.ndarray, b: float) -> float:
 
 
 def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
-         trace: Optional[Trace], direction: str, step: str,
+         trace: Optional[list], direction: str, step: str,
          lam_bar: float = math.nan, check_descent: bool = False) -> SolveReport:
     """The conditional gradient loop shared by all five methods.
 
     `direction` is "exact" (the gap is tested before the iteration cap) or
     "inexact" (the cap is tested before searching, and a capped run certifies
     its gap with one uncharged full gradient). `step` is "armijo", "adaptive"
-    or "fixed"; `lam_bar` and `check_descent` belong to "fixed".
+    or "fixed"; `lam_bar` and `check_descent` belong to "fixed". Each
+    iteration appends its StepRecord to the `trace` list, if one is given.
     """
     inexact = direction == "inexact"
     # a private read-only copy: the oracle's cache trusts it by identity
@@ -247,21 +228,21 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
             if counters.it >= cfg.max_iterations:
                 # exact gap from one full gradient; reporting-only, never charged
                 status, mu = Status.ITERATION_CAP, _gap(f.gradient(x), x, feasible_set.b)
-                stages.append(StageRecord(stage, delta, iterations, None, x))
+                stages.append(StageRecord(delta, iterations, None, x))
                 break
             res, cursor = inexact_direction(f, feasible_set, x, delta, cursor)
-            if isinstance(res, ExhaustedCycle):
-                mu = res.gap
-                stages.append(StageRecord(stage, delta, iterations, res.gap, x))
-                if res.gap <= cfg.eps:
+            if isinstance(res, float):  # a full failed cycle certified the gap
+                mu = res
+                stages.append(StageRecord(delta, iterations, mu, x))
+                if mu <= cfg.eps:
                     status = Status.CONVERGED  # terminal certification; not charged
                     break
-                counters.kg += res.kg_cost
+                counters.kg += feasible_set.n
                 counters.restarts += 1
-                if stage + 1 > cfg.max_stages:
+                if stage + 1 > MAX_STAGES:
                     raise StageLimitError(
-                        f"no convergence after {cfg.max_stages} stages "
-                        f"(gap {res.gap}, tolerance {delta})")
+                        f"no convergence after {MAX_STAGES} stages "
+                        f"(gap {mu}, tolerance {delta})")
                 stage, iterations = stage + 1, 0
                 delta = cfg.nu ** stage * delta0
                 if step == "adaptive":  # restart ceiling, see solve_cgmis
@@ -304,7 +285,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
             x_new = step_point(x, index, feasible_set.b, lam)
             # a step to a vertex is rank-one: the oracle may derive its state
             f.follow_vertex_step(x, x_new, index, lam, feasible_set.b)
-            f_new = math.nan if fx is None else f.value(x_new)
+            f_new = None if fx is None else f.value(x_new)
             if step == "adaptive":
                 trials, accepted = 1, f_new <= fx + cfg.beta * lam * (-descent)
             elif check_descent:
@@ -316,15 +297,12 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                         point=x, step=lam, f_before=fx, f_after=f_new)
         counters.kf += trials
         if trace is not None:
-            trace.steps.append(StepRecord(
-                k=counters.it, stage=stage, delta=delta, lam=lam, trials=trials,
-                f_before=fx if fx is not None else math.nan, f_after=f_new,
+            trace.append(StepRecord(
+                stage=stage, delta=delta, lam=lam, trials=trials,
+                f_before=fx if fx is not None else math.nan,
                 dir_derivative=-descent, vertex=index, accepted=accepted,
-                mu=math.nan if inexact else mu, tests=tests,
-                point=x if trace.collect_points else None))
-        x = x_new
-        if fx is not None:
-            fx = f_new
+                mu=math.nan if inexact else mu, tests=tests))
+        x, fx = x_new, f_new
         counters.it += 1
         iterations += 1
         if accepted is False:
@@ -345,7 +323,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
 # the five methods
 
 def solve_cgm(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
-              x0, trace: Optional[Trace] = None) -> SolveReport:
+              x0, trace: Optional[list] = None) -> SolveReport:
     """Classic conditional gradient with Armijo backtracking.
 
     Each iteration takes one full gradient, one exact vertex oracle (which
@@ -357,7 +335,7 @@ def solve_cgm(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
 
 
 def solve_cgms(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
-               x0, trace: Optional[Trace] = None) -> SolveReport:
+               x0, trace: Optional[list] = None) -> SolveReport:
     """Conditional gradient with the adaptive step rule, no line search.
 
     The step toward the vertex is always taken; the sufficient-decrease test
@@ -369,7 +347,7 @@ def solve_cgms(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
 
 
 def solve_cgmi(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
-               x0, trace: Optional[Trace] = None) -> SolveReport:
+               x0, trace: Optional[list] = None) -> SolveReport:
     """Inexact direction finding with tolerance restarts, Armijo steps.
 
     Stage p accepts any vertex whose linearized descent reaches
@@ -381,7 +359,7 @@ def solve_cgmi(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
 
 
 def solve_cgmil(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
-                x0, lipschitz: float, trace: Optional[Trace] = None,
+                x0, lipschitz: float, trace: Optional[list] = None,
                 check_descent: bool = False) -> SolveReport:
     """Inexact directions with a fixed per-stage step, no function values.
 
@@ -400,7 +378,7 @@ def solve_cgmil(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
 
 
 def solve_cgmis(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
-                x0, trace: Optional[Trace] = None) -> SolveReport:
+                x0, trace: Optional[list] = None) -> SolveReport:
     """Inexact directions plus the adaptive step rule, no line search.
 
     Within a stage the step control mirrors solve_cgms (always step, shrink

@@ -10,9 +10,8 @@ import pytest
 from condgrad.core import SimplexSet
 from condgrad.harness import default_plan, run_single
 from condgrad.problems import ProblemSpec
-from condgrad.solvers import Trace
 
-from helpers import f_history
+from helpers import f_history, iterates
 
 
 @dataclass
@@ -37,19 +36,20 @@ def grid(request):
     for spec in plan.cells:
         D = SimplexSet(spec.n, spec.b)
         for method in plan.methods:
-            trace = Trace(collect_points=True)
-            row, report = run_single(spec, method, plan.config, trace=trace)
+            steps = []
+            row, report = run_single(spec, method, plan.config, trace=steps)
             assert report is not None, f"{method} raised on {spec}"
-            points = [s.point for s in trace.steps] + [report.x]
+            points = iterates(D.barycenter(), steps, spec.b, method, report)
             mass_dev = max(abs(float(p.sum()) - spec.b) for p in points)
             min_coord = min(float(p.min()) for p in points)
+            h = f_history(report, steps)
             light = None
             if method in ("cgmi", "cgmis"):
-                light = [(s.lam, s.trials, s.delta, s.f_before, s.f_after)
-                         for s in trace.steps]
+                light = [(s.lam, s.trials, s.delta, h[k], h[k + 1])
+                         for k, s in enumerate(steps)]
             outcomes[(spec.series, spec.rows, spec.n, method)] = CellOutcome(
                 spec=spec, method=method, row=row,
-                f_history=f_history(report, trace), stages=report.stages,
+                f_history=h, stages=report.stages,
                 final_x=report.x, max_mass_dev=mass_dev,
                 min_coord=min_coord, light_steps=light)
     elapsed = time.perf_counter() - started

@@ -1,5 +1,5 @@
 """Test doubles, small utilities and the references (finite differences,
-an objective floor) shared across the suite."""
+an objective floor, a replay of a traced run) shared across the suite."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ import math
 
 import numpy as np
 
-from condgrad.core import SimplexSet, SmoothObjective, Status, as_vector
+from condgrad.core import SimplexSet, SmoothObjective, Status, as_vector, step_point
 from condgrad.problems import ProblemSpec, build_instance
-from condgrad.solvers import ExhaustedCycle, FoundDirection, SolverConfig, solve_cgm
+from condgrad.solvers import FoundDirection, SolverConfig, solve_cgm
 
 
 class CallableObjective(SmoothObjective):
@@ -54,6 +54,37 @@ class LinearObjective(CallableObjective):
         self.g0 = g0
 
 
+class LinearFractionalObjective(CallableObjective):
+    """f(x) = (<a, x> + alpha)/(<c, x> + beta) with c > 0 and beta > 0, so
+    that the denominator is positive on every scaled simplex.
+
+    f is pseudo-linear, hence pseudo-convex, but not convex in general
+    (Mangasarian 1965, "Pseudo-convex functions"): the paper's hypothesis
+    class, not only the convex one. Its minimum over a simplex is at a
+    vertex. `with_fast_path` adds the <f'(x), x> fast path.
+    """
+
+    def __init__(self, a, alpha, c, beta, with_fast_path=True):
+        a = np.asarray(a, dtype=np.float64)
+        c = np.asarray(c, dtype=np.float64)
+        if not ((c > 0.0).all() and beta > 0.0):
+            raise ValueError("the denominator needs c > 0 and beta > 0")
+        num = lambda x: float(np.dot(a, x)) + alpha
+        den = lambda x: float(np.dot(c, x)) + beta
+
+        def partial(x, i):
+            N, D = num(x), den(x)
+            return float((a[i] * D - N * c[i]) / (D * D))
+
+        def gradient_dot_point(x):
+            N, D = num(x), den(x)
+            return (float(np.dot(a, x)) * D - N * float(np.dot(c, x))) / (D * D)
+
+        super().__init__(a.size, fn=lambda x: num(x) / den(x), partial_fn=partial,
+                         gdp_fn=gradient_dot_point if with_fast_path else None)
+        self.a, self.alpha, self.c, self.beta = a, alpha, c, beta
+
+
 def scalar_objective(fn, dfn):
     """One-dimensional oracle from f and f'."""
     return CallableObjective(
@@ -75,9 +106,30 @@ def random_simplex_points(rng, n, b, count):
     return rng.dirichlet(np.ones(n), size=count) * b
 
 
-def f_history(report, trace):
+def f_history(report, steps):
     """f at every iterate of a traced run, from f(x0) to the reported f."""
-    return [s.f_before for s in trace.steps] + [report.f]
+    return [s.f_before for s in steps] + [report.f]
+
+
+def iterates(x0, steps, b, method, report):
+    """Every iterate of a traced run, from x0 to the reported x, rebuilt
+    with `step_point` from each record's vertex and step size; asserts that
+    the replay ends at `report.x` bit for bit.
+
+    The vertex value is b for the adaptive and fixed steps; the Armijo
+    methods (cgm, cgmi) step toward x_i + (b - x_i), as the solver does.
+    """
+    x = np.array(x0, dtype=np.float64)
+    points = [x]
+    for s in steps:
+        z_i = b
+        if method in ("cgm", "cgmi"):
+            x_i = float(x[s.vertex])
+            z_i = x_i + (b - x_i)
+        x = step_point(x, s.vertex, z_i, s.lam)
+        points.append(x)
+    assert x.tobytes() == report.x.tobytes(), f"{method} replay misses report.x"
+    return points
 
 
 def reference_scan(f, feasible_set, x, delta_p, cursor):
@@ -87,8 +139,9 @@ def reference_scan(f, feasible_set, x, delta_p, cursor):
     Probe t reads vertex (cursor + t) % n. With the <f'(x), x> fast path
     each probe calls `f.partial` (one kg on the objective) and the run is
     charged t + 1; without it one full gradient is taken and charged n.
-    A NaN descent never becomes the gap, and of equal descents the first
-    probed does.
+    A full failed cycle returns the gap as a float, with the cursor
+    unchanged. A NaN descent never becomes the gap, and of equal descents
+    the first probed does.
     """
     n, b = feasible_set.n, feasible_set.b
     gx = f.gradient_dot_point(x)
@@ -106,7 +159,7 @@ def reference_scan(f, feasible_set, x, delta_p, cursor):
             return FoundDirection(i, descent, t + 1, n if full else t + 1), (i + 1) % n
         if descent > best:
             best = descent
-    return ExhaustedCycle(best, n, n), cursor
+    return best, cursor
 
 
 class NonConvergenceError(RuntimeError):

@@ -20,23 +20,25 @@ from condgrad.problems import (
     lipschitz_upper_bound,
     make_objective,
 )
-from condgrad.solvers import SolverConfig, Trace, solve_cgmil
+from condgrad.solvers import SolverConfig, solve_cgmil
 
-from helpers import fd_gradient, random_simplex_points, reference_fstar
+from helpers import fd_gradient, iterates, random_simplex_points, reference_fstar
 
 EPS = 0.1
 
 
 @pytest.fixture(scope="session")
 def minimality_traces():
-    """Fully traced small runs used for the line-search minimality spot check."""
+    """Traced small runs, with every iterate replayed, used for the
+    line-search minimality spot check."""
     results = []
     for spec in (ProblemSpec(series=1, n=5), ProblemSpec(series=3, n=5, m=2)):
         for method in ("cgm", "cgmi"):
-            trace = Trace(collect_points=True)
-            row, report = run_single(spec, method, SolverConfig(), trace=trace)
+            steps = []
+            row, report = run_single(spec, method, SolverConfig(), trace=steps)
             assert report.status is Status.CONVERGED
-            results.append((spec, method, trace))
+            x0 = SimplexSet(spec.n, spec.b).barycenter()
+            results.append((spec, steps, iterates(x0, steps, spec.b, method, report)))
     return results
 
 
@@ -117,23 +119,23 @@ def test_criterion_06_armijo_descent_and_minimality(grid, minimality_traces):
     # minimality: rebuild 100 recorded backtracking steps and confirm the
     # next-larger step fails the acceptance inequality
     pool = []
-    for spec, method, trace in minimality_traces:
-        for s in trace.steps:
+    for spec, steps, points in minimality_traces:
+        for k, s in enumerate(steps):
             if s.trials >= 2:
-                pool.append((spec, s))
+                pool.append((spec, k, s, points[k]))
     rng = np.random.default_rng(2024)
     picks = rng.choice(len(pool), size=min(100, len(pool)), replace=False)
     assert len(picks) == 100, f"only {len(pool)} multi-trial steps recorded"
     for idx in picks:
-        spec, s = pool[int(idx)]
+        spec, k, s, x = pool[int(idx)]
         D = SimplexSet(spec.n, spec.b)
         fresh = make_objective(spec)
         lam_prev = 0.5 ** (s.trials - 2)  # theta^(m-1)
-        x_i = float(s.point[s.vertex])
-        trial = step_point(s.point, s.vertex, x_i + (D.b - x_i), lam_prev)
+        x_i = float(x[s.vertex])
+        trial = step_point(x, s.vertex, x_i + (D.b - x_i), lam_prev)
         f_trial = fresh.value(trial)
         assert f_trial > s.f_before + 0.5 * lam_prev * s.dir_derivative, \
-            f"step theta^(m-1) unexpectedly acceptable at k={s.k} of {spec}"
+            f"step theta^(m-1) unexpectedly acceptable at k={k} of {spec}"
     print("\ncriterion 6 PASS: monotone descent on 20 runs; minimality on 100 sampled steps")
 
 

@@ -212,8 +212,7 @@ def test_cli_trace_of_an_inexact_method_follows_its_stages(tmp_path, capsys):
             assert next_delta == delta
     _, report = run_single(ProblemSpec(series=2, n=5), "cgmi", SolverConfig())
     assert report.counters.restarts >= 2 and report.counters.it == it
-    last = report.stages[-1]
-    assert records[-1] == (last.stage, last.delta)
+    assert records[-1] == (len(report.stages), report.stages[-1].delta)
 
 
 def test_cli_usage_errors_exit_2():

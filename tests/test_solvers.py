@@ -24,11 +24,10 @@ from condgrad.problems import (
     make_objective,
 )
 from condgrad.solvers import (
-    ExhaustedCycle,
+    MAX_STAGES,
     FoundDirection,
     SolverConfig,
     StageLimitError,
-    Trace,
     _gap,
     inexact_direction,
     solve_cgm,
@@ -38,7 +37,7 @@ from condgrad.solvers import (
     solve_cgms,
 )
 
-from helpers import CallableObjective, LinearObjective, f_history, reference_scan
+from helpers import CallableObjective, LinearObjective, f_history, iterates, reference_scan
 
 S1N5 = ProblemSpec(series=1, n=5)
 SOLVERS = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
@@ -57,12 +56,12 @@ def test_config_validation():
     for field, bad in (("beta", 0.0), ("beta", 1.0), ("theta", -0.1),
                        ("sigma", 1.5), ("nu", 0.0), ("tau0", 1.0),
                        ("eps", 0.0), ("eps", -1.0), ("delta0", 0.0),
-                       ("max_iterations", -1), ("max_stages", 0)):
+                       ("max_iterations", -1)):
         with pytest.raises(ValueError):
             SolverConfig(**{field: bad})
     cfg = SolverConfig()
     assert (cfg.beta, cfg.theta, cfg.sigma, cfg.nu) == (0.5, 0.5, 0.9, 0.5)
-    assert (cfg.eps, cfg.tau0, cfg.max_iterations, cfg.max_stages) == (0.1, 0.9, 10 ** 6, 60)
+    assert (cfg.eps, cfg.tau0, cfg.max_iterations, MAX_STAGES) == (0.1, 0.9, 10 ** 6, 60)
 
 
 def test_infeasible_start_rejected():
@@ -80,7 +79,7 @@ def test_infeasible_start_rejected():
 def test_cgm_stationary_start_converges_immediately():
     obj = QuadraticFormObjective(np.eye(2))
     D = SimplexSet(2, 10.0)
-    trace = Trace()
+    trace = []
     rep = solve_cgm(obj, D, SolverConfig(), np.array([5.0, 5.0]), trace=trace)
     assert rep.status is Status.CONVERGED
     assert rep.counters.it == 0
@@ -91,12 +90,12 @@ def test_cgm_stationary_start_converges_immediately():
 
 
 def test_cgm_counters_and_descent():
-    trace = Trace()
+    trace = []
     rep = run(solve_cgm, trace=trace)
     assert rep.status is Status.CONVERGED
     assert rep.gap <= 0.1
     assert rep.counters.kg == 5 * rep.counters.it
-    assert rep.counters.kf == sum(s.trials for s in trace.steps)
+    assert rep.counters.kf == sum(s.trials for s in trace)
     assert rep.counters.restarts == 0
     assert rep.stages is None
     # monotone descent, strictly at every accepted step
@@ -117,9 +116,9 @@ def test_screened_line_search_matches_evaluating_every_trial(series, solve, thet
         obj, D, x0 = build_instance(spec)
         if not screen:
             obj._vertex_ray = lambda *args: None
-        trace = Trace(collect_points=True)
+        trace = []
         rep = solve(obj, D, cfg, x0, trace=trace)
-        runs.append((rep, trace.steps, obj.kf))
+        runs.append((rep, trace, obj.kf))
     (a, steps_a, kf_a), (b, steps_b, kf_b) = runs
     assert repr(steps_a) == repr(steps_b)
     assert a.counters == b.counters and a.status is b.status
@@ -140,10 +139,10 @@ def test_armijo_methods_converge_with_a_backtracking_ratio_of_0_9(series, solve)
     # the ladder for theta = 0.9 reaches instead of ending its search there
     spec = ProblemSpec(series=series, n=10, m=5 if series > 2 else None)
     obj, D, x0 = build_instance(spec)
-    trace = Trace()
+    trace = []
     rep = solve(obj, D, SolverConfig(eps=0.01, theta=0.9, beta=0.1), x0, trace=trace)
     assert rep.status is Status.CONVERGED and rep.gap <= 0.01
-    assert max(s.trials for s in trace.steps) > MAX_BACKTRACKS + 1
+    assert max(s.trials for s in trace) > MAX_BACKTRACKS + 1
     fresh = make_objective(spec)
     assert abs(brute_force_gap(fresh, D, rep.x) - rep.gap) <= 1e-9
 
@@ -158,10 +157,10 @@ def test_armijo_methods_converge_with_a_backtracking_ratio_of_0_9(series, solve)
 def test_a_vertex_step_keeps_the_bits_of_the_dense_convex_combination(x0, digests):
     P = np.array([[1.0, 0.1, 3.0], [0.1, 0.0, 3.0], [3.0, 3.0, 1.0]])
     for name, solve in (("cgm", solve_cgm), ("cgms", solve_cgms)):
-        trace = Trace()
+        trace = []
         rep = solve(QuadraticFormObjective(P), SimplexSet(3, 10.0),
                     SolverConfig(max_iterations=1), np.array(x0), trace=trace)
-        assert trace.steps[0].vertex == 1
+        assert trace[0].vertex == 1
         assert hashlib.sha256(rep.x.tobytes()).hexdigest()[:16] == digests[name]
 
 
@@ -186,7 +185,7 @@ def test_cgm_deterministic():
 # adaptive step, exact oracle
 
 def test_cgms_counter_identities():
-    trace = Trace()
+    trace = []
     rep = run(solve_cgms, trace=trace)
     assert rep.status is Status.CONVERGED
     assert rep.counters.kf == rep.counters.it
@@ -203,20 +202,20 @@ def test_cgms_failed_acceptance_still_advances():
     obj = QuadraticFormObjective(np.eye(2))
     D = SimplexSet(2, 10.0)
     x0 = np.array([9.0, 1.0])
-    trace = Trace(collect_points=True)
+    trace = []
     rep = solve_cgms(obj, D, SolverConfig(max_iterations=2), x0, trace=trace)
-    first = trace.steps[0]
+    first = trace[0]
     assert first.lam == 0.9
     assert first.accepted is False
-    assert not np.array_equal(trace.steps[1].point, x0)
-    assert trace.steps[1].lam == 0.9 * 0.9
+    assert not np.array_equal(iterates(x0, trace, D.b, "cgms", rep)[1], x0)
+    assert trace[1].lam == 0.9 * 0.9
 
 
 def test_cgms_step_ceiling_law():
-    trace = Trace()
+    trace = []
     rep = run(solve_cgms, trace=trace)
     failures = 0
-    for s in trace.steps:
+    for s in trace:
         assert s.lam == 0.9 * 0.9 ** failures
         if not s.accepted:
             failures += 1
@@ -256,9 +255,8 @@ def test_inexact_direction_cursor_persistence():
 def test_inexact_direction_exhausted_yields_exact_gap():
     obj, D, x = _third_point()
     res, cursor = inexact_direction(obj, D, x, 30.0, 1)
-    assert isinstance(res, ExhaustedCycle)
-    assert res.gap == pytest.approx(70.0 / 3.0, rel=1e-14)
-    assert res.tests == 3 and res.kg_cost == 3
+    assert isinstance(res, float)
+    assert res == pytest.approx(70.0 / 3.0, rel=1e-14)
     assert cursor == 1  # unchanged after a full failed cycle
 
 
@@ -289,17 +287,19 @@ def test_inexact_direction_rejects_a_dimension_mismatch():
 def _scripted_scan(scan, gx, g, delta_p, cursor):
     """`scan` (inexact_direction or reference_scan) with <f'(x), x> = gx and
     f'(x) = g; the fields that describe its result, and the objective's
-    raw kg."""
+    raw kg. A full failed cycle returns a float, the gap, and takes n
+    probes."""
     g = np.asarray(g, dtype=np.float64)
     f = CallableObjective(g.size, fn=lambda x: 0.0, partial_fn=lambda x, i: g[i],
                           gdp_fn=lambda x: gx)
     D = SimplexSet(g.size, 10.0)
     with np.errstate(all="ignore"):
         res, cursor = scan(f, D, D.barycenter(), delta_p, cursor)
-    named = res._asdict()  # by field name: `index` is also a tuple method
-    fields = (type(res).__name__, named.get("index"),
-              repr(named.get("descent")), res.tests, res.kg_cost, cursor,
-              repr(named.get("gap")))
+    if isinstance(res, FoundDirection):
+        fields = (type(res).__name__, res.index, repr(res.descent), res.tests,
+                  res.kg_cost, cursor, None)
+    else:
+        fields = (type(res).__name__, None, None, g.size, g.size, cursor, repr(res))
     return fields, f.kg
 
 
@@ -343,7 +343,7 @@ def test_reading_partials_from_a_vector_matches_probing_them_one_by_one():
         # the vector is uncharged on the objective; the probes charge it
         assert raw_kg == 0 and probe_kg == by_probe[4]
         kinds.add(by_vector[0])
-    assert kinds == {"FoundDirection", "ExhaustedCycle"}
+    assert kinds == {"FoundDirection", "float"}
 
 
 @pytest.mark.parametrize("scan", [inexact_direction, reference_scan],
@@ -364,7 +364,7 @@ def test_inexact_scan_wraps_around_and_breaks_ties_in_cyclic_order(scan):
     for cursor, gap in ((0, "-0.0"), (1, "0.0"), (2, "-0.0"), (3, "-0.0"), (9, "0.0")):
         (kind, _, _, tests, _, back, got), _ = _scripted_scan(
             scan, -0.0, [0.0, -0.0, 0.0, 1.0], 1.0, cursor)
-        assert (kind, tests, back, got) == ("ExhaustedCycle", 4, cursor, gap)
+        assert (kind, tests, back, got) == ("float", 4, cursor, gap)
 
 
 @pytest.mark.parametrize("series", [1, 2, 3, 4])
@@ -375,13 +375,13 @@ def test_inexact_runs_match_the_reference_scan(series, method, monkeypatch):
     for scan in (inexact_direction, reference_scan):
         monkeypatch.setattr(solvers, "inexact_direction", scan)
         obj, D, x0 = build_instance(spec)
-        trace = Trace()
+        trace = []
         cfg = SolverConfig(eps=0.01, max_iterations=3000)
         if method == "cgmil":
             rep = solve_cgmil(obj, D, cfg, x0, lipschitz_upper_bound(spec, D), trace=trace)
         else:
             rep = SOLVERS[method](obj, D, cfg, x0, trace=trace)
-        runs.append((rep, repr(trace.steps), obj.kg))
+        runs.append((rep, repr(trace), obj.kg))
     (a, steps_a, kg_a), (b, steps_b, kg_b) = runs
     assert a.counters == b.counters and a.status is b.status
     assert repr((a.f, a.gap)) == repr((b.f, b.gap)) and a.x.tobytes() == b.x.tobytes()
@@ -405,26 +405,28 @@ def _expected_delta0(spec, cfg):
 
 def test_cgmi_stage_structure_and_descent_bound():
     cfg = SolverConfig()
-    trace = Trace()
+    trace = []
     rep = run(solve_cgmi, cfg=cfg, trace=trace)
     assert rep.status is Status.CONVERGED
     delta0 = _expected_delta0(S1N5, cfg)
     assert rep.stages
-    for s in rep.stages:
-        assert s.delta == cfg.nu ** s.stage * delta0
+    for p, s in enumerate(rep.stages, 1):
+        assert s.delta == cfg.nu ** p * delta0
         if s.exit_gap is not None:
             assert s.exit_gap < s.delta
     assert rep.stages[-1].exit_gap is not None
     assert rep.stages[-1].exit_gap <= cfg.eps
     assert rep.counters.restarts == len(rep.stages) - 1
     assert sum(s.iterations for s in rep.stages) == rep.counters.it
+    # kg: n for delta0, each step's probes, and n per cycle that restarts
+    assert rep.counters.kg == 5 * (1 + rep.counters.restarts) + sum(s.tests for s in trace)
     # per-step decrease of at least beta*lam*delta
-    for s in trace.steps:
-        assert s.f_before - s.f_after >= cfg.beta * s.lam * s.delta - 1e-9
+    h = f_history(rep, trace)
+    for k, s in enumerate(trace):
+        assert h[k] - h[k + 1] >= cfg.beta * s.lam * s.delta - 1e-9
     # gradient work stays below the exact-oracle cost
     assert rep.counters.kg < 5 * rep.counters.it
     # monotone descent
-    h = f_history(rep, trace)
     assert all(b <= a for a, b in zip(h, h[1:]))
 
 
@@ -432,15 +434,15 @@ def test_cgmi_respects_explicit_delta0():
     cfg = SolverConfig(delta0=8.0)
     rep = run(solve_cgmi, cfg=cfg)
     assert rep.status is Status.CONVERGED
-    for s in rep.stages:
-        assert s.delta == 0.5 ** s.stage * 8.0
+    for p, s in enumerate(rep.stages, 1):
+        assert s.delta == 0.5 ** p * 8.0
 
 
 def test_cgmi_stage_cap_is_an_error():
-    # a huge first tolerance exhausts instantly; with one stage allowed the
-    # required restart must raise
-    cfg = SolverConfig(delta0=1e6, max_stages=1)
-    with pytest.raises(StageLimitError):
+    # with a huge first tolerance and nu close to 1, every stage exhausts
+    # at x0 without an iteration, so only the stage cap ends the run
+    cfg = SolverConfig(delta0=1e6, nu=0.99)
+    with pytest.raises(StageLimitError, match=f"no convergence after {MAX_STAGES} stages"):
         run(solve_cgmi, cfg=cfg)
 
 
@@ -463,10 +465,10 @@ def test_cgmil_step_formula():
     obj = QuadraticFormObjective(np.eye(2))  # true L = 1 <= 2, bound is valid
     D = SimplexSet(2, 10.0)
     cfg = SolverConfig(delta0=2.0)
-    trace = Trace()
+    trace = []
     rep = solve_cgmil(obj, D, cfg, np.array([9.0, 1.0]), 2.0, trace=trace)
     assert rep.status is Status.CONVERGED
-    stage1 = [s for s in trace.steps if s.stage == 1]
+    stage1 = [s for s in trace if s.stage == 1]
     assert stage1 and all(s.lam == 0.0025 for s in stage1)
     assert rep.counters.kf == 0
 
@@ -475,7 +477,7 @@ def test_cgmil_descent_check_holds_with_valid_bound():
     spec = S1N5
     obj, D, x0 = build_instance(spec)
     L = lipschitz_upper_bound(spec, D)
-    trace = Trace()
+    trace = []
     rep = solve_cgmil(obj, D, SolverConfig(), x0, L, trace=trace, check_descent=True)
     assert rep.status is Status.CONVERGED
     assert rep.counters.kf == 0  # debug evaluations are never charged
@@ -510,8 +512,8 @@ def test_cgmis_counter_identity_and_stages():
     assert rep.counters.kf == rep.counters.it
     assert rep.counters.kg < 5 * rep.counters.it
     delta0 = _expected_delta0(S1N5, cfg)
-    for s in rep.stages:
-        assert s.delta == cfg.nu ** s.stage * delta0
+    for p, s in enumerate(rep.stages, 1):
+        assert s.delta == cfg.nu ** p * delta0
         if s.exit_gap is not None:
             assert s.exit_gap < s.delta
     assert rep.stages[-1].exit_gap <= cfg.eps
@@ -520,8 +522,8 @@ def test_cgmis_counter_identity_and_stages():
 def _replay_cgmis_steps(trace, rep, cfg):
     """Re-derive every recorded step size from the stage rules; returns the
     list of (expected lam, observed lam)."""
-    stage_seq = [s.stage for s in rep.stages]
-    records = {p: [s for s in trace.steps if s.stage == p] for p in stage_seq}
+    stage_seq = range(1, len(rep.stages) + 1)
+    records = {p: [s for s in trace if s.stage == p] for p in stage_seq}
     pairs = []
     ceiling = cfg.tau0
     lam = ceiling
@@ -540,7 +542,7 @@ def _replay_cgmis_steps(trace, rep, cfg):
 
 def test_cgmis_step_rule_replays_exactly():
     cfg = SolverConfig()
-    trace = Trace()
+    trace = []
     rep = run(solve_cgmis, cfg=cfg, trace=trace)
     pairs = _replay_cgmis_steps(trace, rep, cfg)
     assert len(pairs) == rep.counters.it
@@ -551,12 +553,12 @@ def test_cgmis_step_rule_replays_exactly():
 
 def test_cgmis_restart_resets_step_ceiling():
     cfg = SolverConfig()
-    trace = Trace()
+    trace = []
     rep = run(solve_cgmis, cfg=cfg, trace=trace)
     assert rep.counters.restarts >= 1
     # locate a stage boundary with steps on both sides and check the reset
     by_stage = {}
-    for s in trace.steps:
+    for s in trace:
         by_stage.setdefault(s.stage, []).append(s)
     stages_with_steps = sorted(by_stage)
     checked = 0
@@ -590,12 +592,11 @@ ALL_METHODS = [
 def test_every_iterate_feasible_and_convergence_honest(name, fn, kw):
     spec = ProblemSpec(series=3, n=5, m=2)
     obj, D, x0 = build_instance(spec)
-    trace = Trace(collect_points=True)
+    trace = []
     rep = fn(obj, D, SolverConfig(), x0, trace=trace, **kw)
     assert rep.status is Status.CONVERGED
-    for s in trace.steps:
-        assert D.contains(s.point)
-    assert D.contains(rep.x)
+    for x in iterates(x0, trace, D.b, name, rep):  # from x0 to rep.x
+        assert D.contains(x)
     # post-hoc certification with a fresh oracle
     fresh = make_objective(spec)
     mu = brute_force_gap(fresh, D, rep.x)

@@ -1,20 +1,22 @@
-"""The public surface: what the package exports and what its reference
-module defines, pinned so that neither grows back unnoticed."""
+"""The public surface: what the package exports, what its reference
+module defines, and the fields of its run records, pinned so that none
+grows back unnoticed."""
 
 import ast
+import dataclasses
 import inspect
 import re
 import types
 from pathlib import Path
 
 import condgrad
-from condgrad import core, oracle
+from condgrad import core, oracle, solvers
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 TOP_LEVEL = {
     "solve_cgm", "solve_cgms", "solve_cgmi", "solve_cgmis", "solve_cgmil",
-    "SolverConfig", "Trace", "SolveReport", "Status", "SimplexSet",
+    "SolverConfig", "SolveReport", "Status", "SimplexSet",
     "SmoothObjective", "StageLimitError", "NonFiniteOracleError",
     "LineSearchError", "DescentViolationError", "armijo_step", "exact_lmo",
     "step_point", "ProblemSpec", "build_instance", "lipschitz_upper_bound",
@@ -25,7 +27,7 @@ TOP_LEVEL = {
 def test_the_package_exports_exactly_the_names_the_readme_lists():
     exported = {name for name, value in vars(condgrad).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert exported == TOP_LEVEL and len(TOP_LEVEL) == 23
+    assert exported == TOP_LEVEL and len(TOP_LEVEL) == 22
     text = " ".join(README.read_text().split())
     paragraph = re.search(r"The top level of `condgrad` exports (.*?) Everything else", text)
     assert set(re.findall(r"`(\w+)`", paragraph.group(1))) == TOP_LEVEL
@@ -47,3 +49,23 @@ def test_core_keeps_no_second_gap_formula():
     assert not hasattr(core, "gap")
     assert not hasattr(core.SimplexSet, "vertex")
     assert not hasattr(core.SimplexSet, "diameter")
+
+
+def _fields(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def test_run_records_are_plain_data_that_state_each_fact_once():
+    # a trace is a plain list, and an exhausted scan returns its gap as a float
+    assert not hasattr(solvers, "Trace")
+    assert not hasattr(solvers, "ExhaustedCycle")
+    # the stage cap is a constant, not an option
+    assert _fields(solvers.SolverConfig) == [
+        "beta", "theta", "sigma", "nu", "eps", "delta0", "tau0", "max_iterations"]
+    # k is the list index, f after a step the next f_before (or report.f),
+    # and the iterate a replay by step_point from vertex and lam
+    assert _fields(solvers.StepRecord) == [
+        "stage", "delta", "lam", "trials", "f_before", "dir_derivative",
+        "vertex", "accepted", "mu", "tests"]
+    # stage p is report.stages[p - 1]
+    assert _fields(core.StageRecord) == ["delta", "iterations", "exit_gap", "end_point"]
