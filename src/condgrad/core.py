@@ -89,6 +89,11 @@ def as_vector(x, n: Optional[int] = None) -> np.ndarray:
     return v
 
 
+def _is_integer(v) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SimplexSet:
     """The scaled standard simplex {x in R^n : x >= 0, sum(x) = b}.
@@ -101,8 +106,8 @@ class SimplexSet:
     b: float = 10.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        if not (_is_integer(self.n) and self.n >= 1):
+            raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
         if not (math.isfinite(self.b) and self.b > 0):
             raise ValueError(f"mass must be a positive finite real, got {self.b}")
 
@@ -156,13 +161,11 @@ class SmoothObjective(ABC):
     which case callers fall back to a full gradient).
 
     Every derivative comes from the one `_gradient_impl` hook: `partial(x,
-    i)` is entry i of its vector, so it equals `gradient(x)[i]` bit for bit,
-    and `partials` (uncharged) returns the whole vector, so that a search
-    that probes vertices one by one costs O(1) Python work per probe. The
-    caller charges the probes it reads (the inexact direction search charges
-    one kg per probe to its run), so this object's `kg` counts `partial` and
-    `gradient` evaluations only, as its `kf` counts `value` evaluations only.
-    The cache only avoids recomputing work; it never changes the accounting.
+    i)` is entry i of its vector, so it equals `gradient(x)[i]` bit for bit.
+    These tallies count what this object evaluated; a run charges the
+    paper's costs in its own counters (the inexact direction search reads
+    one gradient and charges one kg per vertex it probes). The cache only
+    avoids recomputing work; it never changes the accounting.
 
     The cache holds one point, and only a trusted array enters it: one that
     is read-only and owns its data (`not x.flags.writeable and x.base is
@@ -208,6 +211,8 @@ class SmoothObjective(ABC):
     """
 
     def __init__(self, n: int):
+        if not (_is_integer(n) and n >= 1):
+            raise ValueError(f"dimension must be a positive integer, got {n!r}")
         self.n = int(n)
         self.kf = 0
         self.kg = 0
@@ -304,12 +309,6 @@ class SmoothObjective(ABC):
         if x is not self._cache_x or self._derived:
             return None
         return self._vertex_ray(x, self._cache_state, i, z_i)
-
-    def partials(self, x) -> np.ndarray:
-        """Uncharged: every partial f'_i(x) as one vector, equal to
-        `partial(x, i)` bit for bit. The caller charges the entries it reads."""
-        x = self._vector(x)
-        return self._gradient_impl(x, self._state_at(x))
 
     def value(self, x) -> float:
         """f(x); one kf charge."""

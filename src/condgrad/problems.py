@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay
+from .core import NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay, _is_integer
 
 # Size gate for derived oracle states, in entries of the problem matrix
 # (rows * n). Below it a matrix-vector product is cheap enough that the
@@ -94,13 +94,14 @@ class ProblemSpec:
     b: float = 10.0
 
     def __post_init__(self):
-        if self.series not in (1, 2, 3, 4):
-            raise ValueError(f"series must be 1..4, got {self.series}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not (_is_integer(self.series) and self.series in (1, 2, 3, 4)):
+            raise ValueError(f"series must be an integer in 1..4, got {self.series!r}")
+        if not (_is_integer(self.n) and self.n >= 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if self.series in (3, 4):
-            if self.m is None or self.m < 1:
-                raise ValueError(f"series {self.series} needs a row count m >= 1")
+            if not (_is_integer(self.m) and self.m >= 1):
+                raise ValueError(f"series {self.series} needs an integer row count m >= 1, "
+                                 f"got {self.m!r}")
         elif self.m is not None:
             raise ValueError(f"series {self.series} takes no row count m")
         if not (math.isfinite(self.b) and self.b > 0):
@@ -329,7 +330,7 @@ class LeastSquaresObjective(_MatrixObjective):
 
     The quadratic part's state is the residual r = Px - q. Its gradient
     vector P^T r is materialized lazily on the first derivative request and
-    shared by gradient and partials; <f'(x), x> = <r, r> + <r, q> needs only
+    shared by `gradient` and `partial`; <f'(x), x> = <r, r> + <r, q> needs only
     r. Across a vertex step r is updated with one column of P.
     """
 

@@ -15,14 +15,11 @@ seed evaluation of f(x0) and the terminal certification that stops the run
 are not charged, while the full gradient consumed by the default stage
 tolerance rule is. Under this accounting the exact-oracle methods satisfy
 kg = n*it and the adaptive-step methods satisfy kf = it, both exactly.
-Each Armijo trial is charged one kf, the paper's cost, whether the objective
-evaluated it or its vertex ray rejected it unevaluated (see `armijo_step`).
-Each probe of the inexact direction search is charged one kg, although it
-is read from the objective's uncharged vector of partials (see
-`inexact_direction`). Raw cumulative tallies remain available on the
-objective itself; its kf counts `value` evaluations only and its kg
-`partial` and `gradient` evaluations only, so there both can fall below
-the run's counts.
+Each Armijo trial is charged one kf and each probe of the inexact
+direction search one kg, the paper's costs, however the code obtains them
+(see `armijo_step` and `inexact_direction`). The objective's own kf and kg
+count what it evaluated: `value` calls, and n per `gradient` and 1 per
+`partial`.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from .core import (
     SolveReport,
     StageRecord,
     Status,
+    _is_integer,
     armijo_step,
     as_vector,
     exact_lmo,
@@ -87,8 +85,8 @@ class SolverConfig:
             raise ValueError(f"eps must be a positive real, got {self.eps!r}")
         if self.delta0 is not None and not (self.delta0 > 0.0 and math.isfinite(self.delta0)):
             raise ValueError(f"delta0 must be positive when given, got {self.delta0!r}")
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if not (_is_integer(self.max_iterations) and self.max_iterations >= 0):
+            raise ValueError(f"max_iterations must be an integer >= 0, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -130,17 +128,16 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
     """Scan vertices cyclically from `cursor` for one with
     <f'(x), x - b e_i> >= delta_p.
 
-    Probe t is at index (cursor + t) % n. With the <f'(x), x> fast path each
-    probe costs one partial derivative, read from the uncharged vector
-    `f.partials`, so the returned kg_cost (t + 1, or n for a full cycle) is
-    the only charge; without it the scan takes one charged full gradient
-    (n kg) for the whole call. Either way the result is that of probing
-    `f.partial` one vertex at a time. The oracle validates x.
+    Probe t is at index (cursor + t) % n and reads entry i of one gradient
+    vector, f.gradient(x), so the result is that of probing `f.partial` one
+    vertex at a time. With the <f'(x), x> fast path the run is charged one
+    kg per probe, kg_cost = t + 1 (n for a full cycle); without it <f'(x),
+    x> comes from the gradient, and the run is charged n. The oracle
+    validates x.
 
     Returns (FoundDirection, cursor advanced past the hit) or, after a full
-    failed cycle, (the exact gap at x as a float, cursor unchanged). The gap
-    is the largest descent in probe order: a NaN never becomes it, and of
-    equal descents (such as -0.0 and +0.0) the first probed does.
+    failed cycle, (the exact gap at x, `_gap`, as a float, cursor
+    unchanged); the gap is NaN when some partial is.
     """
     if not delta_p > 0.0:
         raise ValueError(f"delta_p must be positive, got {delta_p}")
@@ -149,12 +146,10 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
         raise ValueError(f"objective dimension {f.n} does not match set dimension {n}")
     b = feasible_set.b
     gx = f.gradient_dot_point(x)
+    g = f.gradient(x)
     full = gx is None
     if full:
-        g = f.gradient(x)
         gx = float(np.dot(g, x))
-    else:
-        g = f.partials(x)
     descents = gx - b * g
     start = cursor % n
     hit = descents >= delta_p
@@ -165,20 +160,16 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
         t = (i - start) % n
         cost = n if full else t + 1
         return FoundDirection(i, float(descents[i]), t + 1, cost), (i + 1) % n
-    cycle = np.concatenate((descents[start:], descents[:start]))
-    cycle = cycle[~np.isnan(cycle)]
-    best = -math.inf
-    if cycle.size:
-        best = float(cycle[(cycle == cycle.max()).argmax()])
-    return best, cursor
+    return _gap(g, gx, b), cursor
 
 
 # ---------------------------------------------------------------------------
 # the conditional gradient loop
 
-def _gap(g: np.ndarray, x: np.ndarray, b: float) -> float:
-    """The Frank-Wolfe gap max_i <g, x - b e_i> = <g, x> - b min_i g_i."""
-    return float(np.dot(g, x)) - b * float(np.min(g))
+def _gap(g: np.ndarray, gx: float, b: float) -> float:
+    """The Frank-Wolfe gap max_i <g, x - b e_i> = <g, x> - b min_i g_i, from
+    gx = <g, x>; NaN when some g_i is."""
+    return gx - b * float(np.min(g))
 
 
 def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
@@ -214,7 +205,10 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
         delta0 = cfg.delta0
         if delta0 is None:
             counters.kg += feasible_set.n
-            mu0 = _gap(f.gradient(x), x, feasible_set.b)
+            g = f.gradient(x)
+            mu0 = _gap(g, float(np.dot(g, x)), feasible_set.b)
+            if not math.isfinite(mu0):
+                raise NonFiniteOracleError(f"non-finite gap at x0: {mu0}", point=x)
             if mu0 <= cfg.eps:  # the start is already good enough: skip the loop
                 status, mu = Status.CONVERGED, mu0
             delta0 = max(cfg.eps, cfg.nu * mu0)
@@ -227,12 +221,16 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
         if inexact:
             if counters.it >= cfg.max_iterations:
                 # exact gap from one full gradient; reporting-only, never charged
-                status, mu = Status.ITERATION_CAP, _gap(f.gradient(x), x, feasible_set.b)
+                g = f.gradient(x)
+                status, mu = Status.ITERATION_CAP, _gap(g, float(np.dot(g, x)), feasible_set.b)
                 stages.append(StageRecord(delta, iterations, None, x))
                 break
             res, cursor = inexact_direction(f, feasible_set, x, delta, cursor)
             if isinstance(res, float):  # a full failed cycle certified the gap
                 mu = res
+                if not math.isfinite(mu):
+                    raise NonFiniteOracleError(
+                        f"non-finite gap after {counters.it} iterations: {mu}", point=x)
                 stages.append(StageRecord(delta, iterations, mu, x))
                 if mu <= cfg.eps:
                     status = Status.CONVERGED  # terminal certification; not charged
@@ -309,8 +307,8 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
             failures += 1
             lam = tau * cfg.sigma ** failures
     final_f = fx if fx is not None else f.value(x)  # reporting only
-    # a NaN probe never beats the running best, so an all-NaN cycle
-    # "certifies" a gap of -inf, which would pass as convergence
+    # the adaptive step keeps any f it takes, the fixed step evaluates f
+    # only here, and a capped inexact run takes its gap only here
     if not (math.isfinite(final_f) and math.isfinite(mu)):
         raise NonFiniteOracleError(
             f"non-finite result after {counters.it} iterations: "

@@ -85,6 +85,44 @@ class LinearFractionalObjective(CallableObjective):
         self.a, self.alpha, self.c, self.beta = a, alpha, c, beta
 
 
+class ConvexOverAffineObjective(SmoothObjective):
+    """f(x) = N(x)/D(x) with N(x) = 0.5 x^T Q x + 1 for a positive definite
+    Q, and D(x) = <c, x> + beta with c > 0 and beta > 0, so that D is
+    positive on every scaled simplex.
+
+    A convex function over a positive affine one is pseudo-convex, and in
+    general not convex: <f'(x), x - y> >= (D(y)/D(x)) (f(x) - f(y)) for all
+    x, y where D > 0. `with_fast_path` adds the <f'(x), x> fast path.
+    """
+
+    def __init__(self, Q, c, beta, with_fast_path=True):
+        c = np.asarray(c, dtype=np.float64)
+        if not ((c > 0.0).all() and beta > 0.0):
+            raise ValueError("the denominator needs c > 0 and beta > 0")
+        super().__init__(c.size)
+        self.Q = np.asarray(Q, dtype=np.float64)
+        self.c, self.beta = c, beta
+        self.with_fast_path = with_fast_path
+
+    def _make_state(self, x):
+        qx = self.Q @ x
+        return {"qx": qx, "N": 0.5 * float(np.dot(qx, x)) + 1.0,
+                "D": float(np.dot(self.c, x)) + self.beta}
+
+    def _value_impl(self, x, state):
+        return state["N"] / state["D"]
+
+    def _gradient_impl(self, x, state):
+        N, D = state["N"], state["D"]
+        return (state["qx"] * D - N * self.c) / (D * D)
+
+    def _gradient_dot_point_impl(self, x, state):
+        if not self.with_fast_path:
+            return None
+        N, D = state["N"], state["D"]
+        return (float(np.dot(state["qx"], x)) * D - N * float(np.dot(self.c, x))) / (D * D)
+
+
 def scalar_objective(fn, dfn):
     """One-dimensional oracle from f and f'."""
     return CallableObjective(
@@ -139,9 +177,8 @@ def reference_scan(f, feasible_set, x, delta_p, cursor):
     Probe t reads vertex (cursor + t) % n. With the <f'(x), x> fast path
     each probe calls `f.partial` (one kg on the objective) and the run is
     charged t + 1; without it one full gradient is taken and charged n.
-    A full failed cycle returns the gap as a float, with the cursor
-    unchanged. A NaN descent never becomes the gap, and of equal descents
-    the first probed does.
+    A full failed cycle returns the gap, the largest descent, as a float,
+    with the cursor unchanged; it is NaN when some descent is.
     """
     n, b = feasible_set.n, feasible_set.b
     gx = f.gradient_dot_point(x)
@@ -157,7 +194,7 @@ def reference_scan(f, feasible_set, x, delta_p, cursor):
         descent = gx - b * partial(i)
         if descent >= delta_p:
             return FoundDirection(i, descent, t + 1, n if full else t + 1), (i + 1) % n
-        if descent > best:
+        if math.isnan(descent) or descent > best:  # a NaN gap stays NaN
             best = descent
     return best, cursor
 

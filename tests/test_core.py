@@ -30,7 +30,13 @@ from condgrad.problems import (
 )
 from condgrad.solvers import SolverConfig, _gap, solve_cgmis
 
-from helpers import LinearObjective, random_simplex_points, scalar_objective, vertex
+from helpers import (
+    CallableObjective,
+    LinearObjective,
+    random_simplex_points,
+    scalar_objective,
+    vertex,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +49,14 @@ def test_simplex_validation():
         SimplexSet(3, 0.0)
     with pytest.raises(ValueError):
         SimplexSet(3, -1.0)
+    # the dimension is an integer: no bool, no float, even integral
+    for bad in (True, 2.5, 3.0):
+        with pytest.raises(ValueError):
+            SimplexSet(bad)
+        with pytest.raises(ValueError):
+            CallableObjective(bad, fn=lambda x: 0.0, partial_fn=lambda x, i: 0.0)
+    assert SimplexSet(np.int64(3)).n == 3
+    assert CallableObjective(np.int64(3), fn=lambda x: 0.0, partial_fn=lambda x, i: 0.0).n == 3
 
 
 def test_simplex_membership():
@@ -140,7 +154,7 @@ def test_gap_nonnegative_and_consistent_with_lmo():
         D = SimplexSet(n, 10.0)
         for x in random_simplex_points(rng, n, 10.0, 50):
             g = rng.normal(size=n) * 100.0
-            mu = _gap(g, x, D.b)
+            mu = _gap(g, float(np.dot(g, x)), D.b)
             assert mu >= -1e-12
             direct = float(np.dot(g, x - vertex(D, exact_lmo(g, D))))
             assert abs(mu - direct) <= 1e-12 * max(1.0, abs(mu))
@@ -581,7 +595,7 @@ def test_value_dot_point_and_ray_read_one_memo_in_either_order(f):
     x = _frozen(10.0 * np.random.default_rng(5).dirichlet(np.ones(f.n)))
 
     def readings(g, order):
-        g.partials(x)  # x becomes the cached key; the memo is left empty
+        g.gradient(x)  # x becomes the cached key; the memo is left empty
         out = {}
         for name in order:
             if name == "value":

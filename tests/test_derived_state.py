@@ -159,7 +159,7 @@ def test_a_stepped_iterate_is_validated_without_a_scan(spec, monkeypatch):
         # the key on both sides of the gate: derived above it, built below
         assert f._cache_x is x_new
         f.gradient_dot_point(x_new)
-        f.partials(x_new)
+        f.gradient(x_new)
         f.partial(x_new, 1)
         f.value(x_new)
         assert f._cache_x is x_new

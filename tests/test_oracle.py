@@ -43,7 +43,8 @@ def test_brute_force_gap_matches_fast_gap():
         for x in random_simplex_points(rng, spec.n, spec.b, 200):
             obj = make_objective(spec)
             brute = brute_force_gap(obj, D, x)
-            fast = _gap(make_objective(spec).gradient(x), x, D.b)
+            g = make_objective(spec).gradient(x)
+            fast = _gap(g, float(np.dot(g, x)), D.b)
             assert abs(brute - fast) <= 1e-12 * max(1.0, abs(brute))
             assert brute >= -1e-12
 

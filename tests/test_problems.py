@@ -110,6 +110,16 @@ def test_problem_spec_validation():
         ProblemSpec(series=3, n=5)            # missing m
     with pytest.raises(ValueError):
         ProblemSpec(series=1, n=5, m=2)       # m is meaningless here
+    # dimensions and counts are integers: no bool, no float, even integral
+    for bad in ({"series": 3, "n": 5, "m": 2.5}, {"series": 1, "n": True},
+                {"series": True, "n": 5}, {"series": 1, "n": 5.0},
+                {"series": 2.0, "n": 5}, {"series": 4, "n": 5, "m": False}):
+        with pytest.raises(ValueError):
+            ProblemSpec(**bad)
+    # numpy integers are integers
+    spec = ProblemSpec(series=np.int64(3), n=np.int32(5), m=np.int64(2))
+    objective, feasible, x0 = build_instance(spec)
+    assert spec.rows == 2 and feasible.n == 5 and objective.value(x0) >= 0.0
     assert ProblemSpec(series=3, n=5, m=2).rows == 2
     assert ProblemSpec(series=1, n=5).rows == 5
 

@@ -9,12 +9,14 @@ descend monotonically; and cgmil's fixed step from a valid Lipschitz bound
 must never violate its sufficient-decrease inequality. The same holds on
 objectives without the <f'(x), x> fast path, and the inexact methods give
 the same runs, bit for bit, when each partial is probed one by one (the
-reference scan of the tests' helpers) instead of read from the objective's
-vector of partials. With an optional
+reference scan of the tests' helpers) instead of read from one gradient
+vector. With an optional
 barrier whose denominator comes close to 0 on the simplex, every step size
 an Armijo search skipped, evaluated or not, must fail its test. On
 linear-fractional objectives, pseudo-convex but not convex, the methods
-converge within the bound that pseudo-linearity gives on f - f*, and descend.
+converge within the bound that pseudo-linearity gives on f - f*, and descend;
+on a convex quadratic over a positive affine function, also pseudo-convex,
+every run's certified gap bounds how far its f lies above every other run's.
 """
 
 import math
@@ -37,7 +39,14 @@ from condgrad.solvers import (
     solve_cgms,
 )
 
-from helpers import LinearFractionalObjective, f_history, iterates, reference_scan, vertex
+from helpers import (
+    ConvexOverAffineObjective,
+    LinearFractionalObjective,
+    f_history,
+    iterates,
+    reference_scan,
+    vertex,
+)
 
 SOLVERS = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
            "cgmis": solve_cgmis, "cgmil": solve_cgmil}
@@ -295,3 +304,52 @@ def test_cgmil_descends_on_linear_fractional_objectives(fast_path, inst):
     iterates(x0, steps, D.b, "cgmil", rep)
     h = f_history(rep, steps)
     assert all(after <= before for before, after in zip(h, h[1:]))
+
+
+# (0.5 x^T Q x + 1)/(<c, x> + beta) with Q = A^T A/n + 0.1 I, c > 0 and
+# beta > 0, n <= 8
+convex_over_affine_instances = st.fixed_dictionaries({
+    "n": st.integers(1, 8),
+    "b": st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
+    "start": st.sampled_from(["vertex", "edge", "interior"]),
+    "seed": st.integers(0, 2 ** 32 - 1),
+})
+
+
+@pytest.mark.parametrize("fast_path", [True, False], ids=["fast-path", "no-fast-path"])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(inst=convex_over_affine_instances)
+def test_convex_over_affine_runs_stay_within_the_pseudo_convex_bound(fast_path, inst):
+    # <f'(x), x - y> >= (D(y)/D(x)) (f(x) - f(y)) for the denominator D, so
+    # f(x) - f(y) <= gap(x) D(x) / min_i D(b e_i) for every feasible y; y is
+    # the final point of the run with the lowest f, capped or not
+    rng = np.random.default_rng(inst["seed"])
+    n, b = inst["n"], inst["b"]
+    A = rng.standard_normal((n, n))
+    Q = A.T @ A / n + 0.1 * np.eye(n)
+    c, beta = rng.uniform(0.1, 1.0, n), float(rng.uniform(0.1, 1.0))
+    D = SimplexSet(n, b)
+    x0 = draw_start(rng, D, inst["start"])
+    cfg = SolverConfig(eps=1e-3, max_iterations=3000)
+    runs = {}
+    for method in ("cgm", "cgms", "cgmi", "cgmis"):
+        f = ConvexOverAffineObjective(Q, c, beta, with_fast_path=fast_path)
+        steps = []
+        rep = SOLVERS[method](f, D, cfg, x0, trace=steps)
+        assert rep.status in (Status.CONVERGED, Status.ITERATION_CAP)
+        for x in iterates(x0, steps, D.b, method, rep):
+            assert D.contains(x)
+        if method in ("cgm", "cgmi"):
+            h = f_history(rep, steps)
+            assert all(after <= before for before, after in zip(h, h[1:]))
+        runs[method] = rep
+    f_best = min(rep.f for rep in runs.values())
+    d_min = beta + b * float(c.min())
+    for method, rep in runs.items():
+        gap = brute_force_gap(f, D, rep.x)
+        ratio = (float(np.dot(c, rep.x)) + beta) / d_min
+        slack = GAP_RTOL * (abs(rep.f) + abs(f_best)
+                            + gap_terms(f.gradient(rep.x), rep.x, D) * ratio)
+        assert rep.f - f_best <= gap * ratio + slack, method
+        if rep.status is Status.CONVERGED:
+            assert gap <= cfg.eps + slack

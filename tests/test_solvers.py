@@ -56,9 +56,11 @@ def test_config_validation():
     for field, bad in (("beta", 0.0), ("beta", 1.0), ("theta", -0.1),
                        ("sigma", 1.5), ("nu", 0.0), ("tau0", 1.0),
                        ("eps", 0.0), ("eps", -1.0), ("delta0", 0.0),
-                       ("max_iterations", -1)):
+                       ("max_iterations", -1), ("max_iterations", 2.5),
+                       ("max_iterations", True), ("max_iterations", 3.0)):
         with pytest.raises(ValueError):
             SolverConfig(**{field: bad})
+    assert SolverConfig(max_iterations=np.int64(7)).max_iterations == 7
     cfg = SolverConfig()
     assert (cfg.beta, cfg.theta, cfg.sigma, cfg.nu) == (0.5, 0.5, 0.9, 0.5)
     assert (cfg.eps, cfg.tau0, cfg.max_iterations, MAX_STAGES) == (0.1, 0.9, 10 ** 6, 60)
@@ -237,9 +239,9 @@ def test_inexact_direction_hand_example():
     assert res.descent == pytest.approx(70.0 / 3.0, rel=1e-14)
     assert res.tests == 2 and res.kg_cost == 2
     assert cursor == 2
-    # the run is charged the two probes; they are read from the uncharged
-    # vector of partials, so the objective's raw kg stays 0
-    assert obj.kg == 0
+    # the run is charged the two probes; they are read from one gradient,
+    # which the objective counts as n kg
+    assert obj.kg == 3
 
 
 def test_inexact_direction_cursor_persistence():
@@ -288,7 +290,8 @@ def _scripted_scan(scan, gx, g, delta_p, cursor):
     """`scan` (inexact_direction or reference_scan) with <f'(x), x> = gx and
     f'(x) = g; the fields that describe its result, and the objective's
     raw kg. A full failed cycle returns a float, the gap, and takes n
-    probes."""
+    probes; gaps compare by value (-0.0 equals 0.0), and a NaN gap reads
+    "nan"."""
     g = np.asarray(g, dtype=np.float64)
     f = CallableObjective(g.size, fn=lambda x: 0.0, partial_fn=lambda x, i: g[i],
                           gdp_fn=lambda x: gx)
@@ -299,7 +302,8 @@ def _scripted_scan(scan, gx, g, delta_p, cursor):
         fields = (type(res).__name__, res.index, repr(res.descent), res.tests,
                   res.kg_cost, cursor, None)
     else:
-        fields = (type(res).__name__, None, None, g.size, g.size, cursor, repr(res))
+        gap = "nan" if math.isnan(res) else res
+        fields = (type(res).__name__, None, None, g.size, g.size, cursor, gap)
     return fields, f.kg
 
 
@@ -317,9 +321,10 @@ def _scan_cases():
     for cursor in (0, 1, 2, 3, 4, 5, 9, -1, -5):
         cases += [
             (1.0, [nan, 0.1, nan, -0.2], 2.0, cursor),       # a hit past NaNs
-            (1.0, [nan, 0.1, nan, -0.2], 50.0, cursor),      # NaN never the best
+            (1.0, [nan, 0.1, nan, -0.2], 50.0, cursor),      # a NaN gap
             (1.0, [inf, -inf, 0.3, 0.0], 2.0, cursor),
-            (1.0, [inf, nan, inf, inf], 2.0, cursor),        # best -inf
+            (1.0, [inf, nan, inf, inf], 2.0, cursor),        # NaN and -inf descents
+            (1.0, [inf, inf, inf, inf], 2.0, cursor),        # gap -inf
             (inf, [inf, 1.0, -1.0, 0.0], 2.0, cursor),       # NaN and inf descents
             (nan, [0.0, 1.0, -1.0, 0.0], 2.0, cursor),       # all NaN
             (-0.0, [0.0, -0.0, 0.0, 1.0], 1.0, cursor),      # -0.0 and +0.0 tie
@@ -340,8 +345,13 @@ def test_reading_partials_from_a_vector_matches_probing_them_one_by_one():
         by_vector, raw_kg = _scripted_scan(inexact_direction, gx, g, delta_p, cursor)
         by_probe, probe_kg = _scripted_scan(reference_scan, gx, g, delta_p, cursor)
         assert by_vector == by_probe, (gx, g, delta_p, cursor)
-        # the vector is uncharged on the objective; the probes charge it
-        assert raw_kg == 0 and probe_kg == by_probe[4]
+        # the objective counts one gradient for the vector, one kg per probe
+        assert raw_kg == len(g) and probe_kg == by_probe[4]
+        if by_vector[0] == "float":
+            # an exhausted cycle's gap is NaN exactly when some descent is
+            with np.errstate(all="ignore"):
+                nan_descent = bool(np.isnan(gx - 10.0 * np.asarray(g)).any())
+            assert (by_vector[6] == "nan") == nan_descent
         kinds.add(by_vector[0])
     assert kinds == {"FoundDirection", "float"}
 
@@ -359,12 +369,12 @@ def test_inexact_scan_wraps_around_and_breaks_ties_in_cyclic_order(scan):
         (kind, index, _, tests, _, _, _), _ = _scripted_scan(
             scan, 20.0, [1.0, 1.0, 1.0, 1.0], 1.0, cursor)
         assert (kind, index, tests) == ("FoundDirection", expected, 1)
-    # tied +0.0 and -0.0 maxima of an exhausted cycle: the first probed is
-    # the gap, and the cursor comes back unchanged, even when out of range
-    for cursor, gap in ((0, "-0.0"), (1, "0.0"), (2, "-0.0"), (3, "-0.0"), (9, "0.0")):
+    # tied +0.0 and -0.0 maxima of an exhausted cycle: the gap is zero
+    # whatever the cursor, which comes back unchanged, even when out of range
+    for cursor in (0, 1, 2, 3, 9):
         (kind, _, _, tests, _, back, got), _ = _scripted_scan(
             scan, -0.0, [0.0, -0.0, 0.0, 1.0], 1.0, cursor)
-        assert (kind, tests, back, got) == ("float", 4, cursor, gap)
+        assert (kind, tests, back, got) == ("float", 4, cursor, 0.0)
 
 
 @pytest.mark.parametrize("series", [1, 2, 3, 4])
@@ -381,16 +391,18 @@ def test_inexact_runs_match_the_reference_scan(series, method, monkeypatch):
             rep = solve_cgmil(obj, D, cfg, x0, lipschitz_upper_bound(spec, D), trace=trace)
         else:
             rep = SOLVERS[method](obj, D, cfg, x0, trace=trace)
-        runs.append((rep, repr(trace), obj.kg))
+        runs.append((rep, trace, obj.kg))
     (a, steps_a, kg_a), (b, steps_b, kg_b) = runs
     assert a.counters == b.counters and a.status is b.status
     assert repr((a.f, a.gap)) == repr((b.f, b.gap)) and a.x.tobytes() == b.x.tobytes()
-    assert steps_a == steps_b and repr(a.stages) == repr(b.stages)
-    # the objective's raw kg counts only the probes that called `partial`
-    # (the reference's), besides the full gradients at x0 (the default
-    # delta0 rule) and at a cap
-    capped = a.status is Status.ITERATION_CAP
-    assert kg_a == spec.n * (1 + capped) and kg_b > kg_a
+    assert repr(steps_a) == repr(steps_b) and repr(a.stages) == repr(b.stages)
+    # the objective's raw kg counts what it evaluated: the full gradients at
+    # x0 (the default delta0 rule) and at a cap, and then one gradient per
+    # scan (the vector's) or one `partial` per probe (the reference's)
+    n, capped = spec.n, a.status is Status.ITERATION_CAP
+    cycles = sum(s.exit_gap is not None for s in a.stages)
+    assert kg_a == n * (1 + capped + len(steps_a) + cycles)
+    assert kg_b == n * (1 + capped + cycles) + sum(s.tests for s in steps_b)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +647,8 @@ FIVE_METHODS = [
 
 @pytest.mark.parametrize("name,fn,extra", FIVE_METHODS)
 def test_no_report_with_non_finite_f_or_gap(name, fn, extra):
-    # every NaN probe loses the "descent > best" comparison, so an all-NaN
-    # cycle leaves the certified gap at -inf, which passes gap <= eps
+    # past x0 every output is NaN: no run may certify a gap from an all-NaN
+    # cycle (a NaN that loses every comparison would leave it at -inf)
     x0 = np.ones(3)
     obj = _finite_only_at(x0, np.array([1.0, 2.0, 3.0]))
     D = SimplexSet(3, 3.0)
@@ -647,6 +659,26 @@ def test_no_report_with_non_finite_f_or_gap(name, fn, extra):
         return
     assert math.isfinite(rep.f) and math.isfinite(rep.gap), \
         f"{name} reported {rep.status.value} with f = {rep.f}, gap = {rep.gap}"
+
+
+@pytest.mark.parametrize("delta0", [None, 1.0], ids=["default-delta0", "delta0"])
+@pytest.mark.parametrize("name,fn,extra", FIVE_METHODS[2:])
+def test_a_nan_partial_stops_an_inexact_run(name, fn, extra, delta0):
+    # f = <a, x> with partial 0 NaN and a finite <f'(x), x>: a cycle that
+    # skipped the NaN would certify the vertex 10 e_1 (f = 20, while f* = 10)
+    a = np.array([1.0, 2.0, 3.0, 4.0])
+    obj = CallableObjective(
+        4,
+        fn=lambda x: float(np.dot(a, x)),
+        partial_fn=lambda x, i: math.nan if i == 0 else float(a[i]),
+        gdp_fn=lambda x: float(np.dot(a, x)),
+    )
+    D = SimplexSet(4, 10.0)
+    with pytest.raises(NonFiniteOracleError) as info:
+        fn(obj, D, SolverConfig(delta0=delta0), D.barycenter(), *extra)
+    assert D.contains(info.value.point)
+    if delta0 is None:  # the default rule's gap at x0 is NaN
+        assert np.array_equal(info.value.point, D.barycenter())
 
 
 @pytest.mark.parametrize("name,fn,extra", FIVE_METHODS)
@@ -687,7 +719,8 @@ def test_start_at_large_mass_with_rounded_sum_is_feasible():
     assert D.contains(x0)
     rep = solve_cgms(obj, D, SolverConfig(eps=1e5, max_iterations=5), x0)
     assert D.contains(rep.x)
-    assert _gap(obj.gradient(x0), x0, D.b) >= 0.0
+    g = obj.gradient(x0)
+    assert _gap(g, float(np.dot(g, x0)), D.b) >= 0.0
 
 
 def test_iterates_at_large_mass_stay_feasible():
@@ -744,9 +777,9 @@ def test_a_subclass_with_only_the_required_hooks_converges(name, fn, extra):
     rep = fn(f, D, SolverConfig(), x0, *extra)
     assert rep.status is Status.CONVERGED
     assert D.contains(rep.x)
-    assert _gap(f.gradient(rep.x), rep.x, D.b) <= 0.1
+    g = f.gradient(rep.x)
+    assert _gap(g, float(np.dot(g, rep.x)), D.b) <= 0.1
     # partial(x, i) is entry i of the gradient vector, bit for bit
     for x in (x0, rep.x):
         g = f.gradient(x)
         assert np.array([f.partial(x, i) for i in range(4)]).tobytes() == g.tobytes()
-        assert f.partials(x).tobytes() == g.tobytes()

@@ -45,6 +45,13 @@ def test_the_oracle_module_defines_only_the_brute_force_gap():
     assert sources == {"core"}
 
 
+def test_the_objective_offers_one_channel_per_oracle():
+    public = {name for name, value in vars(core.SmoothObjective).items()
+              if not name.startswith("_") and callable(value)}
+    assert public == {"value", "gradient", "partial", "gradient_dot_point",
+                      "follow_vertex_step", "vertex_ray"}
+
+
 def test_core_keeps_no_second_gap_formula():
     assert not hasattr(core, "gap")
     assert not hasattr(core.SimplexSet, "vertex")
