@@ -15,7 +15,7 @@ import numpy as np
 # Feasibility tolerances: slack on the mass constraint, relative to the mass
 # b (1e-9 at b = 10), and the allowed dip below zero on coordinates.
 # Convex-combination steps preserve both analytically; these absorb rounding
-# only, and the rounding of a sum of b-sized terms grows with b.
+# only, which scales with b and not with n (each entry rounds on its own).
 MASS_RTOL = 1e-10
 COORD_FLOOR = -1e-12
 
@@ -94,6 +94,18 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    """A Python int or float (np.float64 included) or a numpy integer, finite
+    as a float, and not a bool. Narrower floats are refused: a float32 mass
+    would keep a step's arithmetic in float32."""
+    if not (_is_integer(v) or isinstance(v, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class SimplexSet:
     """The scaled standard simplex {x in R^n : x >= 0, sum(x) = b}.
@@ -108,8 +120,8 @@ class SimplexSet:
     def __post_init__(self):
         if not (_is_integer(self.n) and self.n >= 1):
             raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise ValueError(f"mass must be a positive finite real, got {self.b}")
+        if not (_is_real(self.b) and self.b > 0):
+            raise ValueError(f"mass must be a positive finite real, got {self.b!r}")
 
     @property
     def diameter_squared(self) -> float:
@@ -136,17 +148,6 @@ def _trusted(x: np.ndarray) -> bool:
     return not x.flags.writeable and x.base is None
 
 
-def _is_vertex_step(x: np.ndarray, x_new, i: int, lam: float) -> bool:
-    """O(1) validation of x_new, given x_new = step_point(x, i, z_i, lam) for
-    a validated x: off index i, x_new is (1-lam)*x (plus +0), finite for
-    0 <= lam <= 1, so only x_new[i] is checked. x_new must also be a trusted
-    float64 ndarray of x's shape, as `as_vector` would return unchanged."""
-    return (type(x_new) is np.ndarray and x_new.dtype == np.float64
-            and x_new.shape == x.shape and _trusted(x_new)
-            and 0 <= i < x.shape[0] and 0.0 <= lam <= 1.0
-            and math.isfinite(x_new[i]))
-
-
 class SmoothObjective(ABC):
     """Counted first-order oracle for a smooth function on R^n.
 
@@ -154,46 +155,41 @@ class SmoothObjective(ABC):
     `_value_impl` and `_gradient_impl` (the gradient vector, read from that
     state), plus optionally `_gradient_dot_point_impl`.
 
-    Call accounting is exact and unconditional: `value` adds 1 to `kf`,
-    `gradient` adds n to `kg`, `partial` adds 1 to `kg`.
+    Call accounting is exact and unconditional: `value` adds 1 to `kf` and
+    `gradient` adds n to `kg`; nothing else is charged to this object.
     `gradient_dot_point` returns <f'(x), x> for free when it is derivable
     from the state of a value evaluation (returns None when it is not, in
-    which case callers fall back to a full gradient).
+    which case callers fall back to a full gradient). These tallies count
+    what this object evaluated; a run charges the paper's costs in its own
+    counters (the inexact direction search reads one gradient and charges
+    one kg per vertex it probes). The cache only avoids recomputing work; it
+    never changes the accounting.
 
-    Every derivative comes from the one `_gradient_impl` hook: `partial(x,
-    i)` is entry i of its vector, so it equals `gradient(x)[i]` bit for bit.
-    These tallies count what this object evaluated; a run charges the
-    paper's costs in its own counters (the inexact direction search reads
-    one gradient and charges one kg per vertex it probes). The cache only
-    avoids recomputing work; it never changes the accounting.
-
-    The cache holds one point, and only a trusted array enters it: one that
+    The cache holds one point, the key, and only a point this object
+    validated in full or built itself enters it. A trusted array, one that
     is read-only and owns its data (`not x.flags.writeable and x.base is
-    None`). A trusted array is validated once, when it enters the cache, and
-    becomes the key itself: later calls with that same object skip
-    validation, so a probe costs O(1) Python work. Solver iterates are such
-    arrays (`step_point` returns one and the solvers freeze a copy of x0).
-    Any other array (writeable, or a view) is validated and evaluated from a
-    fresh state on every call, and neither reads nor replaces the cached
-    entry, so callers may mutate their own arrays in place. Making a trusted
-    array writeable again, or writing to it through a view taken before it
-    was frozen, breaks this contract. A new iterate announced by
-    `follow_vertex_step` is validated there in O(1), not scanned, and
-    becomes the key: the cached key is the one object the oracle trusts.
+    None`), becomes the key when an oracle call validates it: later calls
+    with that same object skip validation, so a probe costs O(1) Python
+    work. Solver iterates are such arrays: the solvers freeze a copy of x0,
+    and `step_point` returns one. Any other array (writeable, or a view) is
+    validated and evaluated from a fresh state on every call, and neither
+    reads nor replaces the cached entry, so callers may mutate their own
+    arrays in place. Making a trusted array writeable again, or writing to
+    it through a view taken before it was frozen, breaks this contract.
 
-    A vertex step x -> (1-lam)*x + lam*b*e_i is rank-one, so an objective
-    whose state is linear in x can follow it in O(rows) instead of
-    rebuilding it: `follow_vertex_step` (uncharged) asks the
-    `_vertex_step_state` hook for the state at the new point and, when it
-    gets one, makes the new point the cached key with that derived state.
-    After n consecutive derived states the next state is rebuilt by
-    `_make_state` (the refresh), which bounds the rounding drift. An
-    objective may decline to derive, for instance below a size at which the
-    update costs more than the rebuild (the size gate of
-    `condgrad.problems`); the new point then becomes the key with a state
-    built by `_make_state`. A derived state is exact in exact arithmetic, but
-    values at it may differ from a fresh build in the last bits; `partial`
-    and `gradient` still agree bit for bit, as both read the same state.
+    `vertex_step(x, i, b, lam)` (uncharged) builds the step x_new =
+    (1-lam)*x + lam*b*e_i with `step_point`, a fresh read-only array. When x
+    is the key, x_new needs no scan: off index i it is (1-lam)*x (plus +0),
+    finite as x is, so only x_new[i] is checked, and x_new becomes the key.
+    The step is rank-one, so an objective whose state is linear in x can
+    follow it in O(rows) instead of rebuilding it: the `_vertex_step_state`
+    hook derives the state at x_new. After n consecutive derived states the
+    next state is rebuilt by `_make_state` (the refresh), which bounds the
+    rounding drift. An objective may decline to derive, for instance below
+    a size at which the update costs more than the rebuild (the size gate of
+    `condgrad.problems`); x_new then becomes the key with a state built by
+    `_make_state`. A derived state is exact in exact arithmetic, but values
+    at it may differ from a fresh build in the last bits.
 
     Every Armijo trial lies on a vertex ray y(lam) = step_point(x, i, z_i,
     lam), and an objective that is a quadratic in lam along it (optionally
@@ -224,7 +220,7 @@ class SmoothObjective(ABC):
 
     @abstractmethod
     def _make_state(self, x: np.ndarray) -> dict:
-        """Per-point intermediate quantities shared by value/gradient/partial."""
+        """Per-point intermediate quantities shared by value and gradient."""
 
     @abstractmethod
     def _value_impl(self, x: np.ndarray, state: dict) -> float:
@@ -256,48 +252,44 @@ class SmoothObjective(ABC):
 
     # counted public interface ----------------------------------------------
 
-    def _vector(self, x) -> np.ndarray:
-        # the cached key was validated when it entered the cache, or as a
-        # vertex step by `follow_vertex_step`
-        if x is self._cache_x:
-            return x
-        return as_vector(x, self.n)
-
-    def _state_at(self, x: np.ndarray) -> dict:
-        if x is self._cache_x:
-            return self._cache_state
+    def _at(self, x):
+        """x validated, and the state at x: the key's own, or a new one,
+        which replaces the cached entry when x is trusted."""
+        if x is self._cache_x:  # validated when it became the key
+            return x, self._cache_state
+        x = as_vector(x, self.n)
         state = self._make_state(x)
         if _trusted(x):
-            self._cache_x = x
-            self._cache_state = state
-            self._derived = 0
-        return state
+            self._cache_x, self._cache_state, self._derived = x, state, 0
+        return x, state
 
-    def follow_vertex_step(self, x: np.ndarray, x_new: np.ndarray, i: int,
-                           lam: float, b: float) -> None:
-        """Uncharged: tell the oracle that x_new = step_point(x, i, b, lam).
+    def vertex_step(self, x: np.ndarray, i: int, b: float, lam: float) -> np.ndarray:
+        """Uncharged: the step x_new = step_point(x, i, b, lam) from x toward
+        b*e_i, which becomes the key when x is the key and x_new[i] is
+        finite (see the class docstring).
 
-        When x is the cached key, x_new is validated in O(1) by
-        `_is_vertex_step`, which relies on this promise, and becomes the
-        cached key, so later calls with it skip `as_vector`. Its state is
-        derived when fewer than n states in a row were derived and the
-        `_vertex_step_state` hook derives one, and otherwise built by
+        Its state is derived when fewer than n states in a row were derived
+        and the `_vertex_step_state` hook derives one, and otherwise built by
         `_make_state`, which the next oracle call at x_new would have done.
-        Any other x_new leaves the cache as it is, and the next oracle call
-        at it validates it in full.
+        Any other x leaves the cache as it is, and the next oracle call at
+        x_new validates it in full. Raises ValueError unless i is an integer
+        in [0, n) and 0 <= lam <= 1.
         """
-        if x is not self._cache_x or x_new is x or not _is_vertex_step(x, x_new, i, lam):
-            return
-        state = None
-        if self._derived < self.n:
-            state = self._vertex_step_state(self._cache_state, i, lam, b)
-        if state is None:
-            self._cache_state = self._make_state(x_new)
-            self._derived = 0
-        else:
-            self._cache_state = state
-            self._derived += 1
-        self._cache_x = x_new
+        if not (_is_integer(i) and 0 <= i < self.n and 0.0 <= lam <= 1.0):
+            raise ValueError(f"vertex step needs an integer 0 <= i < {self.n} and 0 <= lam <= 1, "
+                             f"got i = {i!r}, lam = {lam!r}")
+        x_new = step_point(x, i, b, lam)
+        if x is self._cache_x and math.isfinite(x_new[i]):
+            state = None
+            if self._derived < self.n:
+                state = self._vertex_step_state(self._cache_state, i, lam, b)
+            if state is None:
+                self._cache_state, self._derived = self._make_state(x_new), 0
+            else:
+                self._cache_state = state
+                self._derived += 1
+            self._cache_x = x_new
+        return x_new
 
     def vertex_ray(self, x: np.ndarray, i: int, z_i: float) -> Optional["VertexRay"]:
         """Uncharged: f along the ray from x toward z_i*e_i, or None.
@@ -312,28 +304,19 @@ class SmoothObjective(ABC):
 
     def value(self, x) -> float:
         """f(x); one kf charge."""
-        x = self._vector(x)
+        x, state = self._at(x)
         self.kf += 1
-        return float(self._value_impl(x, self._state_at(x)))
+        return float(self._value_impl(x, state))
 
     def gradient(self, x) -> np.ndarray:
         """f'(x); n kg charges."""
-        x = self._vector(x)
+        x, state = self._at(x)
         self.kg += self.n
-        return self._gradient_impl(x, self._state_at(x))
-
-    def partial(self, x, i: int) -> float:
-        """f'_i(x), entry i of the gradient vector; one kg charge."""
-        x = self._vector(x)
-        if not 0 <= i < self.n:
-            raise ValueError(f"partial index {i} out of range for dimension {self.n}")
-        self.kg += 1
-        return float(self._gradient_impl(x, self._state_at(x))[i])
+        return self._gradient_impl(x, state)
 
     def gradient_dot_point(self, x) -> Optional[float]:
         """<f'(x), x> without any kg charge, or None if no fast path exists."""
-        x = self._vector(x)
-        out = self._gradient_dot_point_impl(x, self._state_at(x))
+        out = self._gradient_dot_point_impl(*self._at(x))
         return None if out is None else float(out)
 
 
@@ -405,9 +388,9 @@ class VertexRay(NamedTuple):
 
         0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) + 1/((1-lam)u + lam w + d),
 
-    the reciprocal term only when `d` is not None: `value(lam) - margin`,
-    computed in floating point, never exceeds what `SmoothObjective.value`
-    returns at y(lam)."""
+    the reciprocal term only when `d` is not None: that expression minus
+    `margin`, computed in floating point, never exceeds what
+    `SmoothObjective.value` returns at y(lam)."""
 
     c0: float
     c1: float
@@ -417,21 +400,18 @@ class VertexRay(NamedTuple):
     w: float = 0.0
     d: Optional[float] = None
 
-    def value(self, lam: float) -> float:
-        lam1 = 1.0 - lam
-        q = 0.5 * (lam1 * lam1 * self.c0 + 2.0 * lam1 * lam * self.c1 + lam * lam * self.c2)
-        if self.d is None:
-            return q
-        return q + 1.0 / (lam1 * self.u + lam * self.w + self.d)
-
     def first_open(self, ladder: tuple, m: int, f_x: float,
                    directional_derivative: float) -> int:
         """The first rung k >= m of `ladder` (see `_ladder`) whose trial is
         not certainly rejected, or len(ladder): the trial at step lam is
-        certainly rejected when value(lam) - margin > f_x +
-        beta*lam*directional_derivative. Each rung is tested with the bits,
-        and so the decision (NaN included), of that expression, from the
-        products of lam that the rung holds."""
+        certainly rejected when
+
+            q + r - margin > f_x + beta*lam*directional_derivative,
+
+        q = 0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) and r = 1/((1-lam)u
+        + lam w + d) (r absent when d is None), evaluated left to right. Each
+        rung is tested with the bits, and so the decision (NaN included), of
+        that expression, from the products of lam that the rung holds."""
         c0, c1, c2, margin, u, w, d = self
         dd = directional_derivative
         rungs = ladder[m:] if m else ladder  # most searches start at rung 0
@@ -453,9 +433,9 @@ class VertexRay(NamedTuple):
 def _ladder(theta: float, beta: float) -> tuple:
     """The steps of `armijo_step` for one (theta, beta): rung m is
     (lam, beta*lam, 1-lam, (1-lam)^2, 2(1-lam)lam, lam^2) for lam = theta^m,
-    each product rounded in the order in which the search and
-    `VertexRay.value` compute it. The rungs run from m = 0 to the first
-    m >= MAX_BACKTRACKS at which 1 - lam rounds to 1, or to MAX_RUNGS - 1."""
+    each product rounded left to right as written (2(1-lam) first). The
+    rungs run from m = 0 to the first m >= MAX_BACKTRACKS at which 1 - lam
+    rounds to 1, or to MAX_RUNGS - 1."""
     rungs = []
     for m in range(MAX_RUNGS):
         lam = theta ** m
@@ -513,7 +493,8 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
         raise ValueError(
             "armijo_step requires a descent direction: "
             f"<f'(x), d> = {directional_derivative} is not negative")
-    x = f._vector(x)
+    if x is not f._cache_x:  # the key was validated when it entered the cache
+        x = as_vector(x, f.n)
     if not 0 <= i < f.n:
         raise ValueError(f"vertex index {i} out of range for dimension {f.n}")
     ray = f.vertex_ray(x, i, z_i)

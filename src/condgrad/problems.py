@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay, _is_integer
+from .core import (NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay, _is_integer,
+                   _is_real)
 
 # Size gate for derived oracle states, in entries of the problem matrix
 # (rows * n). Below it a matrix-vector product is cheap enough that the
@@ -72,8 +73,8 @@ def build_phi3_data(m: int, n: int, b: float = 10.0):
     which makes the residual vanish at the all-b vector."""
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be >= 1, got m={m}, n={n}")
-    if not (math.isfinite(b) and b > 0):
-        raise ValueError(f"mass must be a positive finite real, got {b}")
+    if not (_is_real(b) and b > 0):
+        raise ValueError(f"mass must be a positive finite real, got {b!r}")
     i = np.arange(1, m + 1, dtype=np.float64)[:, None]
     j = np.arange(1, n + 1, dtype=np.float64)[None, :]
     r = i / j
@@ -104,8 +105,8 @@ class ProblemSpec:
                                  f"got {self.m!r}")
         elif self.m is not None:
             raise ValueError(f"series {self.series} takes no row count m")
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise ValueError(f"mass must be a positive finite real, got {self.b}")
+        if not (_is_real(self.b) and self.b > 0):
+            raise ValueError(f"mass must be a positive finite real, got {self.b!r}")
 
     @property
     def rows(self) -> int:
@@ -329,9 +330,9 @@ class LeastSquaresObjective(_MatrixObjective):
     """0.5 ||Px - q||^2, optionally plus 1/(<c,x> + d).
 
     The quadratic part's state is the residual r = Px - q. Its gradient
-    vector P^T r is materialized lazily on the first derivative request and
-    shared by `gradient` and `partial`; <f'(x), x> = <r, r> + <r, q> needs only
-    r. Across a vertex step r is updated with one column of P.
+    vector P^T r is materialized lazily on the first derivative request;
+    <f'(x), x> = <r, r> + <r, q> needs only r. Across a vertex step r is
+    updated with one column of P.
     """
 
     def __init__(self, P: np.ndarray, q: np.ndarray, barrier=None):

@@ -18,8 +18,7 @@ kg = n*it and the adaptive-step methods satisfy kf = it, both exactly.
 Each Armijo trial is charged one kf and each probe of the inexact
 direction search one kg, the paper's costs, however the code obtains them
 (see `armijo_step` and `inexact_direction`). The objective's own kf and kg
-count what it evaluated: `value` calls, and n per `gradient` and 1 per
-`partial`.
+count what it evaluated: `value` calls, and n per `gradient`.
 """
 
 from __future__ import annotations
@@ -40,9 +39,11 @@ from .core import (
     StageRecord,
     Status,
     _is_integer,
+    _is_real,
     armijo_step,
     as_vector,
     exact_lmo,
+    # unused here, but perfbench/spans.py wraps `solvers.step_point` by name
     step_point,
 )
 
@@ -78,13 +79,12 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("beta", "theta", "sigma", "nu", "tau0"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
+            if not (_is_real(v) and 0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie in (0,1), got {v!r}")
-        if not (isinstance(self.eps, (int, float)) and self.eps > 0.0
-                and math.isfinite(self.eps)):
+        if not (_is_real(self.eps) and self.eps > 0.0):
             raise ValueError(f"eps must be a positive real, got {self.eps!r}")
-        if self.delta0 is not None and not (self.delta0 > 0.0 and math.isfinite(self.delta0)):
-            raise ValueError(f"delta0 must be positive when given, got {self.delta0!r}")
+        if self.delta0 is not None and not (_is_real(self.delta0) and self.delta0 > 0.0):
+            raise ValueError(f"delta0 must be a positive real when given, got {self.delta0!r}")
         if not (_is_integer(self.max_iterations) and self.max_iterations >= 0):
             raise ValueError(f"max_iterations must be an integer >= 0, got {self.max_iterations!r}")
 
@@ -129,8 +129,8 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
     <f'(x), x - b e_i> >= delta_p.
 
     Probe t is at index (cursor + t) % n and reads entry i of one gradient
-    vector, f.gradient(x), so the result is that of probing `f.partial` one
-    vertex at a time. With the <f'(x), x> fast path the run is charged one
+    vector, f.gradient(x), so the result is that of probing one partial
+    derivative at a time. With the <f'(x), x> fast path the run is charged one
     kg per probe, kg_cost = t + 1 (n for a full cycle); without it <f'(x),
     x> comes from the gradient, and the run is charged n. The oracle
     validates x.
@@ -180,8 +180,12 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
     `direction` is "exact" (the gap is tested before the iteration cap) or
     "inexact" (the cap is tested before searching, and a capped run certifies
     its gap with one uncharged full gradient). `step` is "armijo", "adaptive"
-    or "fixed"; `lam_bar` and `check_descent` belong to "fixed". Each
-    iteration appends its StepRecord to the `trace` list, if one is given.
+    or "fixed"; `lam_bar` and `check_descent` belong to "fixed". The Armijo
+    step takes its accepted trial, which `value` validated and cached; the
+    adaptive and fixed steps take `f.vertex_step`, so the oracle builds the
+    new iterate and keys its cache on it without a scan, deriving its state
+    from x's where it can. Each iteration appends its StepRecord to the
+    `trace` list, if one is given.
     """
     inexact = direction == "inexact"
     # a private read-only copy: the oracle's cache trusts it by identity
@@ -280,9 +284,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
             # step costs none (check_descent evaluations are never charged)
             if step == "fixed":
                 lam = min(1.0, lam_bar * delta)
-            x_new = step_point(x, index, feasible_set.b, lam)
-            # a step to a vertex is rank-one: the oracle may derive its state
-            f.follow_vertex_step(x, x_new, index, lam, feasible_set.b)
+            x_new = f.vertex_step(x, index, feasible_set.b, lam)
             f_new = None if fx is None else f.value(x_new)
             if step == "adaptive":
                 trials, accepted = 1, f_new <= fx + cfg.beta * lam * (-descent)
@@ -367,8 +369,7 @@ def solve_cgmil(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
     objective evaluations; kf stays 0. `check_descent` re-verifies the
     inequality at every step (debug aid, excluded from the cost counters).
     """
-    if not (isinstance(lipschitz, (int, float)) and lipschitz > 0.0
-            and math.isfinite(lipschitz)):
+    if not (_is_real(lipschitz) and lipschitz > 0.0):
         raise ValueError(f"lipschitz must be a positive real, got {lipschitz!r}")
     lam_bar = 2.0 * (1.0 - cfg.beta) / (lipschitz * feasible_set.diameter_squared)
     return _run(f, feasible_set, cfg, x0, trace, "inexact", "fixed",

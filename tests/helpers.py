@@ -172,31 +172,42 @@ def iterates(x0, steps, b, method, report):
 
 def reference_scan(f, feasible_set, x, delta_p, cursor):
     """`condgrad.solvers.inexact_direction` as a loop over the probes: the
-    reference its vector scan is compared against, and a drop-in for it.
+    reference its vector scan is compared against (cyclic order, ties and
+    NaN), and a drop-in for it.
 
-    Probe t reads vertex (cursor + t) % n. With the <f'(x), x> fast path
-    each probe calls `f.partial` (one kg on the objective) and the run is
-    charged t + 1; without it one full gradient is taken and charged n.
-    A full failed cycle returns the gap, the largest descent, as a float,
-    with the cursor unchanged; it is NaN when some descent is.
+    The probes are the entries of one `f.gradient(x)`, taken before the
+    loop; probe t reads vertex (cursor + t) % n. With the <f'(x), x> fast
+    path the run is charged t + 1; without it <f'(x), x> comes from the
+    gradient and the run is charged n. A full failed cycle returns the gap,
+    the largest descent, as a float, with the cursor unchanged; it is NaN
+    when some descent is.
     """
     n, b = feasible_set.n, feasible_set.b
     gx = f.gradient_dot_point(x)
+    g = f.gradient(x)
     full = gx is None
     if full:
-        g = f.gradient(x)
-        gx, partial = float(np.dot(g, x)), lambda i: float(g[i])
-    else:
-        partial = lambda i: f.partial(x, i)
+        gx = float(np.dot(g, x))
     best = -math.inf
     for t in range(n):
         i = (cursor + t) % n
-        descent = gx - b * partial(i)
+        descent = gx - b * float(g[i])
         if descent >= delta_p:
             return FoundDirection(i, descent, t + 1, n if full else t + 1), (i + 1) % n
         if math.isnan(descent) or descent > best:  # a NaN gap stays NaN
             best = descent
     return best, cursor
+
+
+def ray_value(ray, lam: float) -> float:
+    """f on `ray` (a `condgrad.core.VertexRay`) at step lam, from its closed
+    form: the reference its margin and the ladder screen are tested
+    against."""
+    lam1 = 1.0 - lam
+    q = 0.5 * (lam1 * lam1 * ray.c0 + 2.0 * lam1 * lam * ray.c1 + lam * lam * ray.c2)
+    if ray.d is None:
+        return q
+    return q + 1.0 / (lam1 * ray.u + lam * ray.w + ray.d)
 
 
 class NonConvergenceError(RuntimeError):

@@ -34,6 +34,7 @@ from helpers import (
     CallableObjective,
     LinearObjective,
     random_simplex_points,
+    ray_value,
     scalar_objective,
     vertex,
 )
@@ -56,6 +57,12 @@ def test_simplex_validation():
         with pytest.raises(ValueError):
             CallableObjective(bad, fn=lambda x: 0.0, partial_fn=lambda x, i: 0.0)
     assert SimplexSet(np.int64(3)).n == 3
+    # the mass is a finite real: no bool, no string, no None, no float32
+    for bad in (True, np.bool_(True), "10", None, np.float32(10.0), 10 ** 400):
+        with pytest.raises(ValueError):
+            SimplexSet(3, bad)
+    for good in (10, np.int64(10), np.float64(10.0)):
+        assert SimplexSet(3, good).b == 10
     assert CallableObjective(np.int64(3), fn=lambda x: 0.0, partial_fn=lambda x, i: 0.0).n == 3
 
 
@@ -282,11 +289,10 @@ def test_counter_exactness_scripted():
         f.value(x)
     for _ in range(3):
         f.gradient(x)
-    for i in (0, 2, 4, 6):
-        f.partial(x, i)
-    f.gradient_dot_point(x)
+    for _ in range(4):
+        f.gradient_dot_point(x)
     assert f.kf == 5
-    assert f.kg == 3 * 7 + 4
+    assert f.kg == 3 * 7
 
 
 def test_gradient_fast_path_absent_returns_none():
@@ -309,6 +315,22 @@ def test_step_point_stays_feasible(n, lam, seed):
     D = SimplexSet(n, 10.0)
     x = random_simplex_points(rng, n, 10.0, 1)[0]
     assert D.contains(step_point(x, int(rng.integers(0, n)), D.b, lam))
+
+
+@pytest.mark.parametrize("n, steps", [(10, 2000), (1000, 2000), (100_000, 300)])
+@pytest.mark.parametrize("b", [1e-2, 10.0, 1e6])
+def test_mass_drift_of_vertex_steps_does_not_grow_with_n(n, b, steps):
+    # each entry of a step rounds relative to itself and the entries sum to
+    # b, so the mass drifts by a few ulps of b whatever n is: the relative
+    # tolerance MASS_RTOL needs no n term
+    D = SimplexSet(n, b)
+    rng = np.random.default_rng(n)
+    x, worst = D.barycenter(), 0.0
+    for _ in range(steps):
+        x = step_point(x, int(rng.integers(n)), b, float(rng.uniform()) ** 3)
+        assert D.contains(x)
+        worst = max(worst, abs(float(x.sum()) - b))
+    assert worst <= 1e-14 * b
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +359,11 @@ def _twin(f):
 
 
 def _readings(f, x):
-    return (f.value(x), f.gradient(x), f.partial(x, 2), f.gradient_dot_point(x))
+    return (f.value(x), f.gradient(x), f.gradient_dot_point(x))
 
 
 def _assert_same_readings(a, b):
-    assert a[0] == b[0] and a[2] == b[2] and a[3] == b[3]
+    assert a[0] == b[0] and a[2] == b[2]
     assert np.array_equal(a[1], b[1])
 
 
@@ -380,16 +402,15 @@ def test_untrusted_input_neither_reads_nor_evicts_the_cached_state(f):
     y[0] += 1.0
     y[1] -= 1.0
     f.value(y)
-    f.partial(x, 0)
+    f.gradient(x)
     assert len(builds) == 2
 
 
 @pytest.mark.parametrize("f", _objectives(), ids=["quadratic", "least-squares"])
-def test_cached_iterate_partials_match_gradient_bit_for_bit(f):
+def test_cached_iterate_gradient_matches_a_fresh_oracle_bit_for_bit(f):
     x = step_point(np.full(6, 10.0 / 6.0), 4, 10.0, 0.3)
     f.value(x)
     g = f.gradient(x)
-    assert all(f.partial(x, i) == g[i] for i in range(6))
     assert np.array_equal(g, _twin(f).gradient(x))
 
 
@@ -402,11 +423,11 @@ def test_cache_validates_a_read_only_iterate_once(monkeypatch):
     f.value(x)
     f.gradient(x)
     f.gradient_dot_point(x)
-    for i in range(6):
-        f.partial(x, i)
+    for _ in range(6):
+        f.gradient(x)
     assert len(calls) == 1
     # a new read-only array with the same values is a new key, validated once
-    f.partial(_frozen(x), 0)
+    f.gradient(_frozen(x))
     assert len(calls) == 2
 
 
@@ -414,17 +435,17 @@ def test_cache_validates_a_read_only_iterate_once(monkeypatch):
 def test_cache_still_rejects_bad_input_after_a_cached_call(f):
     x = _frozen(np.full(6, 10.0 / 6.0))
     f.value(x)
-    f.partial(x, 0)
+    f.gradient(x)
     with pytest.raises(ValueError):
         f.value(np.where(np.arange(6) == 3, np.nan, x))
     with pytest.raises(ValueError):
-        f.partial(_frozen(np.where(np.arange(6) == 3, np.inf, x)), 0)
+        f.gradient(_frozen(np.where(np.arange(6) == 3, np.inf, x)))
     with pytest.raises(ValueError):
         f.gradient(x[:5])
     with pytest.raises(ValueError):
         f.gradient_dot_point(_frozen(np.append(x, 0.0)))
     with pytest.raises(ValueError):
-        f.partial(x, 6)
+        f.vertex_step(x, 6, 10.0, 0.5)
     assert f.value(_frozen(x)) == f.value(x)
 
 
@@ -474,8 +495,8 @@ def _assert_ray_within_margin(f, x, i, z_i, lams, scale=None):
     kf = f.kf
     for lam in lams:
         y = step_point(x, i, z_i, lam)
-        assert abs(ray.value(lam) - _twin(f).value(y)) <= ray.margin, lam
-    assert 0.0 < ray.margin < 1e-9 * (abs(ray.value(1.0)) if scale is None else scale)
+        assert abs(ray_value(ray, lam) - _twin(f).value(y)) <= ray.margin, lam
+    assert 0.0 < ray.margin < 1e-9 * (abs(ray_value(ray, 1.0)) if scale is None else scale)
     assert f.kf == kf  # the ray is uncharged
 
 
@@ -525,7 +546,7 @@ def _reference_first_opens(ray, theta, beta, rungs, f_x, dd):
     first = [rungs] * (rungs + 1)
     for k in reversed(range(rungs)):
         lam = theta ** k
-        is_open = not ray.value(lam) - ray.margin > f_x + beta * lam * dd
+        is_open = not ray_value(ray, lam) - ray.margin > f_x + beta * lam * dd
         first[k] = k if is_open else first[k + 1]
     return first
 
@@ -577,7 +598,7 @@ def test_the_ladder_screen_takes_the_decisions_of_value_minus_margin(theta, beta
         assert (repr(lam), repr(blam)) == (repr(theta ** k), repr(beta * theta ** k))
     opened = set()
     for ray in _screened_rays():
-        ends = [ray.value(1.0), ray.value(0.5), ray.value(0.0)]
+        ends = [ray_value(ray, 1.0), ray_value(ray, 0.5), ray_value(ray, 0.0)]
         for f_x in [v for v in ends if math.isfinite(v)] or [1.0]:
             for dd in (-1e-6, -1.0, -1e6):
                 expected = _reference_first_opens(ray, theta, beta, rungs, f_x, dd)
@@ -619,7 +640,7 @@ def test_value_dot_point_and_ray_read_one_memo_in_either_order(f):
 def test_armijo_evaluates_a_trial_inside_the_ray_margin(f):
     x, i, z_i = _uphill_ray(f)
     ray = f.vertex_ray(x, i, z_i)
-    phi = ray.value(1.0)
+    phi = ray_value(ray, 1.0)
     exact = _twin(f).value(step_point(x, i, z_i, 1.0))
     # the first trial's threshold lies within the margin below the ray value
     # and below f at the trial, so only its evaluation can reject it
@@ -660,8 +681,7 @@ def test_vertex_ray_only_from_a_built_state_at_the_cached_key():
     f.value(x)
     assert f.vertex_ray(x, 0, 10.0) is not None
     assert f.vertex_ray(_frozen(x0), 0, 10.0) is None  # equal values, another key
-    x_new = step_point(x, 0, D.b, 0.5)
-    f.follow_vertex_step(x, x_new, 0, 0.5, D.b)
+    x_new = f.vertex_step(x, 0, D.b, 0.5)
     assert f._cache_x is x_new  # a derived state
     assert f.vertex_ray(x_new, 1, 10.0) is None
     f.value(_frozen(x_new))

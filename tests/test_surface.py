@@ -48,8 +48,12 @@ def test_the_oracle_module_defines_only_the_brute_force_gap():
 def test_the_objective_offers_one_channel_per_oracle():
     public = {name for name, value in vars(core.SmoothObjective).items()
               if not name.startswith("_") and callable(value)}
-    assert public == {"value", "gradient", "partial", "gradient_dot_point",
-                      "follow_vertex_step", "vertex_ray"}
+    assert public == {"value", "gradient", "gradient_dot_point", "vertex_step", "vertex_ray"}
+    # one cache lookup, and no caller-built step or single-entry derivative
+    for name in ("_is_vertex_step", "_vector", "_state_at", "follow_vertex_step", "partial"):
+        assert not hasattr(core, name) and not hasattr(core.SmoothObjective, name), name
+    # the ray's closed form is a test reference, not library code
+    assert not hasattr(core.VertexRay, "value")
 
 
 def test_core_keeps_no_second_gap_formula():
