@@ -31,15 +31,16 @@ MAX_RUNGS = 4096
 class LineSearchError(RuntimeError):
     """Armijo backtracking exhausted its exponent budget.
 
-    Carries the point, direction and directional derivative that produced
-    the failure so the caller can diagnose the run.
+    Carries the point, the index of the vertex it searched toward and the
+    directional derivative that produced the failure, so the caller can
+    diagnose the run.
     """
 
-    def __init__(self, message: str, *, point=None, direction=None,
+    def __init__(self, message: str, *, point=None, vertex=None,
                  directional_derivative=None, trials=None):
         super().__init__(message)
         self.point = point
-        self.direction = direction
+        self.vertex = vertex
         self.directional_derivative = directional_derivative
         self.trials = trials
 
@@ -179,8 +180,8 @@ class SmoothObjective(ABC):
 
     `vertex_step(x, i, b, lam)` (uncharged) builds the step x_new =
     (1-lam)*x + lam*b*e_i with `step_point`, a fresh read-only array. When x
-    is the key, x_new needs no scan: off index i it is (1-lam)*x (plus +0),
-    finite as x is, so only x_new[i] is checked, and x_new becomes the key.
+    is the key, x_new needs no scan: off index i it is (1-lam)*x, finite as
+    x is, so only x_new[i] is checked, and x_new becomes the key.
     The step is rank-one, so an objective whose state is linear in x can
     follow it in O(rows) instead of rebuilding it: the `_vertex_step_state`
     hook derives the state at x_new. After n consecutive derived states the
@@ -191,7 +192,7 @@ class SmoothObjective(ABC):
     `_make_state`. A derived state is exact in exact arithmetic, but values
     at it may differ from a fresh build in the last bits.
 
-    Every Armijo trial lies on a vertex ray y(lam) = step_point(x, i, z_i,
+    Every Armijo trial lies on a vertex ray y(lam) = step_point(x, i, b,
     lam), and an objective that is a quadratic in lam along it (optionally
     plus the reciprocal of an affine function of lam) can offer that form
     through the `_vertex_ray` hook: `vertex_ray` (uncharged) returns it as a
@@ -243,8 +244,8 @@ class SmoothObjective(ABC):
         return None
 
     def _vertex_ray(self, x: np.ndarray, state: dict, i: int,
-                    z_i: float) -> Optional["VertexRay"]:
-        """f along step_point(x, i, z_i, lam) for lam in [0, 1] in the
+                    b: float) -> Optional["VertexRay"]:
+        """f along step_point(x, i, b, lam) for lam in [0, 1] in the
         closed form of `VertexRay`, from `state`, the state at x built by
         `_make_state`; None to have every trial on the ray evaluated.
         `state` may gain memo entries only."""
@@ -291,8 +292,8 @@ class SmoothObjective(ABC):
             self._cache_x = x_new
         return x_new
 
-    def vertex_ray(self, x: np.ndarray, i: int, z_i: float) -> Optional["VertexRay"]:
-        """Uncharged: f along the ray from x toward z_i*e_i, or None.
+    def vertex_ray(self, x: np.ndarray, i: int, b: float) -> Optional["VertexRay"]:
+        """Uncharged: f along the ray from x toward b*e_i, or None.
 
         Only the cached key with a state built by `_make_state` (not a
         derived one) is offered to the `_vertex_ray` hook, so the ray reads
@@ -300,7 +301,7 @@ class SmoothObjective(ABC):
         """
         if x is not self._cache_x or self._derived:
             return None
-        return self._vertex_ray(x, self._cache_state, i, z_i)
+        return self._vertex_ray(x, self._cache_state, i, b)
 
     def value(self, x) -> float:
         """f(x); one kf charge."""
@@ -366,24 +367,21 @@ def exact_lmo(gradient, feasible_set: SimplexSet) -> int:
     return int(as_vector(gradient, feasible_set.n).argmin())
 
 
-def step_point(x: np.ndarray, i: int, z_i: float, lam: float) -> np.ndarray:
-    """(1-lam)*x + lam*z_i*e_i, as a fresh read-only array (an oracle then
-    trusts it by identity). The convex-combination form keeps iterates on
-    the mass constraint to machine precision; x + lam*(z-x) would drift.
-
-    The bits are those of (1-lam)*x + lam*z for the dense z = z_i*e_i: off
-    index i that sum adds lam*0 = +0, which turns a -0.0 into +0.0.
+def step_point(x: np.ndarray, i: int, b: float, lam: float) -> np.ndarray:
+    """(1-lam)*x + lam*b*e_i, as a fresh read-only array (an oracle then
+    trusts it by identity): (1-lam)*x off index i, and (1-lam)*x[i] + lam*b
+    at i. The convex-combination form keeps iterates on the mass constraint
+    to machine precision; x + lam*(b*e_i - x) would drift.
     """
     lam1 = 1.0 - lam
     out = lam1 * x
-    out += 0.0
-    out[i] = lam1 * x[i] + lam * z_i
+    out[i] = lam1 * x[i] + lam * b
     out.setflags(write=False)
     return out
 
 
 class VertexRay(NamedTuple):
-    """f along y(lam) = step_point(x, i, z_i, lam) for lam in [0, 1], from
+    """f along y(lam) = step_point(x, i, b, lam) for lam in [0, 1], from
     `SmoothObjective.vertex_ray`, in the closed form
 
         0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) + 1/((1-lam)u + lam w + d),
@@ -453,14 +451,14 @@ class ArmijoResult(NamedTuple):
     new_point: np.ndarray
 
 
-def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
+def armijo_step(f: SmoothObjective, x, i: int, b: float,
                 directional_derivative: float, beta: float, theta: float,
                 f_x: float) -> ArmijoResult:
-    """Backtracking line search from x toward z_i*e_i.
+    """Backtracking line search from x toward b*e_i.
 
     Finds the smallest m >= 0 with
 
-        f(step_point(x, i, z_i, theta^m)) <= f_x + beta theta^m <f'(x), z_i e_i - x>
+        f(step_point(x, i, b, theta^m)) <= f_x + beta theta^m <f'(x), b e_i - x>
 
     and returns the accepted step theta^m, the number of trials (each
     charged one kf by the caller), the accepted objective value, and the
@@ -497,7 +495,7 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
         x = as_vector(x, f.n)
     if not 0 <= i < f.n:
         raise ValueError(f"vertex index {i} out of range for dimension {f.n}")
-    ray = f.vertex_ray(x, i, z_i)
+    ray = f.vertex_ray(x, i, b)
     # as floats, so that an equal numpy scalar neither shares nor sets the
     # type of a cached rung
     ladder = _ladder(float(theta), float(beta))
@@ -511,7 +509,7 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
             break
         lam, blam = ladder[m][:2]
         threshold = f_x + blam * directional_derivative
-        trial = step_point(x, i, z_i, lam)
+        trial = step_point(x, i, b, lam)
         f_trial = f.value(trial)
         if f_trial <= threshold:
             if f_trial == f_x and np.array_equal(trial, x):
@@ -523,21 +521,12 @@ def armijo_step(f: SmoothObjective, x, i: int, z_i: float,
                 raise LineSearchError(
                     f"the step rounded to zero after {m + 1} trials "
                     f"(directional derivative {directional_derivative})",
-                    point=x, direction=_direction(x, i, z_i),
-                    directional_derivative=directional_derivative, trials=m + 1)
+                    point=x, vertex=i, directional_derivative=directional_derivative,
+                    trials=m + 1)
             return ArmijoResult(lam, m + 1, f_trial, trial)
         non_finite = non_finite or not math.isfinite(f_trial)
         m += 1
     raise LineSearchError(
         f"no acceptable step after {len(ladder)} trials "
         f"(directional derivative {directional_derivative})",
-        point=x, direction=_direction(x, i, z_i),
-        directional_derivative=directional_derivative,
-        trials=len(ladder))
-
-
-def _direction(x: np.ndarray, i: int, z_i: float) -> np.ndarray:
-    """The dense search direction z_i*e_i - x, for error reports."""
-    d = -x
-    d[i] += z_i
-    return d
+        point=x, vertex=i, directional_derivative=directional_derivative, trials=len(ladder))

@@ -50,8 +50,8 @@ def build_phi1_matrix(n: int) -> np.ndarray:
     """Symmetric n x n matrix with sin/cos off-diagonals and a diagonal of
     one plus the absolute off-diagonal row sum, which makes it strictly
     diagonally dominant and hence positive definite."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    if not (_is_integer(n) and n >= 1):
+        raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
     idx = np.arange(1, n + 1, dtype=np.float64)
     upper = np.triu(np.outer(np.sin(idx), np.cos(idx)), k=1)
     P = upper + upper.T
@@ -61,8 +61,8 @@ def build_phi1_matrix(n: int) -> np.ndarray:
 
 def build_phi2_terms(n: int):
     """Barrier data: c_i = 2 + sin(i) (so c_i in [1, 3]) and d = 5."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    if not (_is_integer(n) and n >= 1):
+        raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
     c = 2.0 + np.sin(np.arange(1, n + 1, dtype=np.float64))
     return c, 5.0
 
@@ -71,8 +71,8 @@ def build_phi3_data(m: int, n: int, b: float = 10.0):
     """Least-squares data: an m x n matrix with log/sin entries, shifted by
     +2 on the main diagonal, and the right-hand side q = b * row sums of P,
     which makes the residual vanish at the all-b vector."""
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be >= 1, got m={m}, n={n}")
+    if not (_is_integer(m) and m >= 1 and _is_integer(n) and n >= 1):
+        raise ValueError(f"dimensions must be integers >= 1, got m={m!r}, n={n!r}")
     if not (_is_real(b) and b > 0):
         raise ValueError(f"mass must be a positive finite real, got {b!r}")
     i = np.arange(1, m + 1, dtype=np.float64)[:, None]
@@ -131,16 +131,16 @@ class _MatrixObjective(SmoothObjective):
     (`_quad_ray`) with the per-instance bounds behind its margin
     (`_quad_bounds`).
 
-    On the ray y(lam) = (1-lam)x + lam z_i e_i the objective is exactly
+    On the ray y(lam) = (1-lam)x + lam b e_i the objective is exactly
 
-        0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) + 1/((1-lam)u + lam c_i z_i + d),
+        0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) + 1/((1-lam)u + lam c_i b + d),
 
     with c0, c1, c2 from `_quad_ray` and u = <c,x>, all read from the state at
     x in O(rows); c0 is twice the quadratic part's value at x, which the
     state memoizes. The ray's margin bounds the difference between this
     formula in floating point and `value` at the computed point
-    step_point(x, i, z_i, lam); see `_vertex_ray`. The margin reads x only
-    through s = max(||x||_1, |z_i|) and bounds the data's part once per
+    step_point(x, i, b, lam); see `_vertex_ray`. The margin reads x only
+    through s = max(||x||_1, |b|) and bounds the data's part once per
     instance, so it can be looser than a bound summed over x for each ray;
     a looser margin only lets more trials through to `value`.
     """
@@ -154,6 +154,8 @@ class _MatrixObjective(SmoothObjective):
             self.c = np.asarray(c, dtype=np.float64)
             if self.c.shape != (self.n,):
                 raise ValueError("barrier vector length must match the column count of P")
+            if not _is_real(d):
+                raise ValueError(f"barrier offset d must be a finite real, got {d!r}")
             self.d = float(d)
         self._ray_bounds = None  # set on the first line search
 
@@ -204,17 +206,17 @@ class _MatrixObjective(SmoothObjective):
                 _gamma(2 * rows + 4 * n + 32), 8.0 * (rows + 2) * (n + 2) * _ETA,
                 _gamma(n + 10), 8.0 * (n + 2) * _ETA)
 
-    def _vertex_ray(self, x, state, i, z_i):
+    def _vertex_ray(self, x, state, i, b):
         # Computed on the first line search, not in the constructor, so
         # that building an instance costs what it did.
         if self._ray_bounds is None:
             self._ray_bounds = self._ray_constants()
         quad, r_max, total, c_max, g_quad, eta_quad, g_bar, eta_bar = self._ray_bounds
-        # ||y(lam)||_1 <= (1-lam)||x||_1 + lam|z_i| <= s for every lam in
+        # ||y(lam)||_1 <= (1-lam)||x||_1 + lam|b| <= s for every lam in
         # [0, 1], and so |y_j(lam)| <= s for every j: the ray reads x
         # through s and the state only
-        s = max(float(np.abs(x).sum()), abs(z_i))
-        c0, c1, c2, T = self._quad_ray(x, state, i, z_i, s, quad)
+        s = max(float(np.abs(x).sum()), abs(b))
+        c0, c1, c2, T = self._quad_ray(x, state, i, b, s, quad)
         # Rounding margin, counted over both paths to f(y(lam)): the
         # products and sums of `value` at the point step_point rounded, the
         # rounding of that point itself, the coefficients at x and the few
@@ -233,23 +235,23 @@ class _MatrixObjective(SmoothObjective):
             ray = VertexRay(c0, c1, c2, margin)
         else:
             u, d = state["u"], self.d
-            cz = float(self.c[i]) * z_i
+            cb = float(self.c[i]) * b
             # Either path's denominator is within E of the exact one, and
-            # so are u + d and c_i z_i + d of the ray's ends; the exact
+            # so are u + d and c_i b + d of the ray's ends; the exact
             # denominator is affine in lam, so when those ends share a sign
             # and clear 2E, no denominator on the ray is smaller than low.
             # E counts gamma_{n+10} times the magnitude of <c, y> + d, where
             # |<c, y>| <= sum_k |c_k| |y_k| <= max|c| ||y||_1 <= s max|c| on the
             # whole ray (at its ends: |c|.|x| <= max|c| ||x||_1 <= s max|c|
-            # and |c_i z_i| <= s max|c|).
+            # and |c_i b| <= s max|c|).
             E = g_bar * (s * c_max + abs(d)) + eta_bar * amp
-            low = min(abs(u + d), abs(cz + d)) - 2.0 * E
-            if not (low > 0.0 and (u + d > 0.0) == (cz + d > 0.0)):
+            low = min(abs(u + d), abs(cb + d)) - 2.0 * E
+            if not (low > 0.0 and (u + d > 0.0) == (cb + d > 0.0)):
                 return None  # the denominator may reach zero on the ray
             # the two reciprocals differ by <= 2E/low^2, and their
             # rounding, the addition and the screen add <= gamma_8/low
             margin += (2.0 * E / low + _gamma(8)) / low
-            ray = VertexRay(c0, c1, c2, margin, u, cz, d)
+            ray = VertexRay(c0, c1, c2, margin, u, cb, d)
         # no intermediate of either path can overflow
         if not math.isfinite(4.0 * (T + s * r_max) + margin + c0 + c1 + c2):
             return None
@@ -314,16 +316,16 @@ class QuadraticFormObjective(_MatrixObjective):
     def _quad_bounds(self, R, r_max):
         return r_max, 0.0
 
-    def _quad_ray(self, x, state, i, z_i, s, r_max):
-        # 0.5 <Py, y> = 0.5((1-lam)^2 <Px,x> + 2(1-lam)lam z_i (Px)_i + lam^2 z_i^2 P_ii),
+    def _quad_ray(self, x, state, i, b, s, r_max):
+        # 0.5 <Py, y> = 0.5((1-lam)^2 <Px,x> + 2(1-lam)lam b (Px)_i + lam^2 b^2 P_ii),
         # whose cross term holds as P is symmetric.
         # Both paths err by a multiple of
         # |y|^T |P| |y| = sum_k |y_k| (|P| |y|)_k <= ||y||_1 max_k (|P| |y|)_k
         #              <= ||y||_1 max|y_j| max_k R_k <= s^2 max R,
         # with R the row sums of |P|.
         px = state["px"]
-        return (self._sq(x, state), z_i * float(px[i]),
-                z_i * z_i * float(self.P[i, i]), s * s * r_max)
+        return (self._sq(x, state), b * float(px[i]),
+                b * b * float(self.P[i, i]), s * s * r_max)
 
 
 class LeastSquaresObjective(_MatrixObjective):
@@ -375,14 +377,14 @@ class LeastSquaresObjective(_MatrixObjective):
         return ((float(np.dot(R, R)), float(np.dot(R, aq)), float(np.dot(self.q, self.q))),
                 float(aq.sum()))
 
-    def _quad_ray(self, x, state, i, z_i, s, sums):
-        # Py - q = (1-lam) r + lam v with v = z_i P[:, i] - q. Both paths err
+    def _quad_ray(self, x, state, i, b, s, sums):
+        # Py - q = (1-lam) r + lam v with v = b P[:, i] - q. Both paths err
         # by a multiple of sum_k w_k^2, where w_k = s R_k + |q_k| bounds
         # |r_k|, |v_k| and |(Py - q)_k| on the whole ray, as every |y_j| <= s;
         # expanded, sum_k w_k^2 = s^2 sum R_k^2 + 2 s sum R_k |q_k| + sum q_k^2.
         r2, rq, qq = sums
         r = state["r"]
-        v = z_i * self.P[:, i] - self.q
+        v = b * self.P[:, i] - self.q
         return (self._sq(x, state), float(np.dot(r, v)), float(np.dot(v, v)),
                 (s * s * r2 + 2.0 * s * rq) + qq)
 

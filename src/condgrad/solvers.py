@@ -273,10 +273,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
             descent, tests = mu, 0
         trials, accepted = 0, None
         if step == "armijo":
-            # the bits of x + (b*e_i - x) at index i
-            x_i = float(x[index])
-            z_i = x_i + (feasible_set.b - x_i)
-            search = armijo_step(f, x, index, z_i, -descent, cfg.beta, cfg.theta, fx)
+            search = armijo_step(f, x, index, feasible_set.b, -descent, cfg.beta, cfg.theta, fx)
             x_new, f_new, lam, trials = (search.new_point, search.new_value,
                                          search.step, search.trials)
         else:

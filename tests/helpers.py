@@ -151,20 +151,13 @@ def f_history(report, steps):
 
 def iterates(x0, steps, b, method, report):
     """Every iterate of a traced run, from x0 to the reported x, rebuilt
-    with `step_point` from each record's vertex and step size; asserts that
-    the replay ends at `report.x` bit for bit.
-
-    The vertex value is b for the adaptive and fixed steps; the Armijo
-    methods (cgm, cgmi) step toward x_i + (b - x_i), as the solver does.
-    """
+    as `step_point(x, s.vertex, b, s.lam)` from each record, for every
+    method; asserts that the replay ends at `report.x` bit for bit (`method`
+    names the run in the failure message)."""
     x = np.array(x0, dtype=np.float64)
     points = [x]
     for s in steps:
-        z_i = b
-        if method in ("cgm", "cgmi"):
-            x_i = float(x[s.vertex])
-            z_i = x_i + (b - x_i)
-        x = step_point(x, s.vertex, z_i, s.lam)
+        x = step_point(x, s.vertex, b, s.lam)
         points.append(x)
     assert x.tobytes() == report.x.tobytes(), f"{method} replay misses report.x"
     return points

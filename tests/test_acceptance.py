@@ -131,8 +131,7 @@ def test_criterion_06_armijo_descent_and_minimality(grid, minimality_traces):
         D = SimplexSet(spec.n, spec.b)
         fresh = make_objective(spec)
         lam_prev = 0.5 ** (s.trials - 2)  # theta^(m-1)
-        x_i = float(x[s.vertex])
-        trial = step_point(x, s.vertex, x_i + (D.b - x_i), lam_prev)
+        trial = step_point(x, s.vertex, D.b, lam_prev)
         f_trial = fresh.value(trial)
         assert f_trial > s.f_before + 0.5 * lam_prev * s.dir_derivative, \
             f"step theta^(m-1) unexpectedly acceptable at k={k} of {spec}"
@@ -220,17 +219,22 @@ def test_criterion_10_feasibility_of_every_iterate(grid):
           f"worst coordinate {worst_coord:.2e} over all recorded iterates")
 
 
-def test_criterion_11_plan_determinism():
+def test_criterion_11_plan_determinism(grid):
+    # an untraced rerun of the plan against the traced grid of the fixture:
+    # the runs repeat, and tracing changes no row
     plan = default_plan()
-    first = format_rows_csv(run_plan(plan))
-    second = format_rows_csv(run_plan(plan))
+    rerun = format_rows_csv(run_plan(plan))
+    cells = sorted(plan.cells, key=lambda c: (c.series, c.rows, c.n))
+    traced = format_rows_csv([grid["outcomes"][(c.series, c.rows, c.n, method)].row
+                              for c in cells for method in plan.methods])
 
     def strip_wall(text):
         return "\n".join(",".join(line.split(",")[:-1])
                          for line in text.strip().split("\n"))
 
-    assert strip_wall(first) == strip_wall(second)
-    print("\ncriterion 11 PASS: rerun CSV byte-identical outside wall_ms")
+    assert strip_wall(rerun) == strip_wall(traced)
+    print("\ncriterion 11 PASS: untraced rerun CSV byte-identical to the traced grid "
+          "outside wall_ms")
 
 
 def test_criterion_12_iteration_count_brackets(grid):

@@ -246,7 +246,7 @@ def test_armijo_null_step_with_finite_trials_is_a_line_search_error():
     with pytest.raises(LineSearchError) as err:
         armijo_step(f, [1.0], 0, 2.0, -1.0, 0.5, 0.5, f_x=1.0)
     assert np.array_equal(err.value.point, [1.0])
-    assert np.array_equal(err.value.direction, [1.0])
+    assert err.value.vertex == 0
     assert err.value.trials == f.kf < 61
 
 
@@ -480,21 +480,20 @@ RAY_IDS = ["quadratic-barrier", "least-squares-barrier", "quadratic", "least-squ
 
 
 def _uphill_ray(f):
-    """A cached point x, and the index and z_i of the vertex ray from x
+    """A cached point x, and the index and mass of the vertex ray from x
     along which f rises most (f is convex, so it rises along the whole ray)."""
     x = _frozen(10.0 * np.random.default_rng(3).dirichlet(np.ones(f.n)))
-    z = [float(x[i] + (10.0 - x[i])) for i in range(f.n)]
-    ends = [f.value(step_point(x, i, z[i], 1.0)) for i in range(f.n)]
+    ends = [f.value(step_point(x, i, 10.0, 1.0)) for i in range(f.n)]
     i = int(np.argmax(ends))
     assert f.value(x) < ends[i]  # and x is the cached key
-    return x, i, z[i]
+    return x, i, 10.0
 
 
-def _assert_ray_within_margin(f, x, i, z_i, lams, scale=None):
-    ray = f.vertex_ray(x, i, z_i)
+def _assert_ray_within_margin(f, x, i, b, lams, scale=None):
+    ray = f.vertex_ray(x, i, b)
     kf = f.kf
     for lam in lams:
-        y = step_point(x, i, z_i, lam)
+        y = step_point(x, i, b, lam)
         assert abs(ray_value(ray, lam) - _twin(f).value(y)) <= ray.margin, lam
     assert 0.0 < ray.margin < 1e-9 * (abs(ray_value(ray, 1.0)) if scale is None else scale)
     assert f.kf == kf  # the ray is uncharged
@@ -502,8 +501,8 @@ def _assert_ray_within_margin(f, x, i, z_i, lams, scale=None):
 
 @pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)
 def test_vertex_ray_is_within_its_margin_of_value(f):
-    x, i, z_i = _uphill_ray(f)
-    _assert_ray_within_margin(f, x, i, z_i, (1.0, 0.5, 0.3, 1e-3, 2.0 ** -60, 0.0))
+    x, i, b = _uphill_ray(f)
+    _assert_ray_within_margin(f, x, i, b, (1.0, 0.5, 0.3, 1e-3, 2.0 ** -60, 0.0))
 
 
 EDGE_CASES = ["vertex", "negative-coordinate", "b=1e-2", "b=1e4", "n=1"]
@@ -511,7 +510,7 @@ EDGE_CASES = ["vertex", "negative-coordinate", "b=1e-2", "b=1e4", "n=1"]
 
 def _edge_ray(case, series):
     """An objective of `series`, a cached point x of the kind `case` names,
-    and the index and z_i of a vertex ray from it."""
+    and the index and mass of a vertex ray from it."""
     n = 1 if case == "n=1" else 6
     b = {"b=1e-2": 1e-2, "b=1e4": 1e4}.get(case, 10.0)
     m = (1 if n == 1 else 4) if series > 2 else None
@@ -525,18 +524,18 @@ def _edge_ray(case, series):
     x = _frozen(x)
     f.value(x)
     i = n - 1
-    return f, x, i, float(x[i] + (b - x[i]))
+    return f, x, i, b
 
 
 @pytest.mark.parametrize("series", [1, 2, 3, 4])
 @pytest.mark.parametrize("case", EDGE_CASES)
 def test_vertex_ray_is_within_its_margin_at_edge_cases(case, series):
-    f, x, i, z_i = _edge_ray(case, series)
+    f, x, i, b = _edge_ray(case, series)
     lams = [0.5 ** m for m in range(core.MAX_BACKTRACKS + 1)] + [0.3, 1e-3, 0.0]
     # at n = 1 the least-squares residual vanishes at the only point, b*e_1,
     # where f = 0, so there the margin is compared with 1 instead
     scale = 1.0 if (case, series) == ("n=1", 3) else None
-    _assert_ray_within_margin(f, x, i, z_i, lams, scale)
+    _assert_ray_within_margin(f, x, i, b, lams, scale)
 
 
 def _reference_first_opens(ray, theta, beta, rungs, f_x, dd):
@@ -554,8 +553,8 @@ def _reference_first_opens(ray, theta, beta, rungs, f_x, dd):
 def _screened_rays():
     rays = [f.vertex_ray(*_uphill_ray(f)) for f in _ray_objectives()]
     for series in (1, 2, 3, 4):
-        f, x, i, z_i = _edge_ray("vertex", series)
-        rays.append(f.vertex_ray(x, i, z_i))
+        f, x, i, b = _edge_ray("vertex", series)
+        rays.append(f.vertex_ray(x, i, b))
     nan, inf = math.nan, math.inf
     # NaN and infinite coefficients: a NaN value is never a certain rejection
     return rays + [core.VertexRay(nan, 1.0, 1.0, 0.0), core.VertexRay(1.0, 1.0, inf, 1e-9),
@@ -638,10 +637,10 @@ def test_value_dot_point_and_ray_read_one_memo_in_either_order(f):
 
 @pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)
 def test_armijo_evaluates_a_trial_inside_the_ray_margin(f):
-    x, i, z_i = _uphill_ray(f)
-    ray = f.vertex_ray(x, i, z_i)
+    x, i, b = _uphill_ray(f)
+    ray = f.vertex_ray(x, i, b)
     phi = ray_value(ray, 1.0)
-    exact = _twin(f).value(step_point(x, i, z_i, 1.0))
+    exact = _twin(f).value(step_point(x, i, b, 1.0))
     # the first trial's threshold lies within the margin below the ray value
     # and below f at the trial, so only its evaluation can reject it
     f_x = min(phi, exact) - ray.margin / 4.0 + 0.5
@@ -650,27 +649,27 @@ def test_armijo_evaluates_a_trial_inside_the_ray_margin(f):
     evaluated = []
     value = f.value
     f.value = lambda y: evaluated.append(y) or value(y)
-    res = armijo_step(f, x, i, z_i, -1.0, 0.5, 0.5, f_x)
+    res = armijo_step(f, x, i, b, -1.0, 0.5, 0.5, f_x)
     # f is convex and rising along the ray, so f(0.5) < f(1) - 0.25 + 0.5
     assert (res.trials, res.step) == (2, 0.5)
     assert len(evaluated) == 2
-    assert np.array_equal(evaluated[0], step_point(x, i, z_i, 1.0))
+    assert np.array_equal(evaluated[0], step_point(x, i, b, 1.0))
 
 
 @pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)
 def test_armijo_rejects_unevaluated_a_trial_far_above_its_threshold(f):
-    x, i, z_i = _uphill_ray(f)
-    f1, f0 = f.value(step_point(x, i, z_i, 1.0)), f.value(x)
+    x, i, b = _uphill_ray(f)
+    f1, f0 = f.value(step_point(x, i, b, 1.0)), f.value(x)
     # thresholds: (f0 + f1)/2 - 0.25 at lam = 1, far below f1, and at
     # lam = 0.5 just above (f0 + f1)/2 >= f(0.5), as f is convex on the ray
     f_x = 0.5 * (f0 + f1) + 0.25 + 1e-9 * abs(f1)
     evaluated = []
     value = f.value
     f.value = lambda y: evaluated.append(y) or value(y)
-    res = armijo_step(f, x, i, z_i, -1.0, 0.5, 0.5, f_x)
+    res = armijo_step(f, x, i, b, -1.0, 0.5, 0.5, f_x)
     assert (res.trials, res.step) == (2, 0.5)
     assert len(evaluated) == 1
-    assert np.array_equal(evaluated[0], step_point(x, i, z_i, 0.5))
+    assert np.array_equal(evaluated[0], step_point(x, i, b, 0.5))
 
 
 def test_vertex_ray_only_from_a_built_state_at_the_cached_key():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from condgrad.core import SimplexSet
 from condgrad.problems import (
+    LeastSquaresObjective,
     ProblemSpec,
+    QuadraticFormObjective,
     build_instance,
     build_phi1_matrix,
     build_phi2_terms,
@@ -102,6 +104,29 @@ def test_builder_validation():
     for bad in (True, "10", None, np.float32(10.0)):
         with pytest.raises(ValueError):
             build_phi3_data(3, 3, b=bad)
+    # sizes are integers: no bool, no float, even integral, no string
+    for build in (build_phi1_matrix, build_phi2_terms):
+        for bad in (True, 2.5, 3.0, np.float64(3.0), "3", None):
+            with pytest.raises(ValueError):
+                build(bad)
+    for m, n in ((2, 3.5), (2.5, 3), (True, 3), (2, "3"), (2, 3.0)):
+        with pytest.raises(ValueError):
+            build_phi3_data(m, n)
+    assert build_phi1_matrix(np.int64(3)).shape == (3, 3)
+    assert build_phi3_data(np.int32(2), 3)[0].shape == (2, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda barrier: QuadraticFormObjective(np.eye(3), barrier=barrier),
+    lambda barrier: LeastSquaresObjective(np.eye(3), np.ones(3), barrier=barrier),
+], ids=["quadratic", "least-squares"])
+def test_barrier_offset_is_a_finite_real(make):
+    # the offset is a finite real, as every real parameter is
+    for bad in ("5", True, np.bool_(True), np.float32(5.0), None, math.nan, math.inf):
+        with pytest.raises(ValueError, match="barrier offset"):
+            make((np.ones(3), bad))
+    for good in (5, np.int64(5), np.float64(5.0), 5.0):
+        assert make((np.ones(3), good)).d == 5.0
 
 
 def test_problem_spec_validation():

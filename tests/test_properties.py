@@ -189,14 +189,13 @@ def test_paper_invariants_on_random_instances(method, inst):
     check_invariants(method, *solve(method, inst))
 
 
-@pytest.mark.parametrize("method", ["cgmi", "cgmis", "cgmil"])
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(inst=instances)
-def test_inexact_runs_match_with_partials_probed_one_by_one(method, inst):
-    by_vector, vector_steps = solve(method, inst)[:2]
+def check_probed_one_by_one(method, inst, twin=None):
+    """The runs with the vector scan and with `reference_scan` are the same,
+    bit for bit."""
+    by_vector, vector_steps = solve(method, inst, twin)[:2]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solvers, "inexact_direction", reference_scan)
-        by_probe, probe_steps = solve(method, inst)[:2]
+        by_probe, probe_steps = solve(method, inst, twin)[:2]
     assert by_vector.counters == by_probe.counters
     assert by_vector.status is by_probe.status
     assert repr(by_vector.f) == repr(by_probe.f)
@@ -204,6 +203,20 @@ def test_inexact_runs_match_with_partials_probed_one_by_one(method, inst):
     assert by_vector.x.tobytes() == by_probe.x.tobytes()
     assert repr(vector_steps) == repr(probe_steps)
     assert repr(by_vector.stages) == repr(by_probe.stages)
+
+
+@pytest.mark.parametrize("method", ["cgmi", "cgmis", "cgmil"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=instances)
+def test_inexact_runs_match_with_partials_probed_one_by_one(method, inst):
+    check_probed_one_by_one(method, inst)
+
+
+@pytest.mark.parametrize("method", ["cgmi", "cgmis", "cgmil"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=instances)
+def test_inexact_runs_match_with_partials_probed_one_by_one_without_the_fast_path(method, inst):
+    check_probed_one_by_one(method, inst, no_gradient_dot_point)
 
 
 @pytest.mark.parametrize("method", list(SOLVERS))
@@ -217,25 +230,37 @@ def test_paper_invariants_without_the_gradient_dot_point_fast_path(method, inst)
     assert f.gradient_dot_point(rep.x) is None
 
 
-@pytest.mark.parametrize("method", ["cgm", "cgmi"])
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(inst=barrier_instances)
-def test_every_skipped_armijo_step_fails_its_test(method, inst):
-    # most rejected trials are screened by the vertex ray, never evaluated;
-    # evaluate each on a fresh objective and check that it fails
+def check_skipped_steps(method, inst, twin=None):
+    """Most rejected trials are screened by the vertex ray, never evaluated;
+    evaluate each on a fresh objective and check that it fails. `twin(f)`
+    may first switch off one of the objective's fast paths."""
     f, _, D, x0 = build(inst)
     cfg = SolverConfig(eps=scaled_eps(f, D, x0), max_iterations=200)
+    if twin is not None:
+        twin(f)
     steps = []
     rep = SOLVERS[method](f, D, cfg, x0, trace=steps)
     assert rep.status in (Status.CONVERGED, Status.ITERATION_CAP)
     fresh = build(inst)[0]
     for s, x in zip(steps, iterates(x0, steps, D.b, method, rep)):
-        x_i = float(x[s.vertex])
-        z_i = x_i + (D.b - x_i)
         for k in range(s.trials - 1):
             lam = cfg.theta ** k
-            f_trial = fresh.value(step_point(x, s.vertex, z_i, lam))
+            f_trial = fresh.value(step_point(x, s.vertex, D.b, lam))
             assert not f_trial <= s.f_before + cfg.beta * lam * s.dir_derivative
+
+
+@pytest.mark.parametrize("method", ["cgm", "cgmi"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=barrier_instances)
+def test_every_skipped_armijo_step_fails_its_test(method, inst):
+    check_skipped_steps(method, inst)
+
+
+@pytest.mark.parametrize("method", ["cgm", "cgmi"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=barrier_instances)
+def test_every_skipped_armijo_step_fails_its_test_without_the_fast_path(method, inst):
+    check_skipped_steps(method, inst, no_gradient_dot_point)
 
 
 # (<a, x> + alpha)/(<c, x> + beta) with c > 0 and beta > 0, n <= 20

@@ -80,3 +80,13 @@ def test_run_records_are_plain_data_that_state_each_fact_once():
         "vertex", "accepted", "mu", "tests"]
     # stage p is report.stages[p - 1]
     assert _fields(core.StageRecord) == ["delta", "iterations", "exit_gap", "end_point"]
+
+
+def test_a_line_search_error_names_its_vertex_by_index():
+    params = list(inspect.signature(core.LineSearchError).parameters)
+    assert params == ["message", "point", "vertex", "directional_derivative", "trials"]
+    err = core.LineSearchError("no step", point=None, vertex=2,
+                               directional_derivative=-1.0, trials=3)
+    assert (err.vertex, err.directional_derivative, err.trials) == (2, -1.0, 3)
+    # no dense direction vector is built for the report
+    assert not hasattr(core, "_direction")
