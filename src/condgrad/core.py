@@ -154,17 +154,17 @@ class SmoothObjective(ABC):
 
     A subclass implements three hooks: `_make_state` (the per-point state),
     `_value_impl` and `_gradient_impl` (the gradient vector, read from that
-    state), plus optionally `_gradient_dot_point_impl`.
+    state).
 
     Call accounting is exact and unconditional: `value` adds 1 to `kf` and
     `gradient` adds n to `kg`; nothing else is charged to this object.
-    `gradient_dot_point` returns <f'(x), x> for free when it is derivable
-    from the state of a value evaluation (returns None when it is not, in
-    which case callers fall back to a full gradient). These tallies count
-    what this object evaluated; a run charges the paper's costs in its own
-    counters (the inexact direction search reads one gradient and charges
-    one kg per vertex it probes). The cache only avoids recomputing work; it
-    never changes the accounting.
+    These tallies count what this object evaluated; a run charges the
+    paper's costs in its own counters. The class attribute
+    `cheap_gradient_dot_point` declares a charge rule, not a computation: a
+    subclass sets it to True when <f'(x), x> costs no more than f(x) does,
+    and a run then charges its inexact direction search one kg per vertex
+    probed instead of n per search. The cache only avoids recomputing work;
+    it never changes the accounting.
 
     The cache holds one point, the key, and only a point this object
     validated in full or built itself enters it. A trusted array, one that
@@ -203,9 +203,11 @@ class SmoothObjective(ABC):
 
     A hook must not change what `state` holds, but it may add memo entries
     that depend only on the state (and so on the point it belongs to), as
-    the benchmark objectives memoize <Px, x> or <r, r> for their value, the
-    <f'(x), x> fast path and the vertex ray to share.
+    the benchmark objectives memoize <Px, x> or <r, r> for their value and
+    the vertex ray to share.
     """
+
+    cheap_gradient_dot_point = False
 
     def __init__(self, n: int):
         if not (_is_integer(n) and n >= 1):
@@ -231,9 +233,6 @@ class SmoothObjective(ABC):
     def _gradient_impl(self, x: np.ndarray, state: dict) -> np.ndarray:
         """f'(x) as a new float64 vector, which callers may keep or modify.
         `state` may gain memo entries only (see the class docstring)."""
-
-    def _gradient_dot_point_impl(self, x: np.ndarray, state: dict) -> Optional[float]:
-        return None
 
     def _vertex_step_state(self, state: dict, i: int, lam: float,
                            b: float) -> Optional[dict]:
@@ -315,11 +314,6 @@ class SmoothObjective(ABC):
         self.kg += self.n
         return self._gradient_impl(x, state)
 
-    def gradient_dot_point(self, x) -> Optional[float]:
-        """<f'(x), x> without any kg charge, or None if no fast path exists."""
-        out = self._gradient_dot_point_impl(*self._at(x))
-        return None if out is None else float(out)
-
 
 @dataclass
 class Counters:
@@ -371,8 +365,11 @@ def step_point(x: np.ndarray, i: int, b: float, lam: float) -> np.ndarray:
     """(1-lam)*x + lam*b*e_i, as a fresh read-only array (an oracle then
     trusts it by identity): (1-lam)*x off index i, and (1-lam)*x[i] + lam*b
     at i. The convex-combination form keeps iterates on the mass constraint
-    to machine precision; x + lam*(b*e_i - x) would drift.
+    to machine precision; x + lam*(b*e_i - x) would drift. Raises
+    ValueError unless i is an integer (a bool index would step every entry).
     """
+    if not _is_integer(i):
+        raise ValueError(f"vertex index must be an integer, got {i!r}")
     lam1 = 1.0 - lam
     out = lam1 * x
     out[i] = lam1 * x[i] + lam * b
@@ -480,9 +477,9 @@ def armijo_step(f: SmoothObjective, x, i: int, b: float,
     not rescanned, any other array is scanned in full.
 
     Raises ValueError when the supplied directional derivative is not
-    negative or i is not an index of x, and LineSearchError when m would
-    pass the ladder's last rung. A trial that rounds back to x itself is never
-    accepted: it raises NonFiniteOracleError carrying x when an earlier
+    negative or i is not an integer index of x, and LineSearchError when m
+    would pass the ladder's last rung. A trial that rounds back to x itself
+    is never accepted: it raises NonFiniteOracleError carrying x when an earlier
     evaluated trial value was not finite, and LineSearchError otherwise.
     """
     if not (0.0 < beta < 1.0 and 0.0 < theta < 1.0):
@@ -493,8 +490,8 @@ def armijo_step(f: SmoothObjective, x, i: int, b: float,
             f"<f'(x), d> = {directional_derivative} is not negative")
     if x is not f._cache_x:  # the key was validated when it entered the cache
         x = as_vector(x, f.n)
-    if not 0 <= i < f.n:
-        raise ValueError(f"vertex index {i} out of range for dimension {f.n}")
+    if not (_is_integer(i) and 0 <= i < f.n):
+        raise ValueError(f"vertex index must be an integer in [0, {f.n}), got {i!r}")
     ray = f.vertex_ray(x, i, b)
     # as floats, so that an equal numpy scalar neither shares nor sets the
     # type of a cached rung

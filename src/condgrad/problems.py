@@ -123,13 +123,16 @@ class _MatrixObjective(SmoothObjective):
     <c,x> + d = 0 the oracle raises NonFiniteOracleError. It also owns the
     size gate: a state follows a vertex step in O(rows) only when P has at
     least DERIVED_STATE_MIN_ENTRIES entries, and the memo of twice the
-    quadratic part's value, `_sq`, which the value, <f'(x), x> and the
-    vertex ray all read. A subclass supplies the quadratic part's state
-    (`_quad_state`), its update across a vertex step (`_quad_step`), twice
-    its value (`_quad_sq`), its gradient vector and <f'(x), x>
-    (`_quad_gradient`, `_quad_dot_point`), and its form along a vertex ray
-    (`_quad_ray`) with the per-instance bounds behind its margin
-    (`_quad_bounds`).
+    quadratic part's value, `_sq`, which the value and the vertex ray both
+    read. A subclass supplies the quadratic part's state (`_quad_state`),
+    its update across a vertex step (`_quad_step`), twice its value
+    (`_quad_sq`), its gradient vector (`_quad_gradient`), and its form along
+    a vertex ray (`_quad_ray`) with the per-instance bounds behind its
+    margin (`_quad_bounds`).
+
+    Both objectives declare `cheap_gradient_dot_point`: <f'(x), x> follows
+    from the state in O(rows), so a run charges each probe of the inexact
+    direction search one kg.
 
     On the ray y(lam) = (1-lam)x + lam b e_i the objective is exactly
 
@@ -144,6 +147,8 @@ class _MatrixObjective(SmoothObjective):
     instance, so it can be looser than a bound summed over x for each ray;
     a looser margin only lets more trials through to `value`.
     """
+
+    cheap_gradient_dot_point = True
 
     def __init__(self, P: np.ndarray, barrier):
         super().__init__(P.shape[1])
@@ -270,19 +275,12 @@ class _MatrixObjective(SmoothObjective):
         w = (state["u"] + self.d) ** 2
         return g - self.c / w
 
-    def _gradient_dot_point_impl(self, x, state):
-        out = self._quad_dot_point(x, state)
-        if self.c is not None:
-            w = (state["u"] + self.d) ** 2
-            out -= state["u"] / w
-        return out
-
 
 class QuadraticFormObjective(_MatrixObjective):
     """0.5 <Px, x> for symmetric P, optionally plus 1/(<c,x> + d).
 
-    The quadratic part's state is Px, which is also its gradient vector and
-    gives <f'(x), x> for free; a vertex step updates it with one column of P.
+    The quadratic part's state is Px, which is also its gradient vector; a
+    vertex step updates it with one column of P.
     P must be symmetric bit for bit: for any other P the gradient of
     0.5 <Px, x> is 0.5 (P + P^T) x, not Px.
     """
@@ -310,9 +308,6 @@ class QuadraticFormObjective(_MatrixObjective):
     def _quad_gradient(self, state):
         return state["px"]
 
-    def _quad_dot_point(self, x, state):
-        return self._sq(x, state)
-
     def _quad_bounds(self, R, r_max):
         return r_max, 0.0
 
@@ -332,9 +327,8 @@ class LeastSquaresObjective(_MatrixObjective):
     """0.5 ||Px - q||^2, optionally plus 1/(<c,x> + d).
 
     The quadratic part's state is the residual r = Px - q. Its gradient
-    vector P^T r is materialized lazily on the first derivative request;
-    <f'(x), x> = <r, r> + <r, q> needs only r. Across a vertex step r is
-    updated with one column of P.
+    vector P^T r is materialized lazily on the first derivative request.
+    Across a vertex step r is updated with one column of P.
     """
 
     def __init__(self, P: np.ndarray, q: np.ndarray, barrier=None):
@@ -368,9 +362,6 @@ class LeastSquaresObjective(_MatrixObjective):
 
     def _quad_gradient(self, state):
         return self._pt_r(state)
-
-    def _quad_dot_point(self, x, state):
-        return self._sq(x, state) + float(np.dot(state["r"], self.q))
 
     def _quad_bounds(self, R, r_max):
         aq = np.abs(self.q)

@@ -15,10 +15,12 @@ seed evaluation of f(x0) and the terminal certification that stops the run
 are not charged, while the full gradient consumed by the default stage
 tolerance rule is. Under this accounting the exact-oracle methods satisfy
 kg = n*it and the adaptive-step methods satisfy kf = it, both exactly.
-Each Armijo trial is charged one kf and each probe of the inexact
-direction search one kg, the paper's costs, however the code obtains them
-(see `armijo_step` and `inexact_direction`). The objective's own kf and kg
-count what it evaluated: `value` calls, and n per `gradient`.
+Each Armijo trial is charged one kf, the paper's cost, however the code
+obtains it (see `armijo_step`). The inexact direction search always reads
+one gradient. It is charged one kg per probed vertex, the paper's cost,
+when the objective declares `cheap_gradient_dot_point`, and n per search
+otherwise (see `inexact_direction`). The objective's own kf and kg count
+what it evaluated: `value` calls, and n per `gradient`.
 """
 
 from __future__ import annotations
@@ -120,7 +122,6 @@ class FoundDirection(NamedTuple):
     index: int
     descent: float
     tests: int
-    kg_cost: int
 
 
 def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
@@ -129,11 +130,10 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
     <f'(x), x - b e_i> >= delta_p.
 
     Probe t is at index (cursor + t) % n and reads entry i of one gradient
-    vector, f.gradient(x), so the result is that of probing one partial
-    derivative at a time. With the <f'(x), x> fast path the run is charged one
-    kg per probe, kg_cost = t + 1 (n for a full cycle); without it <f'(x),
-    x> comes from the gradient, and the run is charged n. The oracle
-    validates x.
+    vector g = f.gradient(x), with <f'(x), x> = <g, x>, so the result is that
+    of probing one partial derivative at a time; `tests` = t + 1 is the
+    number of probes. What the run is charged for them is `_run`'s rule.
+    The oracle validates x.
 
     Returns (FoundDirection, cursor advanced past the hit) or, after a full
     failed cycle, (the exact gap at x, `_gap`, as a float, cursor
@@ -145,11 +145,8 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
     if f.n != n:
         raise ValueError(f"objective dimension {f.n} does not match set dimension {n}")
     b = feasible_set.b
-    gx = f.gradient_dot_point(x)
     g = f.gradient(x)
-    full = gx is None
-    if full:
-        gx = float(np.dot(g, x))
+    gx = float(np.dot(g, x))
     descents = gx - b * g
     start = cursor % n
     hit = descents >= delta_p
@@ -157,9 +154,7 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
     if not hit[i]:
         i = int(hit[:start].argmax()) if start else 0
     if hit[i]:
-        t = (i - start) % n
-        cost = n if full else t + 1
-        return FoundDirection(i, float(descents[i]), t + 1, cost), (i + 1) % n
+        return FoundDirection(i, float(descents[i]), (i - start) % n + 1), (i + 1) % n
     return _gap(g, gx, b), cursor
 
 
@@ -251,7 +246,8 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                     tau = lam = min(cfg.tau0, lam / cfg.sigma)
                     failures = 0
                 continue
-            counters.kg += res.kg_cost
+            # the paper's charge of one kg per probe needs a cheap <f'(x), x>
+            counters.kg += res.tests if f.cheap_gradient_dot_point else feasible_set.n
             index, descent, tests = res.index, res.descent, res.tests
         else:
             g = f.gradient(x)

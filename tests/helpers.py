@@ -16,15 +16,16 @@ class CallableObjective(SmoothObjective):
     """Oracle built from plain callables; used to script exact scenarios.
 
     `fn(x) -> float` and `partial_fn(x, i) -> float` must be consistent;
-    the gradient vector is assembled from `partial_fn`, and `gdp_fn(x)` is
-    the optional <f'(x), x> fast path.
+    the gradient vector is assembled from `partial_fn`. `with_fast_path`
+    declares <f'(x), x> cheap (`cheap_gradient_dot_point`), so that a run
+    charges one kg per probe of the inexact direction search.
     """
 
-    def __init__(self, n, fn, partial_fn, gdp_fn=None):
+    def __init__(self, n, fn, partial_fn, with_fast_path=False):
         super().__init__(n)
         self._fn = fn
         self._partial_fn = partial_fn
-        self._gdp_fn = gdp_fn
+        self.cheap_gradient_dot_point = with_fast_path
 
     def _make_state(self, x):
         return {}
@@ -36,9 +37,6 @@ class CallableObjective(SmoothObjective):
         return np.array([self._partial_fn(x, i) for i in range(self.n)],
                         dtype=np.float64)
 
-    def _gradient_dot_point_impl(self, x, state):
-        return None if self._gdp_fn is None else self._gdp_fn(x)
-
 
 class LinearObjective(CallableObjective):
     """f(x) = <g0, x>: constant gradient, handy for hand-checkable cases."""
@@ -49,7 +47,7 @@ class LinearObjective(CallableObjective):
             g0.size,
             fn=lambda x: float(np.dot(g0, x)),
             partial_fn=lambda x, i: float(g0[i]),
-            gdp_fn=(lambda x: float(np.dot(g0, x))) if with_fast_path else None,
+            with_fast_path=with_fast_path,
         )
         self.g0 = g0
 
@@ -61,7 +59,7 @@ class LinearFractionalObjective(CallableObjective):
     f is pseudo-linear, hence pseudo-convex, but not convex in general
     (Mangasarian 1965, "Pseudo-convex functions"): the paper's hypothesis
     class, not only the convex one. Its minimum over a simplex is at a
-    vertex. `with_fast_path` adds the <f'(x), x> fast path.
+    vertex. `with_fast_path` declares <f'(x), x> cheap.
     """
 
     def __init__(self, a, alpha, c, beta, with_fast_path=True):
@@ -76,12 +74,8 @@ class LinearFractionalObjective(CallableObjective):
             N, D = num(x), den(x)
             return float((a[i] * D - N * c[i]) / (D * D))
 
-        def gradient_dot_point(x):
-            N, D = num(x), den(x)
-            return (float(np.dot(a, x)) * D - N * float(np.dot(c, x))) / (D * D)
-
         super().__init__(a.size, fn=lambda x: num(x) / den(x), partial_fn=partial,
-                         gdp_fn=gradient_dot_point if with_fast_path else None)
+                         with_fast_path=with_fast_path)
         self.a, self.alpha, self.c, self.beta = a, alpha, c, beta
 
 
@@ -92,7 +86,7 @@ class ConvexOverAffineObjective(SmoothObjective):
 
     A convex function over a positive affine one is pseudo-convex, and in
     general not convex: <f'(x), x - y> >= (D(y)/D(x)) (f(x) - f(y)) for all
-    x, y where D > 0. `with_fast_path` adds the <f'(x), x> fast path.
+    x, y where D > 0. `with_fast_path` declares <f'(x), x> cheap.
     """
 
     def __init__(self, Q, c, beta, with_fast_path=True):
@@ -102,7 +96,7 @@ class ConvexOverAffineObjective(SmoothObjective):
         super().__init__(c.size)
         self.Q = np.asarray(Q, dtype=np.float64)
         self.c, self.beta = c, beta
-        self.with_fast_path = with_fast_path
+        self.cheap_gradient_dot_point = with_fast_path
 
     def _make_state(self, x):
         qx = self.Q @ x
@@ -115,12 +109,6 @@ class ConvexOverAffineObjective(SmoothObjective):
     def _gradient_impl(self, x, state):
         N, D = state["N"], state["D"]
         return (state["qx"] * D - N * self.c) / (D * D)
-
-    def _gradient_dot_point_impl(self, x, state):
-        if not self.with_fast_path:
-            return None
-        N, D = state["N"], state["D"]
-        return (float(np.dot(state["qx"], x)) * D - N * float(np.dot(self.c, x))) / (D * D)
 
 
 def scalar_objective(fn, dfn):
@@ -168,25 +156,20 @@ def reference_scan(f, feasible_set, x, delta_p, cursor):
     reference its vector scan is compared against (cyclic order, ties and
     NaN), and a drop-in for it.
 
-    The probes are the entries of one `f.gradient(x)`, taken before the
-    loop; probe t reads vertex (cursor + t) % n. With the <f'(x), x> fast
-    path the run is charged t + 1; without it <f'(x), x> comes from the
-    gradient and the run is charged n. A full failed cycle returns the gap,
-    the largest descent, as a float, with the cursor unchanged; it is NaN
-    when some descent is.
+    The probes are the entries of one g = `f.gradient(x)`, taken before the
+    loop, with <f'(x), x> = <g, x>; probe t reads vertex (cursor + t) % n.
+    A full failed cycle returns the gap, the largest descent, as a float,
+    with the cursor unchanged; it is NaN when some descent is.
     """
     n, b = feasible_set.n, feasible_set.b
-    gx = f.gradient_dot_point(x)
     g = f.gradient(x)
-    full = gx is None
-    if full:
-        gx = float(np.dot(g, x))
+    gx = float(np.dot(g, x))
     best = -math.inf
     for t in range(n):
         i = (cursor + t) % n
         descent = gx - b * float(g[i])
         if descent >= delta_p:
-            return FoundDirection(i, descent, t + 1, n if full else t + 1), (i + 1) % n
+            return FoundDirection(i, descent, t + 1), (i + 1) % n
         if math.isnan(descent) or descent > best:  # a NaN gap stays NaN
             best = descent
     return best, cursor

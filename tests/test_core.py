@@ -13,6 +13,7 @@ from condgrad.core import (
     LineSearchError,
     NonFiniteOracleError,
     SimplexSet,
+    SmoothObjective,
     armijo_step,
     as_vector,
     exact_lmo,
@@ -206,6 +207,18 @@ def test_armijo_rejects_a_vertex_index_out_of_range():
     assert f.kf == 0
 
 
+def test_armijo_rejects_a_vertex_index_that_is_not_an_integer():
+    # a bool is an int to Python, and would read the ray of vertex 1
+    f = QuadraticFormObjective(build_phi1_matrix(2))
+    x = _frozen([5.0, 5.0])
+    f_x = f.value(x)  # x is the cached key, so a vertex ray is on offer
+    for i in (True, False, 1.0, np.float64(0.0)):
+        with pytest.raises(ValueError, match="integer"):
+            armijo_step(f, x, i, 10.0, -1.0, 0.5, 0.5, f_x)
+    assert f.kf == 1
+    assert armijo_step(f, x, np.int64(0), 10.0, -1.0, 0.5, 0.5, f_x).trials >= 1
+
+
 def test_armijo_trial_cap_is_an_error():
     # an oracle whose claimed slope is a lie: f grows in every direction from
     # x=1, and f_x=0 keeps the acceptance threshold exactly negative even
@@ -289,16 +302,23 @@ def test_counter_exactness_scripted():
         f.value(x)
     for _ in range(3):
         f.gradient(x)
-    for _ in range(4):
-        f.gradient_dot_point(x)
-    assert f.kf == 5
+    # the uncharged methods, at the cached key
+    key = _frozen(x)
+    f.value(key)
+    for i in range(4):
+        assert f.vertex_ray(key, i, 7.0) is None
+    f.vertex_step(key, 2, 7.0, 0.5)
+    assert f.kf == 6
     assert f.kg == 3 * 7
 
 
-def test_gradient_fast_path_absent_returns_none():
+def test_gradient_fast_path_absent_is_declared_false():
+    # the fast path is a declaration that a run reads, not an oracle call
+    assert SmoothObjective.cheap_gradient_dot_point is False
     f = LinearObjective(np.ones(3), with_fast_path=False)
-    assert f.gradient_dot_point(np.ones(3) * (10.0 / 3.0)) is None
-    assert f.kg == 0
+    assert f.cheap_gradient_dot_point is False
+    assert LinearObjective(np.ones(3)).cheap_gradient_dot_point is True
+    assert not hasattr(f, "gradient_dot_point") and f.kg == 0
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +335,15 @@ def test_step_point_stays_feasible(n, lam, seed):
     D = SimplexSet(n, 10.0)
     x = random_simplex_points(rng, n, 10.0, 1)[0]
     assert D.contains(step_point(x, int(rng.integers(0, n)), D.b, lam))
+
+
+def test_step_point_refuses_a_vertex_index_that_is_not_an_integer():
+    # a bool index is a mask: True would step every entry, off the simplex
+    x = np.array([5.0, 5.0])
+    for i in (True, False, 1.0, np.float64(0.0), np.bool_(True)):
+        with pytest.raises(ValueError, match="integer"):
+            step_point(x, i, 10.0, 0.5)
+    assert step_point(x, np.int64(1), 10.0, 0.5).tolist() == [2.5, 7.5]
 
 
 @pytest.mark.parametrize("n, steps", [(10, 2000), (1000, 2000), (100_000, 300)])
@@ -359,11 +388,11 @@ def _twin(f):
 
 
 def _readings(f, x):
-    return (f.value(x), f.gradient(x), f.gradient_dot_point(x))
+    return (f.value(x), f.gradient(x))
 
 
 def _assert_same_readings(a, b):
-    assert a[0] == b[0] and a[2] == b[2]
+    assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
 
 
@@ -422,7 +451,7 @@ def test_cache_validates_a_read_only_iterate_once(monkeypatch):
     x = _frozen(np.full(6, 10.0 / 6.0))
     f.value(x)
     f.gradient(x)
-    f.gradient_dot_point(x)
+    assert f.vertex_ray(x, 2, 10.0) is not None
     for _ in range(6):
         f.gradient(x)
     assert len(calls) == 1
@@ -443,7 +472,7 @@ def test_cache_still_rejects_bad_input_after_a_cached_call(f):
     with pytest.raises(ValueError):
         f.gradient(x[:5])
     with pytest.raises(ValueError):
-        f.gradient_dot_point(_frozen(np.append(x, 0.0)))
+        f.value(_frozen(np.append(x, 0.0)))
     with pytest.raises(ValueError):
         f.vertex_step(x, 6, 10.0, 0.5)
     assert f.value(_frozen(x)) == f.value(x)
@@ -611,28 +640,29 @@ def test_the_ladder_screen_takes_the_decisions_of_value_minus_margin(theta, beta
 
 
 @pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)
-def test_value_dot_point_and_ray_read_one_memo_in_either_order(f):
+def test_value_gradient_and_ray_read_one_memo_in_either_order(f):
     x = _frozen(10.0 * np.random.default_rng(5).dirichlet(np.ones(f.n)))
 
     def readings(g, order):
-        g.gradient(x)  # x becomes the cached key; the memo is left empty
+        # the first call makes x the cached key, with an empty memo
         out = {}
         for name in order:
             if name == "value":
                 out[name] = g.value(x)
-            elif name == "dot":
-                out[name] = g.gradient_dot_point(x)
+            elif name == "gradient":
+                out[name] = tuple(g.gradient(x))
             else:
                 out[name] = tuple(g.vertex_ray(x, 2, 10.0))
         return repr(sorted(out.items()))
 
-    first = readings(f, ("value", "dot", "ray"))
-    assert readings(_twin(f), ("ray", "dot", "value")) == first
-    assert readings(_twin(f), ("dot", "ray", "value")) == first
+    first = readings(f, ("value", "gradient", "ray"))
+    assert readings(_twin(f), ("gradient", "ray", "value")) == first
+    assert readings(_twin(f), ("value", "ray", "gradient")) == first
+    assert readings(_twin(f), ("gradient", "value", "ray")) == first
     # and a fresh evaluation, from an untrusted copy, gives the same bits
     fresh = _twin(f)
-    assert repr((fresh.value(x.copy()), fresh.gradient_dot_point(x.copy()))) == \
-        repr((f.value(x), f.gradient_dot_point(x)))
+    assert repr((fresh.value(x.copy()), tuple(fresh.gradient(x.copy())))) == \
+        repr((f.value(x), tuple(f.gradient(x))))
 
 
 @pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)

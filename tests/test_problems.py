@@ -192,7 +192,7 @@ def test_gradient_bits_do_not_depend_on_call_order():
             first = make_objective(spec).gradient(x)
             after = make_objective(spec)
             after.value(x)
-            after.gradient_dot_point(x)
+            after.vertex_ray(x, 0, spec.b)
             assert after.gradient(x).tobytes() == first.tobytes()
 
 
@@ -206,18 +206,15 @@ def test_objective_call_accounting():
         assert (obj.kf, obj.kg) == (1, spec.n)
         obj.gradient(x)
         assert (obj.kf, obj.kg) == (1, 2 * spec.n)
-        assert obj.gradient_dot_point(x) is not None
-        assert (obj.kf, obj.kg) == (1, 2 * spec.n)
-
-
-def test_gradient_dot_point_consistency():
-    rng = np.random.default_rng(5)
-    for spec in ALL_SPECS:
-        obj = make_objective(spec)
-        for x in random_simplex_points(rng, spec.n, spec.b, 100):
-            ref = float(np.dot(obj.gradient(x), x))
-            fast = obj.gradient_dot_point(x)
-            assert abs(fast - ref) <= 1e-9 * (1.0 + abs(ref))
+        # the uncharged methods, at a cached key
+        key = x.copy()
+        key.setflags(write=False)
+        obj.value(key)
+        assert obj.vertex_ray(key, 0, spec.b) is not None
+        obj.vertex_step(key, 0, spec.b, 0.5)
+        assert (obj.kf, obj.kg) == (2, 2 * spec.n)
+        # <f'(x), x> is declared cheap, a charge rule without an oracle call
+        assert obj.cheap_gradient_dot_point and not hasattr(obj, "gradient_dot_point")
 
 
 def test_convexity_witness():

@@ -7,11 +7,12 @@ method must keep its counter identities and every traced iterate feasible;
 a converged run must certify its gap by brute force; Armijo methods must
 descend monotonically; and cgmil's fixed step from a valid Lipschitz bound
 must never violate its sufficient-decrease inequality. The same holds on
-objectives without the <f'(x), x> fast path, and the inexact methods give
-the same runs, bit for bit, when each partial is probed one by one (the
+objectives that do not declare <f'(x), x> cheap, which are charged n kg per
+direction search instead of one per probe. Every run reports the gap
+<g, x> - b min g, with g = f'(x) at the reported x, and the inexact methods
+give the same runs, bit for bit, when each partial is probed one by one (the
 reference scan of the tests' helpers) instead of read from one gradient
-vector. With an optional
-barrier whose denominator comes close to 0 on the simplex, every step size
+vector. With an optional barrier whose denominator comes close to 0 on the simplex, every step size
 an Armijo search skipped, evaluated or not, must fail its test. On
 linear-fractional objectives, pseudo-convex but not convex, the methods
 converge within the bound that pseudo-linearity gives on f - f*, and descend;
@@ -161,7 +162,16 @@ def check_invariants(method, rep, steps, points, f, D, eps):
         assert c.kf == c.it
     if method == "cgmil":
         assert c.kf == 0
+    if method in ("cgmi", "cgmis", "cgmil"):
+        # n for delta0 and for each restart, and per search one kg a probe
+        # with a cheap <f'(x), x>, n without
+        searches = [s.tests if f.cheap_gradient_dot_point else n for s in steps]
+        assert c.kg == n * (1 + c.restarts) + sum(searches)
     assert len(steps) == c.it
+
+    # one gap for every method, from the gradient at the reported x
+    g = f.gradient(rep.x)
+    assert repr(rep.gap) == repr(solvers._gap(g, float(np.dot(g, rep.x)), D.b))
 
     # every iterate, from x0 to rep.x
     for x in points:
@@ -179,7 +189,7 @@ def check_invariants(method, rep, steps, points, f, D, eps):
 
 
 def no_gradient_dot_point(f):
-    f._gradient_dot_point_impl = lambda x, state: None
+    f.cheap_gradient_dot_point = False
 
 
 @pytest.mark.parametrize("method", list(SOLVERS))
@@ -227,7 +237,7 @@ def test_paper_invariants_without_the_gradient_dot_point_fast_path(method, inst)
     check_invariants(method, rep, steps, points, f, D, eps)
     # every direction search then takes one full gradient, n kg
     assert rep.counters.kg % D.n == 0
-    assert f.gradient_dot_point(rep.x) is None
+    assert not f.cheap_gradient_dot_point and type(f).cheap_gradient_dot_point
 
 
 def check_skipped_steps(method, inst, twin=None):

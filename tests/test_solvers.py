@@ -246,10 +246,10 @@ def test_inexact_direction_hand_example():
     assert isinstance(res, FoundDirection)
     assert res.index == 1
     assert res.descent == pytest.approx(70.0 / 3.0, rel=1e-14)
-    assert res.tests == 2 and res.kg_cost == 2
+    assert res == (1, res.descent, 2)  # two probes
     assert cursor == 2
-    # the run is charged the two probes; they are read from one gradient,
-    # which the objective counts as n kg
+    # the probes are read from one gradient, which the objective counts as
+    # n kg; what the run is charged for them is the solvers' rule
     assert obj.kg == 3
 
 
@@ -276,10 +276,38 @@ def test_inexact_direction_fallback_without_fast_path():
     D = SimplexSet(3, 10.0)
     x = (10.0 / 3.0) * np.ones(3)
     res, cursor = inexact_direction(obj, D, x, 1.0, 0)
-    assert isinstance(res, FoundDirection)
-    assert res.index == 1 and res.kg_cost == 3  # one full gradient
+    # the declaration changes no bit of the scan, only the run's charge
+    assert (res, cursor) == inexact_direction(_third_point()[0], D, x, 1.0, 0)
+    assert res.index == 1 and res.tests == 2
     assert obj.kg == 3
     assert cursor == 2
+
+
+@pytest.mark.parametrize("method", ["cgmi", "cgmis", "cgmil"])
+def test_the_probe_charge_follows_the_declaration(method):
+    spec = ProblemSpec(series=2, n=12)
+    runs = []
+    for cheap in (True, False):
+        obj, D, x0 = build_instance(spec)
+        obj.cheap_gradient_dot_point = cheap
+        trace = []
+        cfg = SolverConfig(eps=0.01, max_iterations=3000)
+        if method == "cgmil":
+            rep = solve_cgmil(obj, D, cfg, x0, lipschitz_upper_bound(spec, D), trace=trace)
+        else:
+            rep = SOLVERS[method](obj, D, cfg, x0, trace=trace)
+        runs.append((rep, trace))
+    (a, steps_a), (b, steps_b) = runs
+    assert repr((a.f, a.gap, steps_a, a.stages)) == repr((b.f, b.gap, steps_b, b.stages))
+    assert a.x.tobytes() == b.x.tobytes()
+    assert (a.counters.it, a.counters.kf, a.counters.restarts) == \
+        (b.counters.it, b.counters.kf, b.counters.restarts)
+    # n for delta0 and per restart; per search its probes when <f'(x), x>
+    # is declared cheap, and n otherwise
+    n, c = spec.n, b.counters
+    assert a.counters.kg == n * (1 + c.restarts) + sum(s.tests for s in steps_a)
+    assert c.kg == n * (1 + c.restarts + c.it)
+    assert a.counters.kg < c.kg
 
 
 def test_inexact_direction_rejects_bad_tolerance():
@@ -295,72 +323,69 @@ def test_inexact_direction_rejects_a_dimension_mismatch():
         inexact_direction(obj, SimplexSet(4, 10.0), np.full(3, 2.5), 1.0, 0)
 
 
-def _scripted_scan(scan, gx, g, delta_p, cursor):
-    """`scan` (inexact_direction or reference_scan) with <f'(x), x> = gx and
-    f'(x) = g; the fields that describe its result, and the objective's
-    raw kg. A full failed cycle returns a float, the gap, and takes n
-    probes; gaps compare by value (-0.0 equals 0.0), and a NaN gap reads
-    "nan"."""
+def _scripted_scan(scan, g, delta_p, cursor, x=None):
+    """`scan` (inexact_direction or reference_scan) with f'(x) = g at x (the
+    barycenter by default); the fields that describe its result, and the
+    objective's raw kg. A full failed cycle returns a float, the gap, and
+    takes n probes; gaps compare by value (-0.0 equals 0.0), and a NaN gap
+    reads "nan"."""
     g = np.asarray(g, dtype=np.float64)
-    f = CallableObjective(g.size, fn=lambda x: 0.0, partial_fn=lambda x, i: g[i],
-                          gdp_fn=lambda x: gx)
+    f = CallableObjective(g.size, fn=lambda x: 0.0, partial_fn=lambda x, i: g[i])
     D = SimplexSet(g.size, 10.0)
     with np.errstate(all="ignore"):
-        res, cursor = scan(f, D, D.barycenter(), delta_p, cursor)
+        res, cursor = scan(f, D, D.barycenter() if x is None else x, delta_p, cursor)
     if isinstance(res, FoundDirection):
-        fields = (type(res).__name__, res.index, repr(res.descent), res.tests,
-                  res.kg_cost, cursor, None)
+        fields = (type(res).__name__, res.index, repr(res.descent), res.tests, cursor, None)
     else:
         gap = "nan" if math.isnan(res) else res
-        fields = (type(res).__name__, None, None, g.size, g.size, cursor, gap)
+        fields = (type(res).__name__, None, None, g.size, cursor, gap)
     return fields, f.kg
 
 
 def _scan_cases():
-    """(gx, g, delta_p, cursor): random gradients, then adversarial ones."""
+    """(g, delta_p, cursor, x): random gradients at random points, then
+    adversarial ones. The descents are <g, x> - b g_i, so one NaN in
+    <g, x> makes them all NaN."""
     rng = np.random.default_rng(11)
     cases = []
     for n in (1, 2, 5, 13):
         for _ in range(25):
-            g = rng.standard_normal(n)
-            gx = float(rng.standard_normal())
-            cases.append((gx, g, float(rng.uniform(0.5, 15.0)),
-                          int(rng.integers(-2 * n, 3 * n))))
+            cases.append((rng.standard_normal(n), float(rng.uniform(0.5, 15.0)),
+                          int(rng.integers(-2 * n, 3 * n)), 10.0 * rng.dirichlet(np.ones(n))))
     nan, inf = math.nan, math.inf
     for cursor in (0, 1, 2, 3, 4, 5, 9, -1, -5):
         cases += [
-            (1.0, [nan, 0.1, nan, -0.2], 2.0, cursor),       # a hit past NaNs
-            (1.0, [nan, 0.1, nan, -0.2], 50.0, cursor),      # a NaN gap
-            (1.0, [inf, -inf, 0.3, 0.0], 2.0, cursor),
-            (1.0, [inf, nan, inf, inf], 2.0, cursor),        # NaN and -inf descents
-            (1.0, [inf, inf, inf, inf], 2.0, cursor),        # gap -inf
-            (inf, [inf, 1.0, -1.0, 0.0], 2.0, cursor),       # NaN and inf descents
-            (nan, [0.0, 1.0, -1.0, 0.0], 2.0, cursor),       # all NaN
-            (-0.0, [0.0, -0.0, 0.0, 1.0], 1.0, cursor),      # -0.0 and +0.0 tie
-            (0.0, [-0.0, 0.0, -0.0, 1.0], 1.0, cursor),
-            (1.0, [0.5, 0.5, 0.5, 0.5], 1.0, cursor),        # all equal, exhausted
-            (20.0, [1.0, 1.0, 1.0, 1.0], 1.0, cursor),       # all equal hits
-            (1.0, [0.0, 0.0, -1.0, 0.0], 5.0, cursor),       # one hit, at 2
+            ([nan, 0.1, nan, -0.2], 2.0, cursor, None),        # a NaN partial: all NaN
+            ([inf, -inf, 0.3, 0.0], 2.0, cursor, None),        # <g, x> NaN: all NaN
+            ([inf, 1.0, -1.0, 0.0], 2.0, cursor, None),        # NaN and inf descents
+            ([inf, 1.0, -1.0, 0.0], 2.0, cursor, [0.0, 0.0, 5.0, 5.0]),  # inf * 0: all NaN
+            ([-inf, 1.0, -1.0, 0.0], 2.0, cursor, None),       # NaN and -inf descents
+            ([1e308, 1.0, -1.0, 0.0], 2.0, cursor, None),      # <g, x> overflows
+            ([0.5, 0.5, 0.5, 0.5], 1.0, cursor, None),         # all equal, exhausted
+            ([1.0, 1.0, 1.0, 1.0, 5.0], 1.0, cursor, None),    # four equal hits
+            ([0.0, 0.0, -1.0, 0.0], 5.0, cursor, None),        # one hit, at 2
+            ([0.0, -0.0, 0.0, 0.0], 1.0, cursor, [0.0, 0.0, 0.0, 10.0]),  # +0.0 and -0.0
         ]
-    cases += [(1.0, [-1.0], 2.0, c) for c in (0, 1, 7, -3)]   # n = 1, a hit
-    cases += [(1.0, [1.0], 2.0, c) for c in (0, 1, 7, -3)]    # n = 1, exhausted
-    cases += [(-0.0, [0.0], 2.0, 0), (0.0, [-0.0], 2.0, 3), (nan, [1.0], 1.0, 0)]
+    # n = 1: x = b e_0, so every descent is 0 or NaN and every cycle exhausted
+    cases += [([v], 2.0, c, None) for v in (-1.0, 1.0, 0.0, -0.0, nan, inf) for c in (0, 1, 7, -3)]
     return cases
 
 
 def test_reading_partials_from_a_vector_matches_probing_them_one_by_one():
     kinds = set()
-    for gx, g, delta_p, cursor in _scan_cases():
-        by_vector, raw_kg = _scripted_scan(inexact_direction, gx, g, delta_p, cursor)
-        by_probe, probe_kg = _scripted_scan(reference_scan, gx, g, delta_p, cursor)
-        assert by_vector == by_probe, (gx, g, delta_p, cursor)
-        # the objective counts one gradient per scan, whatever it charges
+    for g, delta_p, cursor, x in _scan_cases():
+        by_vector, raw_kg = _scripted_scan(inexact_direction, g, delta_p, cursor, x)
+        by_probe, probe_kg = _scripted_scan(reference_scan, g, delta_p, cursor, x)
+        assert by_vector == by_probe, (g, delta_p, cursor, x)
+        # the objective counts one gradient per scan, whatever the run is charged
         assert raw_kg == probe_kg == len(g)
         if by_vector[0] == "float":
             # an exhausted cycle's gap is NaN exactly when some descent is
+            g = np.asarray(g)
+            point = SimplexSet(g.size, 10.0).barycenter() if x is None else np.asarray(x)
             with np.errstate(all="ignore"):
-                nan_descent = bool(np.isnan(gx - 10.0 * np.asarray(g)).any())
-            assert (by_vector[6] == "nan") == nan_descent
+                nan_descent = bool(np.isnan(float(np.dot(g, point)) - 10.0 * g).any())
+            assert (by_vector[5] == "nan") == nan_descent
         kinds.add(by_vector[0])
     assert kinds == {"FoundDirection", "float"}
 
@@ -369,20 +394,20 @@ def test_reading_partials_from_a_vector_matches_probing_them_one_by_one():
                          ids=["vector", "probes"])
 def test_inexact_scan_wraps_around_and_breaks_ties_in_cyclic_order(scan):
     # the only hit is just before the cursor: found on the last probe
-    (kind, index, _, tests, kg_cost, cursor, _), _ = _scripted_scan(
-        scan, 1.0, [0.0, 0.0, -1.0, 0.0], 5.0, 3)
-    assert (kind, index, tests, kg_cost, cursor) == ("FoundDirection", 2, 4, 4, 3)
-    # equal hits: the first in cyclic order from the cursor wins, and a
-    # cursor outside [0, n) probes (cursor + t) % n
-    for cursor, expected in ((0, 0), (2, 2), (5, 1), (-1, 3)):
-        (kind, index, _, tests, _, _, _), _ = _scripted_scan(
-            scan, 20.0, [1.0, 1.0, 1.0, 1.0], 1.0, cursor)
-        assert (kind, index, tests) == ("FoundDirection", expected, 1)
-    # tied +0.0 and -0.0 maxima of an exhausted cycle: the gap is zero
-    # whatever the cursor, which comes back unchanged, even when out of range
+    (kind, index, _, tests, cursor, _), _ = _scripted_scan(
+        scan, [0.0, 0.0, -1.0, 0.0], 5.0, 3)
+    assert (kind, index, tests, cursor) == ("FoundDirection", 2, 4, 3)
+    # equal hits at 0..3: the first in cyclic order from the cursor wins, and
+    # a cursor outside [0, n) probes (cursor + t) % n
+    for cursor, expected, probes in ((0, 0, 1), (2, 2, 1), (4, 0, 2), (6, 1, 1), (-2, 3, 1)):
+        (kind, index, _, tests, _, _), _ = _scripted_scan(
+            scan, [1.0, 1.0, 1.0, 1.0, 5.0], 1.0, cursor)
+        assert (kind, index, tests) == ("FoundDirection", expected, probes)
+    # an exhausted cycle at a vertex with +0.0 and -0.0 partials: the gap is
+    # zero whatever the cursor, which comes back unchanged, even when out of range
     for cursor in (0, 1, 2, 3, 9):
-        (kind, _, _, tests, _, back, got), _ = _scripted_scan(
-            scan, -0.0, [0.0, -0.0, 0.0, 1.0], 1.0, cursor)
+        (kind, _, _, tests, back, got), _ = _scripted_scan(
+            scan, [0.0, -0.0, 0.0, 0.0], 1.0, cursor, [0.0, 0.0, 0.0, 10.0])
         assert (kind, tests, back, got) == ("float", 4, cursor, 0.0)
 
 
@@ -640,7 +665,7 @@ def _finite_only_at(x0, g0):
         x0.size,
         fn=lambda x: float(np.dot(g0, x)) if at0(x) else math.nan,
         partial_fn=lambda x, i: float(g0[i]) if at0(x) else math.nan,
-        gdp_fn=lambda x: float(np.dot(g0, x)) if at0(x) else math.nan,
+        with_fast_path=True,
     )
 
 
@@ -672,14 +697,15 @@ def test_no_report_with_non_finite_f_or_gap(name, fn, extra):
 @pytest.mark.parametrize("delta0", [None, 1.0], ids=["default-delta0", "delta0"])
 @pytest.mark.parametrize("name,fn,extra", FIVE_METHODS[2:])
 def test_a_nan_partial_stops_an_inexact_run(name, fn, extra, delta0):
-    # f = <a, x> with partial 0 NaN and a finite <f'(x), x>: a cycle that
-    # skipped the NaN would certify the vertex 10 e_1 (f = 20, while f* = 10)
+    # f = <a, x> with partial 0 NaN, which makes <f'(x), x> NaN: a cycle
+    # that skipped the NaN would certify the vertex 10 e_1 (f = 20, while
+    # f* = 10)
     a = np.array([1.0, 2.0, 3.0, 4.0])
     obj = CallableObjective(
         4,
         fn=lambda x: float(np.dot(a, x)),
         partial_fn=lambda x, i: math.nan if i == 0 else float(a[i]),
-        gdp_fn=lambda x: float(np.dot(a, x)),
+        with_fast_path=True,
     )
     D = SimplexSet(4, 10.0)
     with pytest.raises(NonFiniteOracleError) as info:
@@ -699,7 +725,7 @@ def test_non_finite_seed_value_is_a_typed_error(name, fn, extra):
         3,
         fn=lambda x: math.nan if at0(x) else float(np.dot(a, x) + 0.5 * np.dot(x, x)),
         partial_fn=lambda x, i: float(a[i] + x[i]),
-        gdp_fn=lambda x: float(np.dot(a + x, x)),
+        with_fast_path=True,
     )
     kw = {"check_descent": True} if name == "cgmil" else {}
     with pytest.raises(NonFiniteOracleError) as info:
@@ -750,11 +776,9 @@ def test_one_vertex_simplex_converges_at_its_only_point(name, fn, extra, delta0,
     assert rep.status is Status.CONVERGED
     assert rep.counters.it == 0 and rep.counters.restarts == 0
     assert rep.x.tobytes() == x0.tobytes() == np.array([D.b]).tobytes()
-    # the gap at the only point is zero up to the rounding of its two terms
-    # (an inexact run with an explicit delta0 reads <f'(x), x> from the fast
-    # path, which differs from g_0 b in the last bits on series 2)
-    g = obj.gradient(rep.x)
-    assert abs(rep.gap) <= 1e-12 * abs(float(g[0]) * D.b)
+    # every method's gap is <g, x> - b min g, which at the only point x = b e_0
+    # is g_0 b - b g_0: zero exactly, not a rounding of zero
+    assert repr(rep.gap) == "0.0"
     assert rep.f == obj.value(rep.x)
 
 

@@ -10,7 +10,7 @@ import types
 from pathlib import Path
 
 import condgrad
-from condgrad import core, oracle, solvers
+from condgrad import core, oracle, problems, solvers
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,10 +48,23 @@ def test_the_oracle_module_defines_only_the_brute_force_gap():
 def test_the_objective_offers_one_channel_per_oracle():
     public = {name for name, value in vars(core.SmoothObjective).items()
               if not name.startswith("_") and callable(value)}
-    assert public == {"value", "gradient", "gradient_dot_point", "vertex_step", "vertex_ray"}
-    # one cache lookup, and no caller-built step or single-entry derivative
-    for name in ("_is_vertex_step", "_vector", "_state_at", "follow_vertex_step", "partial"):
+    assert public == {"value", "gradient", "vertex_step", "vertex_ray"}
+    # one cache lookup, and no caller-built step, single-entry derivative or
+    # second formula for <f'(x), x>
+    for name in ("_is_vertex_step", "_vector", "_state_at", "follow_vertex_step", "partial",
+                 "gradient_dot_point", "_gradient_dot_point_impl"):
         assert not hasattr(core, name) and not hasattr(core.SmoothObjective, name), name
+    for cls in (problems._MatrixObjective, problems.QuadraticFormObjective,
+                problems.LeastSquaresObjective):
+        assert not any(hasattr(cls, name) for name in
+                       ("_quad_dot_point", "_gradient_dot_point_impl")), cls
+    # a cheap <f'(x), x> is declared, for the run's charge rule: off by
+    # default, on for both benchmark objectives
+    assert core.SmoothObjective.cheap_gradient_dot_point is False
+    assert problems._MatrixObjective.cheap_gradient_dot_point is True
+    assert "cheap_gradient_dot_point" not in vars(problems.QuadraticFormObjective)
+    assert "cheap_gradient_dot_point" not in vars(problems.LeastSquaresObjective)
+    assert solvers.FoundDirection._fields == ("index", "descent", "tests")
     # the ray's closed form is a test reference, not library code
     assert not hasattr(core.VertexRay, "value")
 
