@@ -76,9 +76,17 @@ class Status(str, Enum):
     ERROR = "Error"
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def as_vector(x, n: Optional[int] = None) -> np.ndarray:
-    """Validate `x` as a finite 1-d float64 vector, optionally of length `n`."""
-    v = np.asarray(x, dtype=np.float64)
+    """Validate `x` as a finite 1-d float64 vector, optionally of length `n`;
+    as `_is_real` does, refuses a dtype other than integer or floating."""
+    v = np.asarray(x)
+    if v.dtype != _FLOAT64:  # a float64 array is taken as it is
+        if v.dtype.kind not in "iuf":
+            raise ValueError(f"expected a vector of real numbers, got dtype {v.dtype}")
+        v = v.astype(np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got array of shape {v.shape}")
     if n is not None and v.shape[0] != n:
@@ -327,28 +335,15 @@ class Counters:
 
 
 @dataclass(frozen=True)
-class StageRecord:
-    """One tolerance stage of a restarted solver: its tolerance, iteration
-    count, the exact gap certified when the stage ended by exhaustion (None
-    if the run was capped mid-stage), and its end point. Stage p is
-    `report.stages[p - 1]`."""
-
-    delta: float
-    iterations: int
-    exit_gap: Optional[float]
-    end_point: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solver run."""
+    """Outcome of one solver run, which ended in stage `counters.restarts +
+    1`; its steps and stages are in its trace (`condgrad.solvers.StepRecord`)."""
 
     x: np.ndarray
     f: float
     gap: float
     counters: Counters
     status: Status
-    stages: Optional[list] = None
 
 
 def exact_lmo(gradient, feasible_set: SimplexSet) -> int:

@@ -226,18 +226,18 @@ def _trace_cell(v) -> str:
 def write_trace_csv(report, steps: list, destination) -> None:
     """Write per-iterate records (it+1 of them, the terminal point
     included) to the file at `destination`: columns k, lam, f, mu, stage,
-    delta_p; unknown values stay empty. `steps` is the run's trace list;
-    the terminal record's stage is the run's last, or 1 for a run without
-    stages."""
+    delta_p; unknown values stay empty. `steps` is the run's trace list.
+    `mu` is each step's `StepRecord.mu` and the terminal record's certified
+    gap; the terminal stage is `report.counters.restarts + 1`, and its
+    `delta_p` the last step's (empty when the run took no step)."""
     lines = [TRACE_HEADER]
     for k, s in enumerate(steps):
         lines.append(",".join([
             str(k), _trace_cell(s.lam), _trace_cell(s.f_before),
             _trace_cell(s.mu), str(s.stage), _trace_cell(s.delta)]))
-    stages = report.stages or ()
     lines.append(",".join([
         str(report.counters.it), "", _trace_cell(report.f), _trace_cell(report.gap),
-        str(len(stages) or 1), _trace_cell(stages[-1].delta if stages else math.nan)]))
+        str(report.counters.restarts + 1), _trace_cell(steps[-1].delta if steps else None)]))
     Path(destination).write_text("\n".join(lines) + "\n")
 
 

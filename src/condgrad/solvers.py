@@ -10,6 +10,9 @@ it with a convex combination) in `_run`, with two independent choices:
   solve_cgmil  inexact cyclic search + restarts   fixed, from a Lipschitz bound
   solve_cgmis  inexact cyclic search + restarts   adaptive, no line search
 
+A `trace` list, when given, gets one `StepRecord` per iteration: the run's
+one record of its steps and tolerance stages.
+
 Reported counters measure the per-step oracle cost of a run: the one-time
 seed evaluation of f(x0) and the terminal certification that stops the run
 are not charged, while the full gradient consumed by the default stage
@@ -38,7 +41,6 @@ from .core import (
     SimplexSet,
     SmoothObjective,
     SolveReport,
-    StageRecord,
     Status,
     _is_integer,
     _is_real,
@@ -95,10 +97,14 @@ class SolverConfig:
 class StepRecord:
     """One iteration, as appended to a solver's `trace` list: iteration k is
     the record at index k, and f from x0 to the end is `[s.f_before for s in
-    trace] + [report.f]`.
+    trace] + [report.f]`. Stage p ran the records with `stage == p`.
 
-    `delta`, `mu` and `f_before` are NaN where the solver did not know them;
-    `accepted` is None for line-search methods, otherwise the outcome of the
+    `mu` is the exact gap at the step's start where the run computed it: at
+    every cgm and cgms step, and for an inexact method at the first step
+    after the default delta0 rule's gap at x0 or after the failed cycle that
+    closed the previous stage (then mu < delta / nu). `delta`, `mu` and
+    `f_before` are NaN where the solver did not know them; `accepted` is
+    None for line-search methods, otherwise the outcome of the
     sufficient-decrease test; `tests` is the number of vertices probed by the
     inexact direction search (0 for exact-oracle methods).
     """
@@ -196,8 +202,8 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
     fx = f.value(x) if step != "fixed" or check_descent else None
     if fx is not None and not math.isfinite(fx):
         raise NonFiniteOracleError(f"non-finite objective value f(x0) = {fx}", point=x)
-    status, stages = None, None
-    stage, delta, cursor, iterations = 1, math.nan, 0, 0
+    status, mu = None, math.nan  # mu: the exact gap at x, NaN until computed
+    stage, delta, cursor = 1, math.nan, 0
     if inexact:
         # the default rule spends one full gradient at x0 and charges it;
         # an explicit delta0 costs nothing
@@ -205,13 +211,12 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
         if delta0 is None:
             counters.kg += feasible_set.n
             g = f.gradient(x)
-            mu0 = _gap(g, float(np.dot(g, x)), feasible_set.b)
-            if not math.isfinite(mu0):
-                raise NonFiniteOracleError(f"non-finite gap at x0: {mu0}", point=x)
-            if mu0 <= cfg.eps:  # the start is already good enough: skip the loop
-                status, mu = Status.CONVERGED, mu0
-            delta0 = max(cfg.eps, cfg.nu * mu0)
-        stages = []
+            mu = _gap(g, float(np.dot(g, x)), feasible_set.b)
+            if not math.isfinite(mu):
+                raise NonFiniteOracleError(f"non-finite gap at x0: {mu}", point=x)
+            if mu <= cfg.eps:  # the start is already good enough: skip the loop
+                status = Status.CONVERGED
+            delta0 = max(cfg.eps, cfg.nu * mu)
         delta = cfg.nu ** stage * delta0
     # adaptive step: ceiling tau, step lam = tau * sigma**failures
     tau = lam = cfg.tau0
@@ -222,7 +227,6 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                 # exact gap from one full gradient; reporting-only, never charged
                 g = f.gradient(x)
                 status, mu = Status.ITERATION_CAP, _gap(g, float(np.dot(g, x)), feasible_set.b)
-                stages.append(StageRecord(delta, iterations, None, x))
                 break
             res, cursor = inexact_direction(f, feasible_set, x, delta, cursor)
             if isinstance(res, float):  # a full failed cycle certified the gap
@@ -230,7 +234,6 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                 if not math.isfinite(mu):
                     raise NonFiniteOracleError(
                         f"non-finite gap after {counters.it} iterations: {mu}", point=x)
-                stages.append(StageRecord(delta, iterations, mu, x))
                 if mu <= cfg.eps:
                     status = Status.CONVERGED  # terminal certification; not charged
                     break
@@ -240,7 +243,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                     raise StageLimitError(
                         f"no convergence after {MAX_STAGES} stages "
                         f"(gap {mu}, tolerance {delta})")
-                stage, iterations = stage + 1, 0
+                stage += 1
                 delta = cfg.nu ** stage * delta0
                 if step == "adaptive":  # restart ceiling, see solve_cgmis
                     tau = lam = min(cfg.tau0, lam / cfg.sigma)
@@ -294,10 +297,9 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                 stage=stage, delta=delta, lam=lam, trials=trials,
                 f_before=fx if fx is not None else math.nan,
                 dir_derivative=-descent, vertex=index, accepted=accepted,
-                mu=math.nan if inexact else mu, tests=tests))
-        x, fx = x_new, f_new
+                mu=mu, tests=tests))
+        x, fx, mu = x_new, f_new, math.nan  # the gap at x_new is not known yet
         counters.it += 1
-        iterations += 1
         if accepted is False:
             failures += 1
             lam = tau * cfg.sigma ** failures
@@ -308,8 +310,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
         raise NonFiniteOracleError(
             f"non-finite result after {counters.it} iterations: "
             f"f = {final_f}, gap = {mu}", point=x)
-    return SolveReport(x=x, f=final_f, gap=mu, counters=counters, status=status,
-                       stages=stages)
+    return SolveReport(x=x, f=final_f, gap=mu, counters=counters, status=status)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ class CellOutcome:
     method: str
     row: object
     f_history: list
-    stages: Optional[list]
     final_x: np.ndarray
     max_mass_dev: float
     min_coord: float
@@ -49,7 +48,7 @@ def grid(request):
                          for k, s in enumerate(steps)]
             outcomes[(spec.series, spec.rows, spec.n, method)] = CellOutcome(
                 spec=spec, method=method, row=row,
-                f_history=h, stages=report.stages,
+                f_history=h,
                 final_x=report.x, max_mass_dev=mass_dev,
                 min_coord=min_coord, light_steps=light)
     elapsed = time.perf_counter() - started

@@ -151,6 +151,28 @@ def iterates(x0, steps, b, method, report):
     return points
 
 
+def stages(steps, report):
+    """Tolerance stages p = 1 .. restarts + 1 of a traced inexact run,
+    rebuilt from the trace as (iterations, exit gap, stop): stage p ran
+    steps[stop - iterations:stop] and ended at iterate `stop` (a replay by
+    `iterates`). Its exit gap is the exact gap that the failed cycle closing
+    it certified there: the `mu` of the next step, or the reported gap when
+    no step follows; None for a stage that the iteration cap ended."""
+    stops = [0] * (report.counters.restarts + 1)
+    for k, s in enumerate(steps):
+        stops[s.stage - 1] = k + 1
+    out, start = [], 0
+    for p, stop in enumerate(stops, 1):
+        stop = max(stop, start)  # a stage without steps ends where it began
+        if p == len(stops) and report.status is Status.ITERATION_CAP:
+            exit_gap = None
+        else:
+            exit_gap = steps[stop].mu if stop < len(steps) else report.gap
+        out.append((stop - start, exit_gap, stop))
+        start = stop
+    return out
+
+
 def reference_scan(f, feasible_set, x, delta_p, cursor):
     """`condgrad.solvers.inexact_direction` as a loop over the probes: the
     reference its vector scan is compared against (cyclic order, ties and

@@ -3,7 +3,7 @@
 The default benchmark grid (4 series x 5 sizes x 4 methods, eps = 0.1,
 b = 10, beta = theta = 0.5, sigma = 0.9, nu = 0.5, barycenter start) is run
 once in a session fixture with full iterate recording; the criteria then
-interrogate the collected rows, histories, stages, and feasibility extremes.
+interrogate the collected rows, histories, traces, and feasibility extremes.
 """
 
 import math
@@ -22,7 +22,7 @@ from condgrad.problems import (
 )
 from condgrad.solvers import SolverConfig, solve_cgmil
 
-from helpers import fd_gradient, iterates, random_simplex_points, reference_fstar
+from helpers import fd_gradient, iterates, random_simplex_points, reference_fstar, stages
 
 EPS = 0.1
 
@@ -164,11 +164,14 @@ def test_criterion_08_fixed_step_complexity_bound():
         for delta0 in (1.0, mu0 / 2.0):
             obj, _, _ = build_instance(spec)
             cfg = SolverConfig(beta=beta, nu=nu, eps=EPS, delta0=delta0)
-            rep = solve_cgmil(obj, D, cfg, x0, L)
+            steps = []
+            rep = solve_cgmil(obj, D, cfg, x0, L, trace=steps)
             assert rep.status is Status.CONVERGED
+            points = iterates(x0, steps, spec.b, "cgmil", rep)
             probe = make_objective(spec)
-            measured = sum(s.iterations for s in rep.stages
-                           if probe.value(s.end_point) - fstar >= EPS)
+            # the iterations of every stage that ends above f* + eps
+            measured = sum(iterations for iterations, _, stop in stages(steps, rep)
+                           if probe.value(points[stop]) - fstar >= EPS)
             c1 = rho2 * L / (2.0 * beta * (1.0 - beta) * delta0)
             bound = c1 * nu * ((delta0 / EPS) - 1.0) / (1.0 - nu)
             assert measured <= bound, \

@@ -95,6 +95,13 @@ def test_as_vector_rejects_bad_input():
         as_vector([1.0, np.nan])
     with pytest.raises(ValueError):
         as_vector([1.0, 2.0], n=3)
+    # entries that are not integer or floating reals: strings would parse,
+    # a complex part would drop with only a warning, bools would count as 0/1
+    for bad in (["5", "5"], np.array([5 + 1j, 5.0]), [True, False], [1.0, None],
+                np.array([1.0, 2.0], dtype=object)):
+        with pytest.raises(ValueError, match="real numbers"):
+            as_vector(bad)
+    assert as_vector(np.array([1, 2], dtype=np.int32)).dtype == np.float64
 
 
 def test_as_vector_accepts_a_finite_vector_whose_sum_overflows():

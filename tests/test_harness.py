@@ -210,9 +210,17 @@ def test_cli_trace_of_an_inexact_method_follows_its_stages(tmp_path, capsys):
             assert next_delta == delta * nu ** (next_stage - stage)
         else:
             assert next_delta == delta
-    _, report = run_single(ProblemSpec(series=2, n=5), "cgmi", SolverConfig())
+    steps = []
+    _, report = run_single(ProblemSpec(series=2, n=5), "cgmi", SolverConfig(), trace=steps)
     assert report.counters.restarts >= 2 and report.counters.it == it
-    assert records[-1] == (len(report.stages), report.stages[-1].delta)
+    # the terminal record is in the last stage, whose tolerance its last step holds
+    assert steps[-1].stage == report.counters.restarts + 1
+    assert records[-1] == (report.counters.restarts + 1, steps[-1].delta)
+    # mu is known at x0 (the default delta0 rule), at each stage's first step
+    # (the gap that closed the stage before) and at the end, and only there
+    has_mu = [ln.split(",")[3] != "" for ln in lines[1:]]
+    opens = [True] + [b > a for (a, _), (b, _) in zip(records, records[1:])]
+    assert has_mu == opens[:-1] + [True]
 
 
 def test_cli_usage_errors_exit_2():

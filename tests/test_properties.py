@@ -6,9 +6,11 @@ point, with eps set from the instance's own scale. Every run of every
 method must keep its counter identities and every traced iterate feasible;
 a converged run must certify its gap by brute force; Armijo methods must
 descend monotonically; and cgmil's fixed step from a valid Lipschitz bound
-must never violate its sufficient-decrease inequality. The same holds on
-objectives that do not declare <f'(x), x> cheap, which are charged n kg per
-direction search instead of one per probe. Every run reports the gap
+must never violate its sufficient-decrease inequality. The first step of
+each stage of an inexact run carries the exact gap at its start, at least
+the step's descent and, after a restart, below the previous tolerance. The
+same holds on objectives that do not declare <f'(x), x> cheap, which are
+charged n kg per direction search instead of one per probe. Every run reports the gap
 <g, x> - b min g, with g = f'(x) at the reported x, and the inexact methods
 give the same runs, bit for bit, when each partial is probed one by one (the
 reference scan of the tests' helpers) instead of read from one gradient
@@ -17,7 +19,8 @@ an Armijo search skipped, evaluated or not, must fail its test. On
 linear-fractional objectives, pseudo-convex but not convex, the methods
 converge within the bound that pseudo-linearity gives on f - f*, and descend;
 on a convex quadratic over a positive affine function, also pseudo-convex,
-every run's certified gap bounds how far its f lies above every other run's.
+every run's certified gap bounds how far its f lies above every other run's,
+and cgmil's fixed step from a spectral Hessian bound descends.
 """
 
 import math
@@ -167,6 +170,17 @@ def check_invariants(method, rep, steps, points, f, D, eps):
         # with a cheap <f'(x), x>, n without
         searches = [s.tests if f.cheap_gradient_dot_point else n for s in steps]
         assert c.kg == n * (1 + c.restarts) + sum(searches)
+        # under the default delta0 rule a step carries the exact gap at its
+        # start exactly when it is the first of its stage: the gap at x0, or
+        # the gap that the failed cycle closing the stage before certified,
+        # below that stage's tolerance delta / nu
+        for k, s in enumerate(steps):
+            first = k == 0 or steps[k - 1].stage < s.stage
+            assert math.isfinite(s.mu) is first
+            if first:
+                assert s.delta <= -s.dir_derivative <= s.mu
+                if s.stage > 1:
+                    assert s.mu < s.delta / SolverConfig().nu
     assert len(steps) == c.it
 
     # one gap for every method, from the gradient at the reported x
@@ -211,8 +225,8 @@ def check_probed_one_by_one(method, inst, twin=None):
     assert repr(by_vector.f) == repr(by_probe.f)
     assert repr(by_vector.gap) == repr(by_probe.gap)
     assert by_vector.x.tobytes() == by_probe.x.tobytes()
+    # the steps hold the stages: their tolerances and the gaps that closed them
     assert repr(vector_steps) == repr(probe_steps)
-    assert repr(by_vector.stages) == repr(by_probe.stages)
 
 
 @pytest.mark.parametrize("method", ["cgmi", "cgmis", "cgmil"])
@@ -351,6 +365,18 @@ convex_over_affine_instances = st.fixed_dictionaries({
 })
 
 
+def build_convex_over_affine(inst):
+    """(Q, c, beta, simplex, start) for one drawn convex-over-affine
+    instance."""
+    rng = np.random.default_rng(inst["seed"])
+    n, b = inst["n"], inst["b"]
+    A = rng.standard_normal((n, n))
+    Q = A.T @ A / n + 0.1 * np.eye(n)
+    c, beta = rng.uniform(0.1, 1.0, n), float(rng.uniform(0.1, 1.0))
+    D = SimplexSet(n, b)
+    return Q, c, beta, D, draw_start(rng, D, inst["start"])
+
+
 @pytest.mark.parametrize("fast_path", [True, False], ids=["fast-path", "no-fast-path"])
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(inst=convex_over_affine_instances)
@@ -358,13 +384,8 @@ def test_convex_over_affine_runs_stay_within_the_pseudo_convex_bound(fast_path, 
     # <f'(x), x - y> >= (D(y)/D(x)) (f(x) - f(y)) for the denominator D, so
     # f(x) - f(y) <= gap(x) D(x) / min_i D(b e_i) for every feasible y; y is
     # the final point of the run with the lowest f, capped or not
-    rng = np.random.default_rng(inst["seed"])
-    n, b = inst["n"], inst["b"]
-    A = rng.standard_normal((n, n))
-    Q = A.T @ A / n + 0.1 * np.eye(n)
-    c, beta = rng.uniform(0.1, 1.0, n), float(rng.uniform(0.1, 1.0))
-    D = SimplexSet(n, b)
-    x0 = draw_start(rng, D, inst["start"])
+    Q, c, beta, D, x0 = build_convex_over_affine(inst)
+    b = D.b
     cfg = SolverConfig(eps=1e-3, max_iterations=3000)
     runs = {}
     for method in ("cgm", "cgms", "cgmi", "cgmis"):
@@ -388,3 +409,27 @@ def test_convex_over_affine_runs_stay_within_the_pseudo_convex_bound(fast_path, 
         assert rep.f - f_best <= gap * ratio + slack, method
         if rep.status is Status.CONVERGED:
             assert gap <= cfg.eps + slack
+
+
+@pytest.mark.parametrize("fast_path", [True, False], ids=["fast-path", "no-fast-path"])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(inst=convex_over_affine_instances)
+def test_cgmil_descends_on_convex_over_affine_objectives(fast_path, inst):
+    # Hessian Q/D - (Qx c^T + c (Qx)^T)/D^2 + 2 N c c^T/D^3 for the numerator
+    # N <= 0.5 |Q| b^2 + 1 and the denominator D >= d = beta + b min c, with
+    # |Qx| <= |Q| b on the simplex, so its spectral norm is at most L
+    Q, c, beta, D, x0 = build_convex_over_affine(inst)
+    b, q, c_norm = D.b, float(np.linalg.norm(Q, 2)), float(np.linalg.norm(c))
+    d = beta + b * float(c.min())
+    L = q / d + 2.0 * q * b * c_norm / d ** 2 + 2.0 * (0.5 * q * b * b + 1.0) * c_norm ** 2 / d ** 3
+    f = ConvexOverAffineObjective(Q, c, beta, with_fast_path=fast_path)
+    steps = []
+    # check_descent raises DescentViolationError on a violation
+    rep = solve_cgmil(f, D, SolverConfig(eps=1e-3, max_iterations=3000), x0, L,
+                      trace=steps, check_descent=True)
+    assert rep.status in (Status.CONVERGED, Status.ITERATION_CAP)
+    assert rep.counters.kf == 0
+    for x in iterates(x0, steps, b, "cgmil", rep):
+        assert D.contains(x)
+    h = f_history(rep, steps)
+    assert all(after <= before for before, after in zip(h, h[1:]))

@@ -36,7 +36,14 @@ from condgrad.solvers import (
     solve_cgms,
 )
 
-from helpers import CallableObjective, LinearObjective, f_history, iterates, reference_scan
+from helpers import (
+    CallableObjective,
+    LinearObjective,
+    f_history,
+    iterates,
+    reference_scan,
+    stages,
+)
 
 S1N5 = ProblemSpec(series=1, n=5)
 SOLVERS = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
@@ -108,7 +115,9 @@ def test_cgm_counters_and_descent():
     assert rep.counters.kg == 5 * rep.counters.it
     assert rep.counters.kf == sum(s.trials for s in trace)
     assert rep.counters.restarts == 0
-    assert rep.stages is None
+    # one stage without a tolerance, and the exact gap known at every step
+    assert all(s.stage == 1 and math.isnan(s.delta) and s.mu == -s.dir_derivative
+               for s in trace)
     # monotone descent, strictly at every accepted step
     h = f_history(rep, trace)
     assert len(h) == rep.counters.it + 1
@@ -298,7 +307,7 @@ def test_the_probe_charge_follows_the_declaration(method):
             rep = SOLVERS[method](obj, D, cfg, x0, trace=trace)
         runs.append((rep, trace))
     (a, steps_a), (b, steps_b) = runs
-    assert repr((a.f, a.gap, steps_a, a.stages)) == repr((b.f, b.gap, steps_b, b.stages))
+    assert repr((a.f, a.gap, steps_a)) == repr((b.f, b.gap, steps_b))
     assert a.x.tobytes() == b.x.tobytes()
     assert (a.counters.it, a.counters.kf, a.counters.restarts) == \
         (b.counters.it, b.counters.kf, b.counters.restarts)
@@ -429,12 +438,14 @@ def test_inexact_runs_match_the_reference_scan(series, method, monkeypatch):
     (a, steps_a, kg_a), (b, steps_b, kg_b) = runs
     assert a.counters == b.counters and a.status is b.status
     assert repr((a.f, a.gap)) == repr((b.f, b.gap)) and a.x.tobytes() == b.x.tobytes()
-    assert repr(steps_a) == repr(steps_b) and repr(a.stages) == repr(b.stages)
+    # the steps hold the stages: their tolerances and the gaps that closed them
+    assert repr(steps_a) == repr(steps_b)
     # the objective's raw kg counts what it evaluated: the full gradients at
     # x0 (the default delta0 rule) and at a cap, and then one gradient per
     # scan, the same for both
     n, capped = spec.n, a.status is Status.ITERATION_CAP
-    cycles = sum(s.exit_gap is not None for s in a.stages)
+    # a failed cycle closed every stage but a capped one
+    cycles = a.counters.restarts + (a.status is Status.CONVERGED)
     assert kg_a == kg_b == n * (1 + capped + len(steps_a) + cycles)
 
 
@@ -448,21 +459,30 @@ def _expected_delta0(spec, cfg):
     return max(cfg.eps, cfg.nu * mu0)
 
 
+def _check_stages(trace, rep, cfg, delta0):
+    """A converged run's stages, from its trace: restarts + 1 of them, stage
+    p with tolerance nu**p * delta0 and closed by a failed cycle that
+    certified a gap below it, the last one at most eps, and iteration counts
+    that add up to the run's."""
+    assert rep.status is Status.CONVERGED
+    summary = stages(trace, rep)
+    assert len(summary) == rep.counters.restarts + 1 >= trace[-1].stage
+    for s in trace:
+        assert s.delta == cfg.nu ** s.stage * delta0
+    for p, (iterations, exit_gap, _) in enumerate(summary, 1):
+        assert iterations == sum(s.stage == p for s in trace)
+        assert exit_gap < cfg.nu ** p * delta0
+    assert summary[-1][1] == rep.gap <= cfg.eps
+    assert sum(iterations for iterations, _, _ in summary) == rep.counters.it
+
+
 def test_cgmi_stage_structure_and_descent_bound():
     cfg = SolverConfig()
     trace = []
     rep = run(solve_cgmi, cfg=cfg, trace=trace)
     assert rep.status is Status.CONVERGED
     delta0 = _expected_delta0(S1N5, cfg)
-    assert rep.stages
-    for p, s in enumerate(rep.stages, 1):
-        assert s.delta == cfg.nu ** p * delta0
-        if s.exit_gap is not None:
-            assert s.exit_gap < s.delta
-    assert rep.stages[-1].exit_gap is not None
-    assert rep.stages[-1].exit_gap <= cfg.eps
-    assert rep.counters.restarts == len(rep.stages) - 1
-    assert sum(s.iterations for s in rep.stages) == rep.counters.it
+    _check_stages(trace, rep, cfg, delta0)
     # kg: n for delta0, each step's probes, and n per cycle that restarts
     assert rep.counters.kg == 5 * (1 + rep.counters.restarts) + sum(s.tests for s in trace)
     # per-step decrease of at least beta*lam*delta
@@ -477,10 +497,11 @@ def test_cgmi_stage_structure_and_descent_bound():
 
 def test_cgmi_respects_explicit_delta0():
     cfg = SolverConfig(delta0=8.0)
-    rep = run(solve_cgmi, cfg=cfg)
-    assert rep.status is Status.CONVERGED
-    for p, s in enumerate(rep.stages, 1):
-        assert s.delta == 0.5 ** p * 8.0
+    trace = []
+    rep = run(solve_cgmi, cfg=cfg, trace=trace)
+    _check_stages(trace, rep, cfg, 8.0)
+    # no gap is computed at x0 when delta0 is given
+    assert math.isnan(trace[0].mu)
 
 
 def test_cgmi_stage_cap_is_an_error():
@@ -552,22 +573,18 @@ def test_cgmil_rejects_bad_lipschitz():
 
 def test_cgmis_counter_identity_and_stages():
     cfg = SolverConfig()
-    rep = run(solve_cgmis, cfg=cfg)
+    trace = []
+    rep = run(solve_cgmis, cfg=cfg, trace=trace)
     assert rep.status is Status.CONVERGED
     assert rep.counters.kf == rep.counters.it
     assert rep.counters.kg < 5 * rep.counters.it
-    delta0 = _expected_delta0(S1N5, cfg)
-    for p, s in enumerate(rep.stages, 1):
-        assert s.delta == cfg.nu ** p * delta0
-        if s.exit_gap is not None:
-            assert s.exit_gap < s.delta
-    assert rep.stages[-1].exit_gap <= cfg.eps
+    _check_stages(trace, rep, cfg, _expected_delta0(S1N5, cfg))
 
 
 def _replay_cgmis_steps(trace, rep, cfg):
     """Re-derive every recorded step size from the stage rules; returns the
     list of (expected lam, observed lam)."""
-    stage_seq = range(1, len(rep.stages) + 1)
+    stage_seq = range(1, rep.counters.restarts + 2)
     records = {p: [s for s in trace if s.stage == p] for p in stage_seq}
     pairs = []
     ceiling = cfg.tau0

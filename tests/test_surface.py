@@ -91,8 +91,10 @@ def test_run_records_are_plain_data_that_state_each_fact_once():
     assert _fields(solvers.StepRecord) == [
         "stage", "delta", "lam", "trials", "f_before", "dir_derivative",
         "vertex", "accepted", "mu", "tests"]
-    # stage p is report.stages[p - 1]
-    assert _fields(core.StageRecord) == ["delta", "iterations", "exit_gap", "end_point"]
+    # the trace is the run's one record of its stages: the report holds the
+    # outcome only, and its stage is counters.restarts + 1
+    assert _fields(core.SolveReport) == ["x", "f", "gap", "counters", "status"]
+    assert not hasattr(core, "StageRecord") and not hasattr(solvers, "StageRecord")
 
 
 def test_a_line_search_error_names_its_vertex_by_index():
