@@ -138,11 +138,11 @@ class SimplexSet:
         return 2.0 * self.b * self.b
 
     def contains(self, x) -> bool:
-        """Membership up to the feasibility tolerances."""
-        v = np.asarray(x, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] != self.n:
-            return False
-        if not np.all(np.isfinite(v)):
+        """Membership up to the feasibility tolerances; False for whatever
+        `as_vector` refuses as a vector of length n."""
+        try:
+            v = as_vector(x, self.n)
+        except ValueError:
             return False
         return (abs(float(v.sum()) - self.b) <= MASS_RTOL * self.b
                 and float(v.min()) >= COORD_FLOOR)

@@ -13,17 +13,23 @@ it with a convex combination) in `_run`, with two independent choices:
 A `trace` list, when given, gets one `StepRecord` per iteration: the run's
 one record of its steps and tolerance stages.
 
-Reported counters measure the per-step oracle cost of a run: the one-time
-seed evaluation of f(x0) and the terminal certification that stops the run
-are not charged, while the full gradient consumed by the default stage
-tolerance rule is. Under this accounting the exact-oracle methods satisfy
+Each iterate is linearized once: `_run` reads g = f'(x) and <g, x> at x0
+and after each step, and every rule (the direction, the default stage
+tolerance, a restart, the iteration cap) reads that pair. Every method
+reports the gap <g, x> - b min g, and a gradient whose <g, x> is not
+finite stops the run with `NonFiniteOracleError`.
+
+Reported counters are charge rules, the paper's per-step oracle cost, not
+call counts: the seed f(x0) and the terminal certification are not
+charged, while the default stage tolerance rule and each restart are
+charged n kg. Under this accounting the exact-oracle methods satisfy
 kg = n*it and the adaptive-step methods satisfy kf = it, both exactly.
 Each Armijo trial is charged one kf, the paper's cost, however the code
-obtains it (see `armijo_step`). The inexact direction search always reads
-one gradient. It is charged one kg per probed vertex, the paper's cost,
-when the objective declares `cheap_gradient_dot_point`, and n per search
-otherwise (see `inexact_direction`). The objective's own kf and kg count
-what it evaluated: `value` calls, and n per `gradient`.
+obtains it (see `armijo_step`). An inexact direction search is charged
+one kg per probed vertex, the paper's cost, when the objective declares
+`cheap_gradient_dot_point`, and n otherwise. The objective's own kf and kg
+count what it evaluated: `value` calls, and n per `gradient`, so its kg
+is n*(it + 1) for every method.
 """
 
 from __future__ import annotations
@@ -67,8 +73,7 @@ class SolverConfig:
     """All tunables shared by the solver family.
 
     delta0 is the initial stage tolerance for the restarted methods; None
-    selects max(eps, nu * gap(x0)), computed with one full gradient at the
-    start (charged to kg).
+    selects max(eps, nu * gap(x0)), from the gradient at x0 (charged n kg).
     """
 
     beta: float = 0.5          # sufficient-decrease slope
@@ -130,16 +135,14 @@ class FoundDirection(NamedTuple):
     tests: int
 
 
-def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
-                      delta_p: float, cursor: int):
-    """Scan vertices cyclically from `cursor` for one with
-    <f'(x), x - b e_i> >= delta_p.
+def inexact_direction(g: np.ndarray, gx: float, b: float, delta_p: float,
+                      cursor: int):
+    """Scan vertices cyclically from `cursor` for one with <f'(x), x - b e_i>
+    = gx - b g_i >= delta_p, from the iterate's g = f'(x) and gx = <g, x>.
 
-    Probe t is at index (cursor + t) % n and reads entry i of one gradient
-    vector g = f.gradient(x), with <f'(x), x> = <g, x>, so the result is that
-    of probing one partial derivative at a time; `tests` = t + 1 is the
-    number of probes. What the run is charged for them is `_run`'s rule.
-    The oracle validates x.
+    Probe t is at index (cursor + t) % n and reads entry i of g, so the
+    result is that of probing one partial derivative at a time; `tests` =
+    t + 1 is the number of probes, and `_run` charges them.
 
     Returns (FoundDirection, cursor advanced past the hit) or, after a full
     failed cycle, (the exact gap at x, `_gap`, as a float, cursor
@@ -147,12 +150,7 @@ def inexact_direction(f: SmoothObjective, feasible_set: SimplexSet, x,
     """
     if not delta_p > 0.0:
         raise ValueError(f"delta_p must be positive, got {delta_p}")
-    n = feasible_set.n
-    if f.n != n:
-        raise ValueError(f"objective dimension {f.n} does not match set dimension {n}")
-    b = feasible_set.b
-    g = f.gradient(x)
-    gx = float(np.dot(g, x))
+    n = g.shape[0]
     descents = gx - b * g
     start = cursor % n
     hit = descents >= delta_p
@@ -173,15 +171,27 @@ def _gap(g: np.ndarray, gx: float, b: float) -> float:
     return gx - b * float(np.min(g))
 
 
+def _linearize(f: SmoothObjective, x: np.ndarray, it: int):
+    """g = f'(x) and gx = <g, x>, the run's one gradient read at iterate x;
+    x is finite, so gx is non-finite, and the run stops, when some g_i is."""
+    g = f.gradient(x)
+    gx = float(np.dot(g, x))
+    if not math.isfinite(gx):
+        raise NonFiniteOracleError(
+            f"non-finite gradient after {it} iterations: <f'(x), x> = {gx}", point=x)
+    return g, gx
+
+
 def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
          trace: Optional[list], direction: str, step: str,
          lam_bar: float = math.nan, check_descent: bool = False) -> SolveReport:
     """The conditional gradient loop shared by all five methods.
 
-    `direction` is "exact" (the gap is tested before the iteration cap) or
-    "inexact" (the cap is tested before searching, and a capped run certifies
-    its gap with one uncharged full gradient). `step` is "armijo", "adaptive"
-    or "fixed"; `lam_bar` and `check_descent` belong to "fixed". The Armijo
+    f is linearized once per iterate (`_linearize`), and the default delta0
+    rule, the direction, a restart and the iteration cap read that gradient;
+    at the cap the run reports Converged when its gap is at most eps.
+    `direction` is "exact" or "inexact"; `step` is "armijo", "adaptive" or
+    "fixed", and `lam_bar` and `check_descent` belong to "fixed". The Armijo
     step takes its accepted trial, which `value` validated and cached; the
     adaptive and fixed steps take `f.vertex_step`, so the oracle builds the
     new iterate and keys its cache on it without a scan, deriving its state
@@ -202,18 +212,16 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
     fx = f.value(x) if step != "fixed" or check_descent else None
     if fx is not None and not math.isfinite(fx):
         raise NonFiniteOracleError(f"non-finite objective value f(x0) = {fx}", point=x)
+    g, gx = _linearize(f, x, 0)
     status, mu = None, math.nan  # mu: the exact gap at x, NaN until computed
     stage, delta, cursor = 1, math.nan, 0
     if inexact:
-        # the default rule spends one full gradient at x0 and charges it;
+        # the default rule reads the gap at x0 and is charged its gradient;
         # an explicit delta0 costs nothing
         delta0 = cfg.delta0
         if delta0 is None:
             counters.kg += feasible_set.n
-            g = f.gradient(x)
-            mu = _gap(g, float(np.dot(g, x)), feasible_set.b)
-            if not math.isfinite(mu):
-                raise NonFiniteOracleError(f"non-finite gap at x0: {mu}", point=x)
+            mu = _gap(g, gx, feasible_set.b)
             if mu <= cfg.eps:  # the start is already good enough: skip the loop
                 status = Status.CONVERGED
             delta0 = max(cfg.eps, cfg.nu * mu)
@@ -222,18 +230,15 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
     tau = lam = cfg.tau0
     failures = 0
     while status is None:
+        if counters.it >= cfg.max_iterations:
+            # the gap of the gradient already read; reporting only, never charged
+            mu = _gap(g, gx, feasible_set.b)
+            status = Status.CONVERGED if mu <= cfg.eps else Status.ITERATION_CAP
+            break
         if inexact:
-            if counters.it >= cfg.max_iterations:
-                # exact gap from one full gradient; reporting-only, never charged
-                g = f.gradient(x)
-                status, mu = Status.ITERATION_CAP, _gap(g, float(np.dot(g, x)), feasible_set.b)
-                break
-            res, cursor = inexact_direction(f, feasible_set, x, delta, cursor)
+            res, cursor = inexact_direction(g, gx, feasible_set.b, delta, cursor)
             if isinstance(res, float):  # a full failed cycle certified the gap
                 mu = res
-                if not math.isfinite(mu):
-                    raise NonFiniteOracleError(
-                        f"non-finite gap after {counters.it} iterations: {mu}", point=x)
                 if mu <= cfg.eps:
                     status = Status.CONVERGED  # terminal certification; not charged
                     break
@@ -248,25 +253,15 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                 if step == "adaptive":  # restart ceiling, see solve_cgmis
                     tau = lam = min(cfg.tau0, lam / cfg.sigma)
                     failures = 0
-                continue
+                continue  # the next scan reads the same gradient
             # the paper's charge of one kg per probe needs a cheap <f'(x), x>
             counters.kg += res.tests if f.cheap_gradient_dot_point else feasible_set.n
             index, descent, tests = res.index, res.descent, res.tests
         else:
-            g = f.gradient(x)
-            # x is finite, so <g, x> is non-finite whenever some g_i is
-            gx = float(np.dot(g, x))
-            if not math.isfinite(gx):
-                raise NonFiniteOracleError(
-                    f"non-finite gradient after {counters.it} iterations: "
-                    f"<f'(x), x> = {gx}", point=x)
             index = exact_lmo(g, feasible_set)
             mu = gx - feasible_set.b * float(g[index])
             if mu <= cfg.eps:
                 status = Status.CONVERGED
-                break
-            if counters.it >= cfg.max_iterations:
-                status = Status.ITERATION_CAP
                 break
             counters.kg += feasible_set.n
             descent, tests = mu, 0
@@ -303,9 +298,9 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
         if accepted is False:
             failures += 1
             lam = tau * cfg.sigma ** failures
+        g, gx = _linearize(f, x, counters.it)
     final_f = fx if fx is not None else f.value(x)  # reporting only
-    # the adaptive step keeps any f it takes, the fixed step evaluates f
-    # only here, and a capped inexact run takes its gap only here
+    # the adaptive step keeps any f it takes; the fixed step evaluates f here
     if not (math.isfinite(final_f) and math.isfinite(mu)):
         raise NonFiniteOracleError(
             f"non-finite result after {counters.it} iterations: "

@@ -173,19 +173,17 @@ def stages(steps, report):
     return out
 
 
-def reference_scan(f, feasible_set, x, delta_p, cursor):
+def reference_scan(g, gx, b, delta_p, cursor):
     """`condgrad.solvers.inexact_direction` as a loop over the probes: the
     reference its vector scan is compared against (cyclic order, ties and
     NaN), and a drop-in for it.
 
-    The probes are the entries of one g = `f.gradient(x)`, taken before the
-    loop, with <f'(x), x> = <g, x>; probe t reads vertex (cursor + t) % n.
-    A full failed cycle returns the gap, the largest descent, as a float,
-    with the cursor unchanged; it is NaN when some descent is.
+    The probes are the entries of g = f'(x), with gx = <g, x>; probe t reads
+    vertex (cursor + t) % n. A full failed cycle returns the gap, the
+    largest descent, as a float, with the cursor unchanged; it is NaN when
+    some descent is.
     """
-    n, b = feasible_set.n, feasible_set.b
-    g = f.gradient(x)
-    gx = float(np.dot(g, x))
+    n = len(g)
     best = -math.inf
     for t in range(n):
         i = (cursor + t) % n

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,14 @@ def test_simplex_membership():
     assert not D.contains([10.0, 0.0])           # wrong length
     assert not D.contains([5.0, 5.0, 5.0])       # wrong mass
     assert not D.contains([11.0, -1.0, 0.0])     # negative coordinate
+    # what `as_vector` refuses is not a member, and raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not SimplexSet(2, 10.0).contains(["5", "5"])
+        assert not SimplexSet(2, 10.0).contains(np.array([5 + 0j, 5]))
+        assert not SimplexSet(10, 10.0).contains(np.ones(10, bool))
+        assert not D.contains([10.0, 0.0, math.nan])
+        assert not D.contains([[10.0, 0.0, 0.0]])
     # tolerance edges
     assert D.contains([10.0 + 5e-10, 0.0, 0.0])
     assert not D.contains([10.0 + 5e-9, 0.0, 0.0])

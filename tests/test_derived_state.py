@@ -134,7 +134,8 @@ def test_derived_states_leave_the_run_unchanged(spec, method, monkeypatch):
 # validation of a stepped iterate
 
 def counting_scans(monkeypatch):
-    """Count the oracle's full validations, as `as_vector` calls in core."""
+    """Count full validations, as `as_vector` calls in core: the oracle's,
+    and those of `SimplexSet.contains`."""
     calls = []
     real = core.as_vector
     monkeypatch.setattr(core, "as_vector",
@@ -171,9 +172,10 @@ def test_a_run_scans_only_its_start(spec, method, monkeypatch):
     scans = counting_scans(monkeypatch)
     rep, _, _ = _solve(spec, method, SolverConfig(eps=1e-9, max_iterations=300))
     assert rep.counters.it == 300
-    # the start's copy is validated at the first oracle call; every
-    # iterate after it is a vertex step from the cached key
-    assert len(scans) == 1
+    # the start's copy is validated by the run's feasibility test and at
+    # the first oracle call; every iterate after it is a vertex step from
+    # the cached key
+    assert len(scans) == 2
 
 
 def _declined_steps(x, D):

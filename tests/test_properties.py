@@ -3,7 +3,8 @@
 Random PSD quadratics and least-squares problems with n = 1..30 and mass
 b in [1e-2, 1e4], started at a vertex, an edge midpoint or an interior
 point, with eps set from the instance's own scale. Every run of every
-method must keep its counter identities and every traced iterate feasible;
+method must keep its counter identities, read one gradient per iterate (the
+objective's own kg is n*(it + 1)) and keep every traced iterate feasible;
 a converged run must certify its gap by brute force; Armijo methods must
 descend monotonically; and cgmil's fixed step from a valid Lipschitz bound
 must never violate its sufficient-decrease inequality. The first step of
@@ -138,6 +139,7 @@ def solve(method, inst, twin=None):
     simplex, eps)."""
     f, H, D, x0 = build(inst)
     eps = scaled_eps(f, D, x0)
+    f.kg = 0  # the objective's raw tallies then count the run alone
     if twin is not None:
         twin(f)
     cfg = SolverConfig(eps=eps, max_iterations=3000)
@@ -159,6 +161,8 @@ def solve(method, inst, twin=None):
 
 def check_invariants(method, rep, steps, points, f, D, eps):
     c, n = rep.counters, D.n
+    # the run reads one gradient per iterate, whatever it is charged
+    assert f.kg == n * (c.it + 1)
     if method in ("cgm", "cgms"):
         assert c.kg == n * c.it and c.restarts == 0
     if method in ("cgms", "cgmis"):

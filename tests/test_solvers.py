@@ -245,27 +245,24 @@ def test_cgms_step_ceiling_law():
 # inexact direction search
 
 def _third_point():
-    x = (10.0 / 3.0) * np.ones(3)
-    return LinearObjective([3.0, -1.0, 2.0]), SimplexSet(3, 10.0), x
+    """(g, <g, x>, b) for f'(x) = (3, -1, 2) at the barycenter x of the
+    3-simplex of mass 10."""
+    g = np.array([3.0, -1.0, 2.0])
+    return g, float(np.dot(g, (10.0 / 3.0) * np.ones(3))), 10.0
 
 
 def test_inexact_direction_hand_example():
-    obj, D, x = _third_point()
-    res, cursor = inexact_direction(obj, D, x, 1.0, 0)
+    res, cursor = inexact_direction(*_third_point(), 1.0, 0)
     assert isinstance(res, FoundDirection)
     assert res.index == 1
     assert res.descent == pytest.approx(70.0 / 3.0, rel=1e-14)
     assert res == (1, res.descent, 2)  # two probes
     assert cursor == 2
-    # the probes are read from one gradient, which the objective counts as
-    # n kg; what the run is charged for them is the solvers' rule
-    assert obj.kg == 3
 
 
 def test_inexact_direction_cursor_persistence():
-    obj, D, x = _third_point()
-    res, cursor = inexact_direction(obj, D, x, 1.0, 0)
-    res2, cursor2 = inexact_direction(obj, D, x, 1.0, cursor)
+    res, cursor = inexact_direction(*_third_point(), 1.0, 0)
+    res2, cursor2 = inexact_direction(*_third_point(), 1.0, cursor)
     # scan resumes past the previous hit: probes 2, 0, then finds 1 again
     assert isinstance(res2, FoundDirection)
     assert res2.index == 1 and res2.tests == 3
@@ -273,23 +270,10 @@ def test_inexact_direction_cursor_persistence():
 
 
 def test_inexact_direction_exhausted_yields_exact_gap():
-    obj, D, x = _third_point()
-    res, cursor = inexact_direction(obj, D, x, 30.0, 1)
+    res, cursor = inexact_direction(*_third_point(), 30.0, 1)
     assert isinstance(res, float)
     assert res == pytest.approx(70.0 / 3.0, rel=1e-14)
     assert cursor == 1  # unchanged after a full failed cycle
-
-
-def test_inexact_direction_fallback_without_fast_path():
-    obj = LinearObjective([3.0, -1.0, 2.0], with_fast_path=False)
-    D = SimplexSet(3, 10.0)
-    x = (10.0 / 3.0) * np.ones(3)
-    res, cursor = inexact_direction(obj, D, x, 1.0, 0)
-    # the declaration changes no bit of the scan, only the run's charge
-    assert (res, cursor) == inexact_direction(_third_point()[0], D, x, 1.0, 0)
-    assert res.index == 1 and res.tests == 2
-    assert obj.kg == 3
-    assert cursor == 2
 
 
 @pytest.mark.parametrize("method", ["cgmi", "cgmis", "cgmil"])
@@ -320,35 +304,24 @@ def test_the_probe_charge_follows_the_declaration(method):
 
 
 def test_inexact_direction_rejects_bad_tolerance():
-    obj, D, x = _third_point()
     with pytest.raises(ValueError):
-        inexact_direction(obj, D, x, 0.0, 0)
-
-
-def test_inexact_direction_rejects_a_dimension_mismatch():
-    # x fits the objective, so only the dimension check can reject it
-    obj = LinearObjective([3.0, -1.0, 2.0])
-    with pytest.raises(ValueError, match="does not match"):
-        inexact_direction(obj, SimplexSet(4, 10.0), np.full(3, 2.5), 1.0, 0)
+        inexact_direction(*_third_point(), 0.0, 0)
 
 
 def _scripted_scan(scan, g, delta_p, cursor, x=None):
     """`scan` (inexact_direction or reference_scan) with f'(x) = g at x (the
-    barycenter by default); the fields that describe its result, and the
-    objective's raw kg. A full failed cycle returns a float, the gap, and
+    barycenter by default) on the simplex of mass 10: the fields that
+    describe its result. A full failed cycle returns a float, the gap, and
     takes n probes; gaps compare by value (-0.0 equals 0.0), and a NaN gap
     reads "nan"."""
     g = np.asarray(g, dtype=np.float64)
-    f = CallableObjective(g.size, fn=lambda x: 0.0, partial_fn=lambda x, i: g[i])
-    D = SimplexSet(g.size, 10.0)
+    x = SimplexSet(g.size, 10.0).barycenter() if x is None else np.asarray(x, dtype=np.float64)
     with np.errstate(all="ignore"):
-        res, cursor = scan(f, D, D.barycenter() if x is None else x, delta_p, cursor)
+        res, cursor = scan(g, float(np.dot(g, x)), 10.0, delta_p, cursor)
     if isinstance(res, FoundDirection):
-        fields = (type(res).__name__, res.index, repr(res.descent), res.tests, cursor, None)
-    else:
-        gap = "nan" if math.isnan(res) else res
-        fields = (type(res).__name__, None, None, g.size, cursor, gap)
-    return fields, f.kg
+        return (type(res).__name__, res.index, repr(res.descent), res.tests, cursor, None)
+    gap = "nan" if math.isnan(res) else res
+    return (type(res).__name__, None, None, g.size, cursor, gap)
 
 
 def _scan_cases():
@@ -383,11 +356,9 @@ def _scan_cases():
 def test_reading_partials_from_a_vector_matches_probing_them_one_by_one():
     kinds = set()
     for g, delta_p, cursor, x in _scan_cases():
-        by_vector, raw_kg = _scripted_scan(inexact_direction, g, delta_p, cursor, x)
-        by_probe, probe_kg = _scripted_scan(reference_scan, g, delta_p, cursor, x)
+        by_vector = _scripted_scan(inexact_direction, g, delta_p, cursor, x)
+        by_probe = _scripted_scan(reference_scan, g, delta_p, cursor, x)
         assert by_vector == by_probe, (g, delta_p, cursor, x)
-        # the objective counts one gradient per scan, whatever the run is charged
-        assert raw_kg == probe_kg == len(g)
         if by_vector[0] == "float":
             # an exhausted cycle's gap is NaN exactly when some descent is
             g = np.asarray(g)
@@ -403,19 +374,19 @@ def test_reading_partials_from_a_vector_matches_probing_them_one_by_one():
                          ids=["vector", "probes"])
 def test_inexact_scan_wraps_around_and_breaks_ties_in_cyclic_order(scan):
     # the only hit is just before the cursor: found on the last probe
-    (kind, index, _, tests, cursor, _), _ = _scripted_scan(
+    kind, index, _, tests, cursor, _ = _scripted_scan(
         scan, [0.0, 0.0, -1.0, 0.0], 5.0, 3)
     assert (kind, index, tests, cursor) == ("FoundDirection", 2, 4, 3)
     # equal hits at 0..3: the first in cyclic order from the cursor wins, and
     # a cursor outside [0, n) probes (cursor + t) % n
     for cursor, expected, probes in ((0, 0, 1), (2, 2, 1), (4, 0, 2), (6, 1, 1), (-2, 3, 1)):
-        (kind, index, _, tests, _, _), _ = _scripted_scan(
+        kind, index, _, tests, _, _ = _scripted_scan(
             scan, [1.0, 1.0, 1.0, 1.0, 5.0], 1.0, cursor)
         assert (kind, index, tests) == ("FoundDirection", expected, probes)
     # an exhausted cycle at a vertex with +0.0 and -0.0 partials: the gap is
     # zero whatever the cursor, which comes back unchanged, even when out of range
     for cursor in (0, 1, 2, 3, 9):
-        (kind, _, _, tests, back, got), _ = _scripted_scan(
+        kind, _, _, tests, back, got = _scripted_scan(
             scan, [0.0, -0.0, 0.0, 0.0], 1.0, cursor, [0.0, 0.0, 0.0, 10.0])
         assert (kind, tests, back, got) == ("float", 4, cursor, 0.0)
 
@@ -440,13 +411,8 @@ def test_inexact_runs_match_the_reference_scan(series, method, monkeypatch):
     assert repr((a.f, a.gap)) == repr((b.f, b.gap)) and a.x.tobytes() == b.x.tobytes()
     # the steps hold the stages: their tolerances and the gaps that closed them
     assert repr(steps_a) == repr(steps_b)
-    # the objective's raw kg counts what it evaluated: the full gradients at
-    # x0 (the default delta0 rule) and at a cap, and then one gradient per
-    # scan, the same for both
-    n, capped = spec.n, a.status is Status.ITERATION_CAP
-    # a failed cycle closed every stage but a capped one
-    cycles = a.counters.restarts + (a.status is Status.CONVERGED)
-    assert kg_a == kg_b == n * (1 + capped + len(steps_a) + cycles)
+    # the objective's raw kg counts what it evaluated: one gradient per iterate
+    assert kg_a == kg_b == spec.n * (a.counters.it + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +485,22 @@ def test_cgmi_iteration_cap_reports_certified_gap():
     assert rep.counters.it == 3
     fresh = make_objective(S1N5)
     assert rep.gap == pytest.approx(brute_force_gap(fresh, D, rep.x), rel=1e-12)
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_a_cap_at_the_converged_count_reports_the_same_converged_run(method):
+    # the cap reads the gap of the gradient at x, and a gap at most eps
+    # there is convergence, whatever the method
+    kw = {}
+    if method == "cgmil":
+        kw["lipschitz"] = lipschitz_upper_bound(S1N5, build_instance(S1N5)[1])
+    free = run(SOLVERS[method], **kw)
+    assert free.status is Status.CONVERGED
+    capped = run(SOLVERS[method], cfg=SolverConfig(max_iterations=free.counters.it), **kw)
+    assert capped.status is Status.CONVERGED
+    assert capped.counters == free.counters
+    assert repr((capped.f, capped.gap)) == repr((free.f, free.gap))
+    assert capped.x.tobytes() == free.x.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +691,14 @@ def test_no_report_with_non_finite_f_or_gap(name, fn, extra):
         return
     assert math.isfinite(rep.f) and math.isfinite(rep.gap), \
         f"{name} reported {rep.status.value} with f = {rep.f}, gap = {rep.gap}"
+
+
+@pytest.mark.parametrize("name,fn,extra", FIVE_METHODS)
+def test_a_run_rejects_an_objective_of_another_dimension(name, fn, extra):
+    # x0 fits the set, so only the dimension check can reject the run
+    D = SimplexSet(4, 10.0)
+    with pytest.raises(ValueError, match="does not match"):
+        fn(LinearObjective([3.0, -1.0, 2.0]), D, SolverConfig(), D.barycenter(), *extra)
 
 
 @pytest.mark.parametrize("delta0", [None, 1.0], ids=["default-delta0", "delta0"])
