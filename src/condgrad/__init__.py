@@ -24,7 +24,6 @@ from .problems import (
 )
 from .solvers import (
     SolverConfig,
-    StageLimitError,
     solve_cgm,
     solve_cgmi,
     solve_cgmil,

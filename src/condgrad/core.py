@@ -79,14 +79,18 @@ class Status(str, Enum):
 _FLOAT64 = np.dtype(np.float64)
 
 
-def as_vector(x, n: Optional[int] = None) -> np.ndarray:
-    """Validate `x` as a finite 1-d float64 vector, optionally of length `n`;
-    as `_is_real` does, refuses a dtype other than integer or floating."""
+def _real_array(x) -> np.ndarray:
+    """`x` as a float64 array, refusing any dtype but integer or floating, as `_is_real` does."""
     v = np.asarray(x)
-    if v.dtype != _FLOAT64:  # a float64 array is taken as it is
-        if v.dtype.kind not in "iuf":
-            raise ValueError(f"expected a vector of real numbers, got dtype {v.dtype}")
-        v = v.astype(np.float64)
+    if v.dtype.kind not in "iuf":
+        raise ValueError(f"expected real numbers, got dtype {v.dtype}")
+    return v if v.dtype == _FLOAT64 else v.astype(np.float64)  # a float64 array as it is
+
+
+def as_vector(x, n: Optional[int] = None) -> np.ndarray:
+    """Validate `x` as a finite 1-d float64 vector, optionally of length `n`,
+    with the dtype rule of `_real_array`."""
+    v = _real_array(x)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got array of shape {v.shape}")
     if n is not None and v.shape[0] != n:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay, _is_integer,
-                   _is_real)
+                   _is_real, _real_array)
 
 # Size gate for derived oracle states, in entries of the problem matrix
 # (rows * n). Below it a matrix-vector product is cheap enough that the
@@ -156,7 +156,7 @@ class _MatrixObjective(SmoothObjective):
         self.c = self.d = None
         if barrier is not None:
             c, d = barrier
-            self.c = np.asarray(c, dtype=np.float64)
+            self.c = _real_array(c)
             if self.c.shape != (self.n,):
                 raise ValueError("barrier vector length must match the column count of P")
             if not _is_real(d):
@@ -286,7 +286,7 @@ class QuadraticFormObjective(_MatrixObjective):
     """
 
     def __init__(self, P: np.ndarray, barrier=None):
-        P = np.asarray(P, dtype=np.float64)
+        P = _real_array(P)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"P must be square, got shape {P.shape}")
         if not (P == P.T).all():
@@ -332,8 +332,7 @@ class LeastSquaresObjective(_MatrixObjective):
     """
 
     def __init__(self, P: np.ndarray, q: np.ndarray, barrier=None):
-        P = np.asarray(P, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
+        P, q = _real_array(P), _real_array(q)
         if P.ndim != 2:
             raise ValueError(f"P must be a matrix, got shape {P.shape}")
         if q.shape != (P.shape[0],):

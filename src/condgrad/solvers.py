@@ -58,16 +58,6 @@ from .core import (
 )
 
 
-# The most tolerance stages a restarted solver may open. Restarts add no
-# iterations, so for nu close to 1, where each stage's tolerance is barely
-# below the last, only this constant bounds the run.
-MAX_STAGES = 60
-
-
-class StageLimitError(RuntimeError):
-    """A restarted solver ran out of tolerance stages before terminating."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """All tunables shared by the solver family.
@@ -105,11 +95,11 @@ class StepRecord:
     trace] + [report.f]`. Stage p ran the records with `stage == p`.
 
     `mu` is the exact gap at the step's start where the run computed it: at
-    every cgm and cgms step, and for an inexact method at the first step
-    after the default delta0 rule's gap at x0 or after the failed cycle that
-    closed the previous stage (then mu < delta / nu). `delta`, `mu` and
-    `f_before` are NaN where the solver did not know them; `accepted` is
-    None for line-search methods, otherwise the outcome of the
+    every cgm and cgms step, and for an inexact method at the first step after
+    the default delta0 rule's gap at x0 or after a failed cycle (then delta <=
+    mu < delta / nu: the restart opened the first stage mu reaches). `delta`,
+    `mu` and `f_before` are NaN where the solver did not know them; `accepted`
+    is None for line-search methods, otherwise the outcome of the
     sufficient-decrease test; `tests` is the number of vertices probed by the
     inexact direction search (0 for exact-oracle methods).
     """
@@ -182,14 +172,20 @@ def _linearize(f: SmoothObjective, x: np.ndarray, it: int):
     return g, gx
 
 
+def _first_stage_reached(stage: int, mu: float, nu: float, delta0: float) -> int:
+    """The first p > `stage` with nu**p * delta0 <= mu (> 0), counted up from below the logs' p."""
+    p = max(stage + 1, math.floor((math.log(mu) - math.log(delta0)) / math.log(nu)) - 1)
+    while nu ** p * delta0 > mu:
+        p += 1
+    return p
+
+
 def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
          trace: Optional[list], direction: str, step: str,
          lam_bar: float = math.nan, check_descent: bool = False) -> SolveReport:
     """The conditional gradient loop shared by all five methods.
 
-    f is linearized once per iterate (`_linearize`), and the default delta0
-    rule, the direction, a restart and the iteration cap read that gradient;
-    at the cap the run reports Converged when its gap is at most eps.
+    At the iteration cap the run reports Converged when its gap is at most eps.
     `direction` is "exact" or "inexact"; `step` is "armijo", "adaptive" or
     "fixed", and `lam_bar` and `check_descent` belong to "fixed". The Armijo
     step takes its accepted trial, which `value` validated and cached; the
@@ -242,18 +238,19 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                 if mu <= cfg.eps:
                     status = Status.CONVERGED  # terminal certification; not charged
                     break
-                counters.kg += feasible_set.n
-                counters.restarts += 1
-                if stage + 1 > MAX_STAGES:
-                    raise StageLimitError(
-                        f"no convergence after {MAX_STAGES} stages "
-                        f"(gap {mu}, tolerance {delta})")
-                stage += 1
+                # each stage passed would fail on g, and is charged so
+                passed = _first_stage_reached(stage, mu, cfg.nu, delta0) - stage
+                counters.kg += passed * feasible_set.n
+                counters.restarts += passed
+                stage += passed
                 delta = cfg.nu ** stage * delta0
                 if step == "adaptive":  # restart ceiling, see solve_cgmis
-                    tau = lam = min(cfg.tau0, lam / cfg.sigma)
-                    failures = 0
-                continue  # the next scan reads the same gradient
+                    for _ in range(passed):  # until lam stops moving, at tau0
+                        lam, prev = min(cfg.tau0, lam / cfg.sigma), lam
+                        if lam == prev:
+                            break
+                    tau, failures = lam, 0
+                continue  # the next scan reads the same gradient, and hits
             # the paper's charge of one kg per probe needs a cheap <f'(x), x>
             counters.kg += res.tests if f.cheap_gradient_dot_point else feasible_set.n
             index, descent, tests = res.index, res.descent, res.tests
@@ -341,8 +338,9 @@ def solve_cgmi(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
 
     Stage p accepts any vertex whose linearized descent reaches
     delta_p = nu**p * delta0; a full failed cycle certifies the exact gap,
-    triggering either convergence (gap <= eps) or a restart with the next
-    tolerance. Per-step decrease is at least beta * lam * delta_p.
+    triggering either convergence (gap <= eps) or a restart that opens the
+    first stage whose tolerance the gap reaches. Per-step decrease is at
+    least beta * lam * delta_p.
     """
     return _run(f, feasible_set, cfg, x0, trace, "inexact", "armijo")
 

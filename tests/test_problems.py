@@ -129,6 +129,31 @@ def test_barrier_offset_is_a_finite_real(make):
         assert make((np.ones(3), good)).d == 5.0
 
 
+def test_objective_data_holds_real_numbers():
+    # P, q and the barrier's c follow the vectors' dtype rule: a string,
+    # complex, bool or object array is refused, not parsed or truncated
+    eye = np.eye(2)
+    makers = (
+        lambda bad: QuadraticFormObjective(bad),
+        lambda bad: LeastSquaresObjective(bad, np.ones(2)),
+        lambda bad: LeastSquaresObjective(eye, bad[0]),
+        lambda bad: QuadraticFormObjective(eye, barrier=(bad[0], 5.0)),
+        lambda bad: LeastSquaresObjective(eye, np.ones(2), barrier=(bad[0], 5.0)),
+    )
+    bads = (np.array([["2", "0"], ["0", "2"]]), eye.astype(complex) + 1j * eye,
+            eye.astype(bool), eye.astype(object))
+    for make in makers:
+        for bad in bads:
+            with pytest.raises(ValueError, match="real numbers"):
+                make(bad)
+    # integer data is converted; float64 data is taken as it is, not copied
+    assert QuadraticFormObjective([[2, 0], [0, 2]]).value(np.ones(2)) == 2.0
+    P, q, c = np.eye(2), np.ones(2), np.ones(2)
+    f = LeastSquaresObjective(P, q, barrier=(c, 5.0))
+    assert f.P is P and f.q is q and f.c is c
+    assert QuadraticFormObjective(P).P is P
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(series=5, n=3)

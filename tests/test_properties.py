@@ -9,7 +9,10 @@ a converged run must certify its gap by brute force; Armijo methods must
 descend monotonically; and cgmil's fixed step from a valid Lipschitz bound
 must never violate its sufficient-decrease inequality. The first step of
 each stage of an inexact run carries the exact gap at its start, at least
-the step's descent and, after a restart, below the previous tolerance. The
+the step's descent and, after a restart, below the previous tolerance. For
+any nu in [0.5, 0.99] the inexact methods converge within the stage count
+that the tolerance schedule bounds, and a restart that jumps to the first
+stage the gap reaches gives the run of opening one stage at a time. The
 same holds on objectives that do not declare <f'(x), x> cheap, which are
 charged n kg per direction search instead of one per probe. Every run reports the gap
 <g, x> - b min g, with g = f'(x) at the reported x, and the inexact methods
@@ -132,17 +135,17 @@ def scaled_eps(f, D, x0):
     return max(0.01 * mu0, 1e-8 * gap_terms(g0, x0, D), 1e-12)
 
 
-def solve(method, inst, twin=None):
+def solve(method, inst, twin=None, **config):
     """Run `method` on the drawn instance, with every step traced and every
     iterate replayed from the trace; `twin(f)` may first switch off one of
-    the objective's fast paths. Returns (report, steps, iterates, objective,
-    simplex, eps)."""
+    the objective's fast paths, and `config` overrides `SolverConfig` fields.
+    Returns (report, steps, iterates, objective, simplex, config)."""
     f, H, D, x0 = build(inst)
     eps = scaled_eps(f, D, x0)
     f.kg = 0  # the objective's raw tallies then count the run alone
     if twin is not None:
         twin(f)
-    cfg = SolverConfig(eps=eps, max_iterations=3000)
+    cfg = SolverConfig(**{"eps": eps, "max_iterations": 3000, **config})
     L = max(float(np.abs(H).sum(axis=1).max()), 1e-12)  # >= the spectral norm
     steps = []
     saved = problems.DERIVED_STATE_MIN_ENTRIES
@@ -156,11 +159,11 @@ def solve(method, inst, twin=None):
             rep = SOLVERS[method](f, D, cfg, x0, trace=steps)
     finally:
         problems.DERIVED_STATE_MIN_ENTRIES = saved
-    return rep, steps, iterates(x0, steps, D.b, method, rep), f, D, eps
+    return rep, steps, iterates(x0, steps, D.b, method, rep), f, D, cfg
 
 
-def check_invariants(method, rep, steps, points, f, D, eps):
-    c, n = rep.counters, D.n
+def check_invariants(method, rep, steps, points, f, D, cfg):
+    c, n, eps = rep.counters, D.n, cfg.eps
     # the run reads one gradient per iterate, whatever it is charged
     assert f.kg == n * (c.it + 1)
     if method in ("cgm", "cgms"):
@@ -174,17 +177,24 @@ def check_invariants(method, rep, steps, points, f, D, eps):
         # with a cheap <f'(x), x>, n without
         searches = [s.tests if f.cheap_gradient_dot_point else n for s in steps]
         assert c.kg == n * (1 + c.restarts) + sum(searches)
+        # the default delta0 rule reads the gap at x0, the first step's mu
+        delta0 = max(eps, cfg.nu * steps[0].mu) if steps else eps
+        # the schedule bounds its own stages: once nu**p * delta0 <= eps, the
+        # next failed cycle certifies a gap below eps
+        assert c.restarts + 1 <= max(1, math.ceil(math.log(eps / delta0) / math.log(cfg.nu)) + 1)
         # under the default delta0 rule a step carries the exact gap at its
         # start exactly when it is the first of its stage: the gap at x0, or
-        # the gap that the failed cycle closing the stage before certified,
-        # below that stage's tolerance delta / nu
+        # the gap that the failed cycle closing the stage before certified.
+        # After a restart delta <= mu < delta / nu, with delta / nu as the
+        # run computed it: the restart opened the first stage the gap reaches
         for k, s in enumerate(steps):
+            assert s.delta == cfg.nu ** s.stage * delta0
             first = k == 0 or steps[k - 1].stage < s.stage
             assert math.isfinite(s.mu) is first
             if first:
                 assert s.delta <= -s.dir_derivative <= s.mu
                 if s.stage > 1:
-                    assert s.mu < s.delta / SolverConfig().nu
+                    assert s.mu < cfg.nu ** (s.stage - 1) * delta0
     assert len(steps) == c.it
 
     # one gap for every method, from the gradient at the reported x
@@ -217,20 +227,25 @@ def test_paper_invariants_on_random_instances(method, inst):
     check_invariants(method, *solve(method, inst))
 
 
-def check_probed_one_by_one(method, inst, twin=None):
-    """The runs with the vector scan and with `reference_scan` are the same,
-    bit for bit."""
-    by_vector, vector_steps = solve(method, inst, twin)[:2]
+def check_same_runs(method, inst, name, replacement, twin=None, **kw):
+    """The runs with `solvers.<name>` and with `replacement` in its place are
+    the same, bit for bit; `kw` goes to `solve`."""
+    own, own_steps = solve(method, inst, twin, **kw)[:2]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solvers, "inexact_direction", reference_scan)
-        by_probe, probe_steps = solve(method, inst, twin)[:2]
-    assert by_vector.counters == by_probe.counters
-    assert by_vector.status is by_probe.status
-    assert repr(by_vector.f) == repr(by_probe.f)
-    assert repr(by_vector.gap) == repr(by_probe.gap)
-    assert by_vector.x.tobytes() == by_probe.x.tobytes()
+        patch.setattr(solvers, name, replacement)
+        other, other_steps = solve(method, inst, twin, **kw)[:2]
+    assert own.counters == other.counters
+    assert own.status is other.status
+    assert repr(own.f) == repr(other.f)
+    assert repr(own.gap) == repr(other.gap)
+    assert own.x.tobytes() == other.x.tobytes()
     # the steps hold the stages: their tolerances and the gaps that closed them
-    assert repr(vector_steps) == repr(probe_steps)
+    assert repr(own_steps) == repr(other_steps)
+
+
+def check_probed_one_by_one(method, inst, twin=None):
+    """The runs with the vector scan and with `reference_scan` are the same."""
+    check_same_runs(method, inst, "inexact_direction", reference_scan, twin)
 
 
 @pytest.mark.parametrize("method", ["cgmi", "cgmis", "cgmil"])
@@ -251,11 +266,26 @@ def test_inexact_runs_match_with_partials_probed_one_by_one_without_the_fast_pat
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(inst=instances)
 def test_paper_invariants_without_the_gradient_dot_point_fast_path(method, inst):
-    rep, steps, points, f, D, eps = solve(method, inst, no_gradient_dot_point)
-    check_invariants(method, rep, steps, points, f, D, eps)
+    rep, steps, points, f, D, cfg = solve(method, inst, no_gradient_dot_point)
+    check_invariants(method, rep, steps, points, f, D, cfg)
     # every direction search then takes one full gradient, n kg
     assert rep.counters.kg % D.n == 0
     assert not f.cheap_gradient_dot_point and type(f).cheap_gradient_dot_point
+
+
+@pytest.mark.parametrize("method", ["cgmi", "cgmis", "cgmil"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(inst=instances, nu=st.floats(0.5, 0.99))
+def test_the_tolerance_schedule_ends_every_inexact_run(method, inst, nu):
+    # under the library's default iteration cap, which cgmil's small fixed
+    # steps need here, every run ends by its schedule
+    kw = {"nu": nu, "max_iterations": SolverConfig().max_iterations}
+    rep, steps, points, f, D, cfg = solve(method, inst, **kw)
+    assert rep.status is Status.CONVERGED
+    check_invariants(method, rep, steps, points, f, D, cfg)
+    # a restart jumps over the stages that fail on its gradient, and the run
+    # is that of opening them one at a time, each charged as a failed one
+    check_same_runs(method, inst, "_first_stage_reached", lambda stage, *_: stage + 1, **kw)
 
 
 def check_skipped_steps(method, inst, twin=None):

@@ -23,10 +23,8 @@ from condgrad.problems import (
     make_objective,
 )
 from condgrad.solvers import (
-    MAX_STAGES,
     FoundDirection,
     SolverConfig,
-    StageLimitError,
     _gap,
     inexact_direction,
     solve_cgm,
@@ -73,7 +71,7 @@ def test_config_validation():
     assert SolverConfig(max_iterations=np.int64(7)).max_iterations == 7
     cfg = SolverConfig()
     assert (cfg.beta, cfg.theta, cfg.sigma, cfg.nu) == (0.5, 0.5, 0.9, 0.5)
-    assert (cfg.eps, cfg.tau0, cfg.max_iterations, MAX_STAGES) == (0.1, 0.9, 10 ** 6, 60)
+    assert (cfg.eps, cfg.tau0, cfg.max_iterations) == (0.1, 0.9, 10 ** 6)
 
 
 def test_infeasible_start_rejected():
@@ -470,12 +468,26 @@ def test_cgmi_respects_explicit_delta0():
     assert math.isnan(trace[0].mu)
 
 
-def test_cgmi_stage_cap_is_an_error():
-    # with a huge first tolerance and nu close to 1, every stage exhausts
-    # at x0 without an iteration, so only the stage cap ends the run
+def test_cgmi_far_above_the_gap_restarts_until_the_gap_reaches_a_stage():
+    # with a huge first tolerance and nu close to 1, over a thousand stages
+    # fail at x0 without a step; the schedule still ends the run
     cfg = SolverConfig(delta0=1e6, nu=0.99)
-    with pytest.raises(StageLimitError, match=f"no convergence after {MAX_STAGES} stages"):
-        run(solve_cgmi, cfg=cfg)
+    trace = []
+    rep = run(solve_cgmi, cfg=cfg, trace=trace)
+    _check_stages(trace, rep, cfg, 1e6)
+    assert rep.counters.restarts > 1000 and trace[0].stage > 1000
+
+
+@pytest.mark.parametrize("method", ["cgmi", "cgmis"])
+def test_nu_next_to_one_ends_the_run_in_bounded_work(method):
+    # some 1.6e10 stages fail without a step; each restart jumps to the first
+    # stage that the certified gap reaches, so the run does the work of one
+    # with a few stages (this test hangs when every stage rescans g)
+    cfg = SolverConfig(delta0=1e6, nu=1 - 1e-9)
+    rep = run(SOLVERS[method], cfg=cfg)
+    assert rep.status is Status.CONVERGED and rep.gap <= cfg.eps
+    assert rep.counters.restarts > 10 ** 10
+    assert rep.counters.kg >= 5 * rep.counters.restarts
 
 
 def test_cgmi_iteration_cap_reports_certified_gap():

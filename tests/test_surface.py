@@ -17,7 +17,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 TOP_LEVEL = {
     "solve_cgm", "solve_cgms", "solve_cgmi", "solve_cgmis", "solve_cgmil",
     "SolverConfig", "SolveReport", "Status", "SimplexSet",
-    "SmoothObjective", "StageLimitError", "NonFiniteOracleError",
+    "SmoothObjective", "NonFiniteOracleError",
     "LineSearchError", "DescentViolationError", "armijo_step", "exact_lmo",
     "step_point", "ProblemSpec", "build_instance", "lipschitz_upper_bound",
     "QuadraticFormObjective", "LeastSquaresObjective",
@@ -27,7 +27,7 @@ TOP_LEVEL = {
 def test_the_package_exports_exactly_the_names_the_readme_lists():
     exported = {name for name, value in vars(condgrad).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert exported == TOP_LEVEL and len(TOP_LEVEL) == 22
+    assert exported == TOP_LEVEL and len(TOP_LEVEL) == 21
     text = " ".join(README.read_text().split())
     paragraph = re.search(r"The top level of `condgrad` exports (.*?) Everything else", text)
     assert set(re.findall(r"`(\w+)`", paragraph.group(1))) == TOP_LEVEL
@@ -83,7 +83,10 @@ def test_run_records_are_plain_data_that_state_each_fact_once():
     # a trace is a plain list, and an exhausted scan returns its gap as a float
     assert not hasattr(solvers, "Trace")
     assert not hasattr(solvers, "ExhaustedCycle")
-    # the stage cap is a constant, not an option
+    # the tolerance schedule ends every inexact run: no stage cap, as a
+    # constant, an error class or an option, under any public name
+    assert not [name for name in vars(solvers)
+                if "stage" in name.lower() and not name.startswith("_")]
     assert _fields(solvers.SolverConfig) == [
         "beta", "theta", "sigma", "nu", "eps", "delta0", "tau0", "max_iterations"]
     # k is the list index, f after a step the next f_before (or report.f),
