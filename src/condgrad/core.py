@@ -284,12 +284,10 @@ class SmoothObjective(ABC):
         and the `_vertex_step_state` hook derives one, and otherwise built by
         `_make_state`, which the next oracle call at x_new would have done.
         Any other x leaves the cache as it is, and the next oracle call at
-        x_new validates it in full. Raises ValueError unless i is an integer
-        in [0, n) and 0 <= lam <= 1.
+        x_new validates it in full. Raises ValueError, as `step_point` does,
+        unless i is an integer index of x and 0 <= lam <= 1; the cache is
+        then left as it is.
         """
-        if not (_is_integer(i) and 0 <= i < self.n and 0.0 <= lam <= 1.0):
-            raise ValueError(f"vertex step needs an integer 0 <= i < {self.n} and 0 <= lam <= 1, "
-                             f"got i = {i!r}, lam = {lam!r}")
         x_new = step_point(x, i, b, lam)
         if x is self._cache_x and math.isfinite(x_new[i]):
             state = None
@@ -365,10 +363,13 @@ def step_point(x: np.ndarray, i: int, b: float, lam: float) -> np.ndarray:
     trusts it by identity): (1-lam)*x off index i, and (1-lam)*x[i] + lam*b
     at i. The convex-combination form keeps iterates on the mass constraint
     to machine precision; x + lam*(b*e_i - x) would drift. Raises
-    ValueError unless i is an integer (a bool index would step every entry).
+    ValueError unless i is an integer in [0, len(x)) (a bool index would
+    step every entry, a negative one the vertex counted from the end) and
+    0 <= lam <= 1 (any other step leaves the segment from x to b*e_i).
     """
-    if not _is_integer(i):
-        raise ValueError(f"vertex index must be an integer, got {i!r}")
+    if not (_is_integer(i) and 0 <= i < len(x) and 0.0 <= lam <= 1.0):
+        raise ValueError(f"a vertex step needs an integer 0 <= i < {len(x)} and "
+                         f"0 <= lam <= 1, got i = {i!r}, lam = {lam!r}")
     lam1 = 1.0 - lam
     out = lam1 * x
     out[i] = lam1 * x[i] + lam * b

@@ -27,10 +27,16 @@ from .core import (NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay,
 
 # Size gate for derived oracle states, in entries of the problem matrix
 # (rows * n). Below it a matrix-vector product is cheap enough that the
-# per-step overhead of deriving the state (a strided column read and a few
-# length-rows temporaries) costs more than it saves; see CHANGES.md for the
-# measured crossover.
+# per-step overhead of deriving the state (a read of one line of P, a
+# contiguous row for the symmetric quadratic form and a strided column for
+# least squares, and a few length-rows temporaries) costs more than it
+# saves; see CHANGES.md for the crossover, measured with column reads.
 DERIVED_STATE_MIN_ENTRIES = 20_000
+
+# Entries of the least-squares matrix that `build_phi3_data` computes at a
+# time: a block of whole rows whose temporaries stay in cache. Any block
+# between 2**13 and 2**16 entries builds (500, 1000) in the same time.
+_PHI3_BLOCK_ENTRIES = 2 ** 15
 
 # Unit roundoff of float64, and the largest error of one rounding into the
 # subnormal range: a rounded result r is off by at most _U*|r| + _ETA.
@@ -70,15 +76,28 @@ def build_phi2_terms(n: int):
 def build_phi3_data(m: int, n: int, b: float = 10.0):
     """Least-squares data: an m x n matrix with log/sin entries, shifted by
     +2 on the main diagonal, and the right-hand side q = b * row sums of P,
-    which makes the residual vanish at the all-b vector."""
+    which makes the residual vanish at the all-b vector.
+
+    P is filled in place, one block of about _PHI3_BLOCK_ENTRIES entries
+    (whole rows) at a time, so that set-up holds the result plus one block
+    of temporaries rather than three full-size ones. Each entry takes the
+    same float operations in the same order as the one-shot formula
+    log1p(i/j) * sin(i/j) / (i + j), so P and q are bit for bit what it
+    gives."""
     if not (_is_integer(m) and m >= 1 and _is_integer(n) and n >= 1):
         raise ValueError(f"dimensions must be integers >= 1, got m={m!r}, n={n!r}")
     if not (_is_real(b) and b > 0):
         raise ValueError(f"mass must be a positive finite real, got {b!r}")
-    i = np.arange(1, m + 1, dtype=np.float64)[:, None]
-    j = np.arange(1, n + 1, dtype=np.float64)[None, :]
-    r = i / j
-    P = np.log1p(r) * np.sin(r) / (i + j)
+    P = np.empty((m, n))
+    j = np.arange(1, n + 1, dtype=np.float64)
+    rows = max(1, _PHI3_BLOCK_ENTRIES // n)
+    for start in range(0, m, rows):
+        blk = P[start:start + rows]
+        ib = np.arange(start + 1, start + len(blk) + 1, dtype=np.float64)[:, None]
+        r = ib / j
+        np.log1p(r, out=blk)
+        blk *= np.sin(r)
+        blk /= ib + j
     k = min(m, n)
     P[np.arange(k), np.arange(k)] += 2.0
     q = b * P.sum(axis=1)
@@ -280,7 +299,7 @@ class QuadraticFormObjective(_MatrixObjective):
     """0.5 <Px, x> for symmetric P, optionally plus 1/(<c,x> + d).
 
     The quadratic part's state is Px, which is also its gradient vector; a
-    vertex step updates it with one column of P.
+    vertex step updates it with one row of P (equal to the column).
     P must be symmetric bit for bit: for any other P the gradient of
     0.5 <Px, x> is 0.5 (P + P^T) x, not Px.
     """
@@ -297,9 +316,10 @@ class QuadraticFormObjective(_MatrixObjective):
         return {"px": self.P @ x}
 
     def _quad_step(self, state, i, lam, b):
-        # P((1-lam)x + lam*b*e_i) = (1-lam)Px + lam*b*P[:, i]
+        # P((1-lam)x + lam*b*e_i) = (1-lam)Px + lam*b*P[:, i], and P[:, i]
+        # is the contiguous row P[i], as P is symmetric bit for bit
         px = state["px"] * (1.0 - lam)
-        px += (lam * b) * self.P[:, i]
+        px += (lam * b) * self.P[i]
         return {"px": px}
 
     def _quad_sq(self, x, state):

@@ -132,6 +132,18 @@ def random_simplex_points(rng, n, b, count):
     return rng.dirichlet(np.ones(n), size=count) * b
 
 
+def phi3_one_shot(m: int, n: int, b: float = 10.0):
+    """`build_phi3_data` as one whole-array formula: the reference that the
+    row-block build must match bit for bit."""
+    i = np.arange(1, m + 1, dtype=np.float64)[:, None]
+    j = np.arange(1, n + 1, dtype=np.float64)[None, :]
+    r = i / j
+    P = np.log1p(r) * np.sin(r) / (i + j)
+    k = min(m, n)
+    P[np.arange(k), np.arange(k)] += 2.0
+    return P, b * P.sum(axis=1)
+
+
 def f_history(report, steps):
     """f at every iterate of a traced run, from f(x0) to the reported f."""
     return [s.f_before for s in steps] + [report.f]

@@ -149,6 +149,19 @@ def test_lmo_dimension_mismatch():
         exact_lmo([1.0, 2.0], SimplexSet(3, 10.0))
 
 
+@pytest.mark.parametrize("g", [
+    [1.0, math.nan, 3.0, -2.0],   # NaN away from the minimum
+    [1.0, 2.0, 3.0, math.nan],    # NaN in the place of the smallest entry
+    [1.0, math.inf, 3.0, -2.0],
+    [1.0, 2.0, -math.inf, -2.0],
+], ids=["nan-away", "nan-at-min", "+inf", "-inf"])
+def test_lmo_refuses_a_non_finite_gradient(g):
+    # a caller outside the solvers gets no vertex from a gradient that is
+    # not finite, wherever the bad entry lies
+    with pytest.raises(ValueError, match="non-finite"):
+        exact_lmo(g, SimplexSet(4, 10.0))
+
+
 def test_lmo_optimality_over_random_gradients():
     rng = np.random.default_rng(7)
     for _ in range(1000):
@@ -360,6 +373,18 @@ def test_step_point_refuses_a_vertex_index_that_is_not_an_integer():
         with pytest.raises(ValueError, match="integer"):
             step_point(x, i, 10.0, 0.5)
     assert step_point(x, np.int64(1), 10.0, 0.5).tolist() == [2.5, 7.5]
+
+
+def test_step_point_refuses_an_index_or_a_step_off_the_segment():
+    # a negative index would step toward the vertex counted from the end,
+    # and a step outside [0, 1] (or NaN) would leave the simplex
+    x = np.full(10, 1.0)
+    for i, lam in ((-1, 0.5), (10, 0.5), (np.int64(-10), 0.5), (3, 1.5), (3, -0.5),
+                   (3, math.nan), (3, math.inf)):
+        with pytest.raises(ValueError, match="integer"):
+            step_point(x, i, 10.0, lam)
+    assert step_point(x, 0, 10.0, 0.0).tolist() == x.tolist()
+    assert step_point(x, 9, 10.0, 1.0).tolist() == [0.0] * 9 + [10.0]
 
 
 @pytest.mark.parametrize("n, steps", [(10, 2000), (1000, 2000), (100_000, 300)])

@@ -1,12 +1,14 @@
 """Problem generators: frozen scalar values, structure, convexity, bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condgrad import problems
 from condgrad.core import SimplexSet
 from condgrad.problems import (
     LeastSquaresObjective,
@@ -20,7 +22,7 @@ from condgrad.problems import (
     make_objective,
 )
 
-from helpers import random_simplex_points
+from helpers import phi3_one_shot, random_simplex_points
 
 ALL_SPECS = (
     ProblemSpec(series=1, n=7),
@@ -80,6 +82,34 @@ def test_phi3_structure():
     assert np.all(np.diag(P[:, :4]) > 2.0)
     # q is P applied to the all-b vector
     assert np.allclose(q, P @ np.full(9, 10.0), rtol=1e-12, atol=0)
+
+
+# the rows in one block at n = 1000
+EDGE = problems._PHI3_BLOCK_ENTRIES // 1000
+
+
+@pytest.mark.parametrize("m, n", [
+    (1, 1), (2, 5), (25, 50), (33, 7), (7, 33), (250, 500), (500, 1000), (1000, 500),
+    (EDGE - 1, 1000), (EDGE, 1000), (EDGE + 1, 1000),
+    (2 * EDGE - 1, 1000), (2 * EDGE + 1, 1000), (3, 40_000),  # a row wider than a block
+])
+def test_phi3_row_blocks_match_the_one_shot_formula_bit_for_bit(m, n):
+    P, q = build_phi3_data(m, n, 10.0)
+    Pr, qr = phi3_one_shot(m, n, 10.0)
+    assert P.shape == (m, n) and q.shape == (m,)
+    assert P.tobytes() == Pr.tobytes() and q.tobytes() == qr.tobytes()
+
+
+def test_phi3_build_holds_its_result_and_one_block_of_temporaries():
+    # the one-shot formula (`phi3_one_shot`) holds three full-size
+    # temporaries at once: an 11.6 MiB peak for a 3.8 MiB result here
+    tracemalloc.start()
+    try:
+        P, q = build_phi3_data(500, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= P.nbytes + q.nbytes + 2 ** 20
 
 
 def test_builders_are_deterministic():
