@@ -95,11 +95,18 @@ def as_vector(x, n: Optional[int] = None) -> np.ndarray:
         raise ValueError(f"expected a 1-d vector, got array of shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"dimension mismatch: expected length {n}, got {v.shape[0]}")
-    # a finite sum proves every entry finite; a sum that overflows does not
-    # prove the converse, so only then is every entry checked
-    if not math.isfinite(v.sum()) and not np.isfinite(v).all():
+    if not _all_finite(v):
         raise ValueError("vector contains non-finite entries")
     return v
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    """Every entry of `v` (of any shape) finite, from one dot product: a
+    finite sum of squares proves it; one that overflows (some |v_i| above
+    about 1.3e154) does not prove the converse, so only then is every entry
+    checked. np.vdot, unlike v.dot, raises no floating-point warning when a
+    square overflows."""
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
 def _is_integer(v) -> bool:
@@ -217,6 +224,12 @@ class SmoothObjective(ABC):
     that depend only on the state (and so on the point it belongs to), as
     the benchmark objectives memoize <Px, x> or <r, r> for their value and
     the vertex ray to share.
+
+    `armijo_step` builds each trial it evaluates from the key as
+    `vertex_step` builds a step, with the O(1) check at i, but always with
+    a state built by `_make_state`: the trial becomes the key, `value`
+    reads it without a scan (and charges its kf), and the vertex ray at the
+    accepted trial reads the state that `value` there read.
     """
 
     cheap_gradient_dot_point = False
@@ -275,6 +288,25 @@ class SmoothObjective(ABC):
             self._cache_x, self._cache_state, self._derived = x, state, 0
         return x, state
 
+    def _step(self, x: np.ndarray, i: int, b: float, lam: float, derive: bool) -> np.ndarray:
+        """step_point(x, i, b, lam), made the key when x is the key and its
+        entry i is finite, with a state that `_vertex_step_state` derives
+        when `derive` is true and the hook derives one, and that
+        `_make_state` builds otherwise. `vertex_step` derives; `armijo_step`
+        does not, as the vertex ray reads only a built state."""
+        x_new = step_point(x, i, b, lam)
+        if x is self._cache_x and math.isfinite(x_new[i]):
+            state = None
+            if derive and self._derived < self.n:
+                state = self._vertex_step_state(self._cache_state, i, lam, b)
+            if state is None:
+                self._cache_state, self._derived = self._make_state(x_new), 0
+            else:
+                self._cache_state = state
+                self._derived += 1
+            self._cache_x = x_new
+        return x_new
+
     def vertex_step(self, x: np.ndarray, i: int, b: float, lam: float) -> np.ndarray:
         """Uncharged: the step x_new = step_point(x, i, b, lam) from x toward
         b*e_i, which becomes the key when x is the key and x_new[i] is
@@ -288,18 +320,7 @@ class SmoothObjective(ABC):
         unless i is an integer index of x and 0 <= lam <= 1; the cache is
         then left as it is.
         """
-        x_new = step_point(x, i, b, lam)
-        if x is self._cache_x and math.isfinite(x_new[i]):
-            state = None
-            if self._derived < self.n:
-                state = self._vertex_step_state(self._cache_state, i, lam, b)
-            if state is None:
-                self._cache_state, self._derived = self._make_state(x_new), 0
-            else:
-                self._cache_state = state
-                self._derived += 1
-            self._cache_x = x_new
-        return x_new
+        return self._step(x, i, b, lam, True)
 
     def vertex_ray(self, x: np.ndarray, i: int, b: float) -> Optional["VertexRay"]:
         """Uncharged: f along the ray from x toward b*e_i, or None.
@@ -372,7 +393,7 @@ def step_point(x: np.ndarray, i: int, b: float, lam: float) -> np.ndarray:
                          f"0 <= lam <= 1, got i = {i!r}, lam = {lam!r}")
     lam1 = 1.0 - lam
     out = lam1 * x
-    out[i] = lam1 * x[i] + lam * b
+    out[i] = lam1 * float(x[i]) + lam * b
     out.setflags(write=False)
     return out
 
@@ -474,7 +495,11 @@ def armijo_step(f: SmoothObjective, x, i: int, b: float,
     of evaluating every trial.
 
     x is validated as the oracle validates it: the cached key of `f` is
-    not rescanned, any other array is scanned in full.
+    not rescanned, any other array is scanned in full. So are the evaluated
+    trials: one from the key is built as `vertex_step` builds a step,
+    checking only its entry i, and becomes the key with a state built by
+    `_make_state` (never a derived one), so that `value` reads it without a
+    scan; one from any other x is scanned in full by `value`.
 
     Raises ValueError when the supplied directional derivative is not
     negative or i is not an integer index of x, and LineSearchError when m
@@ -506,7 +531,7 @@ def armijo_step(f: SmoothObjective, x, i: int, b: float,
             break
         lam, blam = ladder[m][:2]
         threshold = f_x + blam * directional_derivative
-        trial = step_point(x, i, b, lam)
+        trial = f._step(x, i, b, lam, False)  # from the key: no scan in `value`
         f_trial = f.value(trial)
         if f_trial <= threshold:
             if f_trial == f_x and np.array_equal(trial, x):

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay, _is_integer,
-                   _is_real, _real_array)
+from .core import (NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay, _all_finite,
+                   _is_integer, _is_real, _real_array)
 
 # Size gate for derived oracle states, in entries of the problem matrix
 # (rows * n). Below it a matrix-vector product is cheap enough that the
@@ -33,10 +33,11 @@ from .core import (NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay,
 # saves; see CHANGES.md for the crossover, measured with column reads.
 DERIVED_STATE_MIN_ENTRIES = 20_000
 
-# Entries of the least-squares matrix that `build_phi3_data` computes at a
-# time: a block of whole rows whose temporaries stay in cache. Any block
-# between 2**13 and 2**16 entries builds (500, 1000) in the same time.
-_PHI3_BLOCK_ENTRIES = 2 ** 15
+# Entries of a matrix that `build_phi3_data` computes, and that
+# `_ray_constants` takes absolute values of, at a time: a block of whole
+# rows whose temporaries stay in cache. Any block between 2**13 and 2**16
+# entries builds (500, 1000) in the same time.
+_BLOCK_ENTRIES = 2 ** 15
 
 # Unit roundoff of float64, and the largest error of one rounding into the
 # subnormal range: a rounded result r is off by at most _U*|r| + _ETA.
@@ -52,6 +53,18 @@ def _gamma(k: float) -> float:
     return k * _U / (1.0 - k * _U)
 
 
+# the rounding of the ray's reciprocal term, its addition and the screen
+# (see `_MatrixObjective._vertex_ray`)
+_GAMMA_8 = _gamma(8)
+
+
+def _finite_data(a: np.ndarray, name: str) -> None:
+    """Raise ValueError naming `a` when it holds NaN or +-inf, tested as
+    `as_vector` tests a vector."""
+    if not _all_finite(a):
+        raise ValueError(f"{name} must be finite, got NaN or infinite entries")
+
+
 def build_phi1_matrix(n: int) -> np.ndarray:
     """Symmetric n x n matrix with sin/cos off-diagonals and a diagonal of
     one plus the absolute off-diagonal row sum, which makes it strictly
@@ -59,9 +72,10 @@ def build_phi1_matrix(n: int) -> np.ndarray:
     if not (_is_integer(n) and n >= 1):
         raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
     idx = np.arange(1, n + 1, dtype=np.float64)
-    upper = np.triu(np.outer(np.sin(idx), np.cos(idx)), k=1)
+    upper = np.outer(np.sin(idx), np.cos(idx))
+    upper[idx[:, None] >= idx] = 0.0  # in place, as np.triu(upper, k=1) would copy
     P = upper + upper.T
-    P[np.diag_indices(n)] = np.abs(P).sum(axis=1) + 1.0
+    np.fill_diagonal(P, np.abs(P).sum(axis=1) + 1.0)
     return P
 
 
@@ -78,7 +92,7 @@ def build_phi3_data(m: int, n: int, b: float = 10.0):
     +2 on the main diagonal, and the right-hand side q = b * row sums of P,
     which makes the residual vanish at the all-b vector.
 
-    P is filled in place, one block of about _PHI3_BLOCK_ENTRIES entries
+    P is filled in place, one block of about _BLOCK_ENTRIES entries
     (whole rows) at a time, so that set-up holds the result plus one block
     of temporaries rather than three full-size ones. Each entry takes the
     same float operations in the same order as the one-shot formula
@@ -90,7 +104,7 @@ def build_phi3_data(m: int, n: int, b: float = 10.0):
         raise ValueError(f"mass must be a positive finite real, got {b!r}")
     P = np.empty((m, n))
     j = np.arange(1, n + 1, dtype=np.float64)
-    rows = max(1, _PHI3_BLOCK_ENTRIES // n)
+    rows = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, m, rows):
         blk = P[start:start + rows]
         ib = np.arange(start + 1, start + len(blk) + 1, dtype=np.float64)[:, None]
@@ -162,9 +176,10 @@ class _MatrixObjective(SmoothObjective):
     state memoizes. The ray's margin bounds the difference between this
     formula in floating point and `value` at the computed point
     step_point(x, i, b, lam); see `_vertex_ray`. The margin reads x only
-    through s = max(||x||_1, |b|) and bounds the data's part once per
-    instance, so it can be looser than a bound summed over x for each ray;
-    a looser margin only lets more trials through to `value`.
+    through s = max(sqrt(n <x, x>) rounded up, |b|) >= max(||x||_1, |b|)
+    and bounds the data's part once per instance, so it can be looser than
+    a bound summed over x for each ray; a looser margin only lets more
+    trials through to `value`.
     """
 
     cheap_gradient_dot_point = True
@@ -178,6 +193,7 @@ class _MatrixObjective(SmoothObjective):
             self.c = _real_array(c)
             if self.c.shape != (self.n,):
                 raise ValueError("barrier vector length must match the column count of P")
+            _finite_data(self.c, "barrier vector c")
             if not _is_real(d):
                 raise ValueError(f"barrier offset d must be a finite real, got {d!r}")
             self.d = float(d)
@@ -186,7 +202,7 @@ class _MatrixObjective(SmoothObjective):
     def _make_state(self, x):
         state = self._quad_state(x)
         if self.c is not None:
-            u = float(np.dot(self.c, x))
+            u = float(self.c.dot(x))
             if u + self.d == 0.0:
                 raise NonFiniteOracleError("x is a pole of the barrier 1/(<c,x> + d)", point=x)
             state["u"] = u
@@ -214,10 +230,17 @@ class _MatrixObjective(SmoothObjective):
         """The instance's part of the ray margin, computed once: the
         subclass's bounds on the quadratic part (`_quad_bounds`), the
         largest row sum of |P|, the total magnitude of the data (sum|P| +
-        sum|c| + |d|, plus sum|q| for least squares), max|c|, and the
-        constants of both rounding bounds for this instance's rows and n."""
+        sum|c| + |d|, plus sum|q| for least squares), max|c|, the constants
+        of both rounding bounds for this instance's rows and n, and those of
+        `_norm1_bound` for this n."""
         rows, n = self.P.shape
-        R = np.abs(self.P).sum(axis=1)
+        # the row sums of |P|, one block of rows at a time, so that no
+        # full-size |P| is held; each row is reduced on its own, so R is bit
+        # for bit np.abs(P).sum(axis=1)
+        R = np.empty(rows)
+        block = max(1, _BLOCK_ENTRIES // n)
+        for start in range(0, rows, block):
+            R[start:start + block] = np.abs(self.P[start:start + block]).sum(axis=1)
         total = float(R.sum())
         c_max = 0.0
         if self.c is not None:
@@ -228,18 +251,32 @@ class _MatrixObjective(SmoothObjective):
         quad, q_sum = self._quad_bounds(R, r_max)
         return (quad, r_max, total + q_sum, c_max,
                 _gamma(2 * rows + 4 * n + 32), 8.0 * (rows + 2) * (n + 2) * _ETA,
-                _gamma(n + 10), 8.0 * (n + 2) * _ETA)
+                _gamma(n + 10), 8.0 * (n + 2) * _ETA, n * _ETA, 1.0 + _gamma(n + 4))
+
+    def _norm1_bound(self, x, eta_n: float, scale: float) -> float:
+        """An upper bound on ||x||_1 from one dot product: ||x||_1 <=
+        sqrt(n <x, x>) by Cauchy-Schwarz. The computed <x, x> is at least
+        (1 - gamma_n)<x, x> - n*_ETA (every term is a square, and each may
+        underflow), so adding eta_n = n*_ETA and scaling by scale = 1 +
+        gamma_{n+4} (the last two `_ray_constants`) covers that and the
+        roundings of the addition, the product by n, the sqrt, the scale and
+        the scaling."""
+        return math.sqrt(self.n * (float(x.dot(x)) + eta_n)) * scale
 
     def _vertex_ray(self, x, state, i, b):
         # Computed on the first line search, not in the constructor, so
         # that building an instance costs what it did.
         if self._ray_bounds is None:
             self._ray_bounds = self._ray_constants()
-        quad, r_max, total, c_max, g_quad, eta_quad, g_bar, eta_bar = self._ray_bounds
+        (quad, r_max, total, c_max, g_quad, eta_quad, g_bar, eta_bar,
+         eta_n, scale) = self._ray_bounds
         # ||y(lam)||_1 <= (1-lam)||x||_1 + lam|b| <= s for every lam in
         # [0, 1], and so |y_j(lam)| <= s for every j: the ray reads x
-        # through s and the state only
-        s = max(float(np.abs(x).sum()), abs(b))
+        # through s and the state only. s costs one dot product and may
+        # exceed max(||x||_1, |b|) by up to a factor of sqrt(n), so T, and
+        # with it the margin, may grow by up to a factor of n; that only
+        # lets more trials through to `value`.
+        s = max(self._norm1_bound(x, eta_n, scale), abs(b))
         c0, c1, c2, T = self._quad_ray(x, state, i, b, s, quad)
         # Rounding margin, counted over both paths to f(y(lam)): the
         # products and sums of `value` at the point step_point rounded, the
@@ -274,7 +311,7 @@ class _MatrixObjective(SmoothObjective):
                 return None  # the denominator may reach zero on the ray
             # the two reciprocals differ by <= 2E/low^2, and their
             # rounding, the addition and the screen add <= gamma_8/low
-            margin += (2.0 * E / low + _gamma(8)) / low
+            margin += (2.0 * E / low + _GAMMA_8) / low
             ray = VertexRay(c0, c1, c2, margin, u, cb, d)
         # no intermediate of either path can overflow
         if not math.isfinite(4.0 * (T + s * r_max) + margin + c0 + c1 + c2):
@@ -308,6 +345,7 @@ class QuadraticFormObjective(_MatrixObjective):
         P = _real_array(P)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"P must be square, got shape {P.shape}")
+        _finite_data(P, "P")  # a NaN would fail the symmetry test below
         if not (P == P.T).all():
             raise ValueError("P must be symmetric")
         super().__init__(P, barrier)
@@ -323,7 +361,7 @@ class QuadraticFormObjective(_MatrixObjective):
         return {"px": px}
 
     def _quad_sq(self, x, state):
-        return float(np.dot(state["px"], x))
+        return float(state["px"].dot(x))
 
     def _quad_gradient(self, state):
         return state["px"]
@@ -357,6 +395,8 @@ class LeastSquaresObjective(_MatrixObjective):
             raise ValueError(f"P must be a matrix, got shape {P.shape}")
         if q.shape != (P.shape[0],):
             raise ValueError("q length must match the row count of P")
+        _finite_data(P, "P")
+        _finite_data(q, "q")
         super().__init__(P, barrier)
         self.q = q
 
@@ -377,7 +417,7 @@ class LeastSquaresObjective(_MatrixObjective):
 
     def _quad_sq(self, x, state):
         r = state["r"]
-        return float(np.dot(r, r))
+        return float(r.dot(r))
 
     def _quad_gradient(self, state):
         return self._pt_r(state)
@@ -395,7 +435,7 @@ class LeastSquaresObjective(_MatrixObjective):
         r2, rq, qq = sums
         r = state["r"]
         v = b * self.P[:, i] - self.q
-        return (self._sq(x, state), float(np.dot(r, v)), float(np.dot(v, v)),
+        return (self._sq(x, state), float(r.dot(v)), float(v.dot(v)),
                 (s * s * r2 + 2.0 * s * rq) + qq)
 
 

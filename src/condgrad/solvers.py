@@ -165,7 +165,7 @@ def _linearize(f: SmoothObjective, x: np.ndarray, it: int):
     """g = f'(x) and gx = <g, x>, the run's one gradient read at iterate x;
     x is finite, so gx is non-finite, and the run stops, when some g_i is."""
     g = f.gradient(x)
-    gx = float(np.dot(g, x))
+    gx = float(g.dot(x))
     if not math.isfinite(gx):
         raise NonFiniteOracleError(
             f"non-finite gradient after {it} iterations: <f'(x), x> = {gx}", point=x)
@@ -195,17 +195,23 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
     `trace` list, if one is given.
     """
     inexact = direction == "inexact"
+    armijo, adaptive, fixed = step == "armijo", step == "adaptive", step == "fixed"
+    n, b = feasible_set.n, feasible_set.b
+    beta, theta, sigma, nu, eps = cfg.beta, cfg.theta, cfg.sigma, cfg.nu, cfg.eps
+    tau0, max_iterations = cfg.tau0, cfg.max_iterations
     # a private read-only copy: the oracle's cache trusts it by identity
-    x = as_vector(x0, feasible_set.n).copy()
+    x = as_vector(x0, n).copy()
     x.setflags(write=False)
     if x.shape[0] != f.n:
-        raise ValueError(f"objective dimension {f.n} does not match set dimension {feasible_set.n}")
+        raise ValueError(f"objective dimension {f.n} does not match set dimension {n}")
     if not feasible_set.contains(x):
         raise ValueError("starting point is not feasible")
+    # the paper's charge of one kg per probe needs a cheap <f'(x), x>
+    probe_charge = f.cheap_gradient_dot_point
     counters = Counters()
     # line-search or acceptance-test seed; not part of the per-step cost.
     # The fixed step needs no function values unless it checks descent.
-    fx = f.value(x) if step != "fixed" or check_descent else None
+    fx = f.value(x) if not fixed or check_descent else None
     if fx is not None and not math.isfinite(fx):
         raise NonFiniteOracleError(f"non-finite objective value f(x0) = {fx}", point=x)
     g, gx = _linearize(f, x, 0)
@@ -216,68 +222,67 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
         # an explicit delta0 costs nothing
         delta0 = cfg.delta0
         if delta0 is None:
-            counters.kg += feasible_set.n
-            mu = _gap(g, gx, feasible_set.b)
-            if mu <= cfg.eps:  # the start is already good enough: skip the loop
+            counters.kg += n
+            mu = _gap(g, gx, b)
+            if mu <= eps:  # the start is already good enough: skip the loop
                 status = Status.CONVERGED
-            delta0 = max(cfg.eps, cfg.nu * mu)
-        delta = cfg.nu ** stage * delta0
+            delta0 = max(eps, nu * mu)
+        delta = nu ** stage * delta0
     # adaptive step: ceiling tau, step lam = tau * sigma**failures
-    tau = lam = cfg.tau0
+    tau = lam = tau0
     failures = 0
     while status is None:
-        if counters.it >= cfg.max_iterations:
+        if counters.it >= max_iterations:
             # the gap of the gradient already read; reporting only, never charged
-            mu = _gap(g, gx, feasible_set.b)
-            status = Status.CONVERGED if mu <= cfg.eps else Status.ITERATION_CAP
+            mu = _gap(g, gx, b)
+            status = Status.CONVERGED if mu <= eps else Status.ITERATION_CAP
             break
         if inexact:
-            res, cursor = inexact_direction(g, gx, feasible_set.b, delta, cursor)
+            res, cursor = inexact_direction(g, gx, b, delta, cursor)
             if isinstance(res, float):  # a full failed cycle certified the gap
                 mu = res
-                if mu <= cfg.eps:
+                if mu <= eps:
                     status = Status.CONVERGED  # terminal certification; not charged
                     break
                 # each stage passed would fail on g, and is charged so
-                passed = _first_stage_reached(stage, mu, cfg.nu, delta0) - stage
-                counters.kg += passed * feasible_set.n
+                passed = _first_stage_reached(stage, mu, nu, delta0) - stage
+                counters.kg += passed * n
                 counters.restarts += passed
                 stage += passed
-                delta = cfg.nu ** stage * delta0
-                if step == "adaptive":  # restart ceiling, see solve_cgmis
+                delta = nu ** stage * delta0
+                if adaptive:  # restart ceiling, see solve_cgmis
                     for _ in range(passed):  # until lam stops moving, at tau0
-                        lam, prev = min(cfg.tau0, lam / cfg.sigma), lam
+                        lam, prev = min(tau0, lam / sigma), lam
                         if lam == prev:
                             break
                     tau, failures = lam, 0
                 continue  # the next scan reads the same gradient, and hits
-            # the paper's charge of one kg per probe needs a cheap <f'(x), x>
-            counters.kg += res.tests if f.cheap_gradient_dot_point else feasible_set.n
+            counters.kg += res.tests if probe_charge else n
             index, descent, tests = res.index, res.descent, res.tests
         else:
             index = exact_lmo(g, feasible_set)
-            mu = gx - feasible_set.b * float(g[index])
-            if mu <= cfg.eps:
+            mu = gx - b * float(g[index])
+            if mu <= eps:
                 status = Status.CONVERGED
                 break
-            counters.kg += feasible_set.n
+            counters.kg += n
             descent, tests = mu, 0
         trials, accepted = 0, None
-        if step == "armijo":
-            search = armijo_step(f, x, index, feasible_set.b, -descent, cfg.beta, cfg.theta, fx)
+        if armijo:
+            search = armijo_step(f, x, index, b, -descent, beta, theta, fx)
             x_new, f_new, lam, trials = (search.new_point, search.new_value,
                                          search.step, search.trials)
         else:
             # the adaptive step is always taken and costs one kf; the fixed
             # step costs none (check_descent evaluations are never charged)
-            if step == "fixed":
+            if fixed:
                 lam = min(1.0, lam_bar * delta)
-            x_new = f.vertex_step(x, index, feasible_set.b, lam)
+            x_new = f.vertex_step(x, index, b, lam)
             f_new = None if fx is None else f.value(x_new)
-            if step == "adaptive":
-                trials, accepted = 1, f_new <= fx + cfg.beta * lam * (-descent)
+            if adaptive:
+                trials, accepted = 1, f_new <= fx + beta * lam * (-descent)
             elif check_descent:
-                slack = cfg.beta * lam * descent
+                slack = beta * lam * descent
                 if f_new > fx - slack + 1e-9 * max(1.0, abs(fx)):
                     raise DescentViolationError(
                         f"sufficient decrease violated at iteration {counters.it}: "
@@ -294,7 +299,7 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
         counters.it += 1
         if accepted is False:
             failures += 1
-            lam = tau * cfg.sigma ** failures
+            lam = tau * sigma ** failures
         g, gx = _linearize(f, x, counters.it)
     final_f = fx if fx is not None else f.value(x)  # reporting only
     # the adaptive step keeps any f it takes; the fixed step evaluates f here

@@ -132,6 +132,16 @@ def random_simplex_points(rng, n, b, count):
     return rng.dirichlet(np.ones(n), size=count) * b
 
 
+def phi1_triu(n: int) -> np.ndarray:
+    """`build_phi1_matrix` through np.triu and a fancy-indexed diagonal: the
+    reference that the in-place build must match bit for bit."""
+    idx = np.arange(1, n + 1, dtype=np.float64)
+    upper = np.triu(np.outer(np.sin(idx), np.cos(idx)), k=1)
+    P = upper + upper.T
+    P[np.diag_indices(n)] = np.abs(P).sum(axis=1) + 1.0
+    return P
+
+
 def phi3_one_shot(m: int, n: int, b: float = 10.0):
     """`build_phi3_data` as one whole-array formula: the reference that the
     row-block build must match bit for bit."""

@@ -117,8 +117,13 @@ def test_as_vector_accepts_a_finite_vector_whose_sum_overflows():
     with np.errstate(over="ignore"):
         v = as_vector([1e308, 1e308, -1e308])
     assert v.tolist() == [1e308, 1e308, -1e308]
+    # the squares overflow, though the entries and their sum are finite;
+    # and as_vector raises no floating-point warning on the way
+    assert as_vector([1e200, -1e200]).tolist() == [1e200, -1e200]
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
         as_vector([1e308, math.inf, -math.inf])
+    with pytest.raises(ValueError):
+        as_vector([1e200, math.nan])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from condgrad import core, problems
-from condgrad.core import step_point
+from condgrad.core import armijo_step, step_point
 from condgrad.problems import ProblemSpec, build_instance, lipschitz_upper_bound
-from condgrad.solvers import SolverConfig, solve_cgmil, solve_cgmis, solve_cgms
+from condgrad.solvers import (SolverConfig, solve_cgm, solve_cgmi, solve_cgmil, solve_cgmis,
+                              solve_cgms)
 
 # one instance of each series above the size gate, small enough to step fast
 GATED = [ProblemSpec(series=1, n=150), ProblemSpec(series=2, n=150),
@@ -108,7 +109,7 @@ def _solve(spec, method, cfg):
     f, D, x0 = build_instance(spec)
     if method == "cgmil":
         return solve_cgmil(f, D, cfg, x0, lipschitz_upper_bound(spec, D)), f, D
-    fn = solve_cgms if method == "cgms" else solve_cgmis
+    fn = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi, "cgmis": solve_cgmis}[method]
     return fn(f, D, cfg, x0), f, D
 
 
@@ -166,16 +167,68 @@ def test_a_stepped_iterate_is_validated_without_a_scan(spec, monkeypatch):
     assert len(scans) == 1
 
 
-@pytest.mark.parametrize("method", ["cgmis", "cgmil"])
+@pytest.mark.parametrize("method", ["cgm", "cgmi", "cgmis", "cgmil"])
 @pytest.mark.parametrize("spec", SIZES, ids=SIZE_IDS)
 def test_a_run_scans_only_its_start(spec, method, monkeypatch):
     scans = counting_scans(monkeypatch)
-    rep, _, _ = _solve(spec, method, SolverConfig(eps=1e-9, max_iterations=300))
-    assert rep.counters.it == 300
+    rep, f, _ = _solve(spec, method, SolverConfig(eps=1e-9, max_iterations=300))
+    it = rep.counters.it
+    assert it == 300
     # the start's copy is validated by the run's feasibility test and at
     # the first oracle call; every iterate after it is a vertex step from
-    # the cached key
-    assert len(scans) == 2
+    # the cached key, and so is the first trial that each Armijo search
+    # evaluates. A later trial of the same search steps from an x that is
+    # no longer the key, and is scanned; cgm's exact_lmo scans the gradient
+    # once per iteration.
+    later_trials = f.kf - 1 - it if method in ("cgm", "cgmi") else 0
+    assert later_trials >= 0
+    lmo_scans = it if method == "cgm" else 0
+    assert len(scans) == 2 + later_trials + lmo_scans
+
+
+def _counting_derivations(f):
+    calls = []
+    derive = f._vertex_step_state
+    f._vertex_step_state = lambda *a: calls.append(1) or derive(*a)
+    return calls
+
+
+@pytest.mark.parametrize("spec", SIZES, ids=SIZE_IDS)
+def test_an_armijo_trial_from_the_key_becomes_the_key_without_a_scan(spec, monkeypatch):
+    f, D, x0 = build_instance(spec)
+    x = frozen(x0)
+    f_x = f.value(x)
+    g = f.gradient(x)
+    i = int(np.argmin(g))
+    dd = float(D.b * g[i] - g @ x)
+    scans, derivations = counting_scans(monkeypatch), _counting_derivations(f)
+    res = armijo_step(f, x, i, D.b, dd, 0.5, 0.5, f_x)
+    assert res.trials >= 1 and res.new_value < f_x
+    # the accepted trial is the key, with a state built by _make_state,
+    # never derived, even above the size gate
+    assert f._cache_x is res.new_point and f._derived == 0
+    assert derivations == []
+    assert scans == []
+    assert f.kf == 2  # the start's value and the accepted trial's
+    # so the next search is offered the vertex ray on both sides of the gate
+    assert f.vertex_ray(res.new_point, (i + 1) % f.n, D.b) is not None
+    fresh = type(f)._make_state(f, res.new_point)
+    for key in ("px", "u"):
+        assert np.array_equal(f._cache_state[key], fresh[key]), key
+
+
+@pytest.mark.parametrize("spec", SIZES, ids=SIZE_IDS)
+def test_an_armijo_trial_from_a_writeable_x_is_scanned(spec, monkeypatch):
+    f, D, x0 = build_instance(spec)
+    x = np.array(x0)  # writeable: never the key
+    f_x = f.value(x)
+    g = f.gradient(x)
+    i = int(np.argmin(g))
+    scans = counting_scans(monkeypatch)
+    res = armijo_step(f, x, i, D.b, float(D.b * g[i] - g @ x), 0.5, 0.5, f_x)
+    # x itself, and then every evaluated trial in full by `value`
+    assert len(scans) == 1 + (f.kf - 1) and f.kf >= 2
+    assert f._cache_x is res.new_point  # a trusted trial validated in full
 
 
 def _declined_steps(x, D):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condgrad import problems
-from condgrad.core import SimplexSet
+from condgrad.core import COORD_FLOOR, SimplexSet
 from condgrad.problems import (
     LeastSquaresObjective,
     ProblemSpec,
@@ -22,7 +22,7 @@ from condgrad.problems import (
     make_objective,
 )
 
-from helpers import phi3_one_shot, random_simplex_points
+from helpers import phi1_triu, phi3_one_shot, random_simplex_points
 
 ALL_SPECS = (
     ProblemSpec(series=1, n=7),
@@ -59,6 +59,11 @@ def test_phi1_symmetric_and_diagonally_dominant(n):
     assert np.all(np.diag(P) > off)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 50, 129, 500])
+def test_phi1_matches_the_triu_formula_bit_for_bit(n):
+    assert build_phi1_matrix(n).tobytes() == phi1_triu(n).tobytes()
+
+
 def test_phi2_frozen_terms():
     c, d = build_phi2_terms(5)
     assert d == 5.0
@@ -85,7 +90,7 @@ def test_phi3_structure():
 
 
 # the rows in one block at n = 1000
-EDGE = problems._PHI3_BLOCK_ENTRIES // 1000
+EDGE = problems._BLOCK_ENTRIES // 1000
 
 
 @pytest.mark.parametrize("m, n", [
@@ -110,6 +115,70 @@ def test_phi3_build_holds_its_result_and_one_block_of_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= P.nbytes + q.nbytes + 2 ** 20
+
+
+@pytest.mark.parametrize("spec", [ProblemSpec(series=4, n=1000, m=500),
+                                  ProblemSpec(series=4, n=7, m=4), ProblemSpec(series=2, n=50)],
+                         ids=["500x1000", "4x7", "50x50"])
+def test_ray_constants_take_the_row_sums_of_abs_p_one_block_at_a_time(spec):
+    f = make_objective(spec)
+    P = f.P
+    R = np.abs(P).sum(axis=1)  # the full-size reference
+    # no full-size |P|: the result, one block and a few row-length vectors
+    tracemalloc.start()
+    try:
+        got = f._ray_constants()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * problems._BLOCK_ENTRIES + 64 * P.shape[0] + 2 ** 16
+    # each row is reduced on its own, so every constant keeps its bits
+    total = float(R.sum()) + float(np.abs(f.c).sum()) + abs(f.d)
+    quad, q_sum = f._quad_bounds(R, float(R.max()))
+    assert repr(got[:4]) == repr((quad, float(R.max()), total + q_sum, float(np.abs(f.c).max())))
+
+
+def _point_entries(b):
+    # entries down to COORD_FLOOR, tiny ones whose squares underflow, and
+    # ones up to the mass
+    return st.one_of(st.floats(COORD_FLOOR, 0.0), st.floats(0.0, 1e-150),
+                     st.floats(0.0, b), st.just(b))
+
+
+def _norm1_bound(x):
+    """`_norm1_bound` at x, with the constants of an objective on R^n (one
+    row of P, so that any n is cheap)."""
+    f = LeastSquaresObjective(np.ones((1, x.shape[0])), np.ones(1))
+    return f._norm1_bound(x, *f._ray_constants()[-2:])
+
+
+@st.composite
+def points_and_masses(draw):
+    n = draw(st.integers(1, 64))
+    b = 10.0 ** draw(st.floats(-3.0, 150.0))
+    return draw(st.lists(_point_entries(b), min_size=n, max_size=n)), b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=points_and_masses())
+def test_the_ray_s_bounds_the_l1_norm(case):
+    entries, b = case
+    x = np.array(entries)
+    # the ray's s = max(that bound, |b|)
+    assert _norm1_bound(x) >= math.fsum(abs(x))
+    assert max(_norm1_bound(x), abs(b)) >= math.fsum(abs(x))
+
+
+def test_the_ray_s_bounds_the_l1_norm_where_cauchy_schwarz_is_tight():
+    # equal magnitudes meet sqrt(n <x, x>) = ||x||_1 in exact arithmetic, so
+    # only the rounding allowance keeps the computed bound above the norm
+    rng = np.random.default_rng(23)
+    for n in list(range(1, 130)) + [500, 1000, 4096]:
+        for v in np.concatenate([rng.uniform(0.1, 10.0, 20), [10.0 / n, 1e-160, 5e-324],
+                                 10.0 ** rng.uniform(-150, 150, 20)]):
+            x = np.full(n, v)
+            x[::2] *= -1.0
+            assert _norm1_bound(x) >= math.fsum(abs(x)), (n, v)
 
 
 def test_builders_are_deterministic():
@@ -182,6 +251,39 @@ def test_objective_data_holds_real_numbers():
     f = LeastSquaresObjective(P, q, barrier=(c, 5.0))
     assert f.P is P and f.q is q and f.c is c
     assert QuadraticFormObjective(P).P is P
+
+
+NON_FINITE_DATA = {
+    # a symmetric P with an infinite pair constructed, and its gradient was
+    # infinite; a NaN failed the symmetry test instead
+    "quadratic-P": ("P", lambda bad: QuadraticFormObjective(np.array([[2.0, bad], [bad, 2.0]]))),
+    "quadratic-P-diagonal": ("P", lambda bad: QuadraticFormObjective(np.diag([2.0, bad]))),
+    "least-squares-P": ("P", lambda bad: LeastSquaresObjective(np.array([[1.0, bad], [0.0, 1.0]]),
+                                                               np.ones(2))),
+    # an infinite q gave an infinite value
+    "least-squares-q": ("q", lambda bad: LeastSquaresObjective(np.eye(2), np.array([bad, 1.0]))),
+    # a NaN in c gave a NaN value
+    "quadratic-c": ("barrier vector c", lambda bad: QuadraticFormObjective(
+        np.eye(2), barrier=(np.array([1.0, bad]), 5.0))),
+    "least-squares-c": ("barrier vector c", lambda bad: LeastSquaresObjective(
+        np.eye(2), np.ones(2), barrier=(np.array([1.0, bad]), 5.0))),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_DATA)
+def test_objective_data_must_be_finite(case):
+    name, make = NON_FINITE_DATA[case]
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make(bad)
+
+
+def test_finite_data_may_square_past_the_float_range():
+    # entries above about 1.3e154 overflow the one-dot check, and the exact
+    # check takes them
+    big = np.array([[1e200, 0.0], [0.0, 1e200]])
+    assert QuadraticFormObjective(big).P is big
+    assert LeastSquaresObjective(big, np.array([1e200, -1e200])).P is big
 
 
 def test_problem_spec_validation():
