@@ -212,13 +212,14 @@ class SmoothObjective(ABC):
     at it may differ from a fresh build in the last bits.
 
     Every Armijo trial lies on a vertex ray y(lam) = step_point(x, i, b,
-    lam), and an objective that is a quadratic in lam along it (optionally
-    plus the reciprocal of an affine function of lam) can offer that form
-    through the `_vertex_ray` hook: `vertex_ray` (uncharged) returns it as a
-    `VertexRay` with a bound on its rounding, so that the line search can
-    reject a trial that is certainly above its threshold without evaluating
-    it. Such a trial is still charged one kf in the run's counters, but not
-    to this object's `kf`, which counts `value` evaluations only.
+    lam), and an objective with a quadratic in lam that bounds it from below
+    along the ray (f itself when f is quadratic there) can offer that
+    quadratic through the `_vertex_ray` hook: `vertex_ray` (uncharged)
+    returns it as a `VertexRay` with a bound on its rounding, so that the
+    line search can reject a trial that is certainly above its threshold
+    without evaluating it. Such a trial is still charged one kf in the
+    run's counters, but not to this object's `kf`, which counts `value`
+    evaluations only.
 
     A hook must not change what `state` holds, but it may add memo entries
     that depend only on the state (and so on the point it belongs to), as
@@ -269,10 +270,10 @@ class SmoothObjective(ABC):
 
     def _vertex_ray(self, x: np.ndarray, state: dict, i: int,
                     b: float) -> Optional["VertexRay"]:
-        """f along step_point(x, i, b, lam) for lam in [0, 1] in the
-        closed form of `VertexRay`, from `state`, the state at x built by
-        `_make_state`; None to have every trial on the ray evaluated.
-        `state` may gain memo entries only."""
+        """A lower bound on f along step_point(x, i, b, lam) for lam in
+        [0, 1] in the quadratic form of `VertexRay`, from `state`, the state
+        at x built by `_make_state`; None to have every trial on the ray
+        evaluated. `state` may gain memo entries only."""
         return None
 
     # counted public interface ----------------------------------------------
@@ -399,22 +400,18 @@ def step_point(x: np.ndarray, i: int, b: float, lam: float) -> np.ndarray:
 
 
 class VertexRay(NamedTuple):
-    """f along y(lam) = step_point(x, i, b, lam) for lam in [0, 1], from
-    `SmoothObjective.vertex_ray`, in the closed form
+    """A quadratic under f along y(lam) = step_point(x, i, b, lam) for lam
+    in [0, 1], from `SmoothObjective.vertex_ray`, in the Bernstein form
 
-        0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) + 1/((1-lam)u + lam w + d),
+        0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2):
 
-    the reciprocal term only when `d` is not None: that expression minus
-    `margin`, computed in floating point, never exceeds what
-    `SmoothObjective.value` returns at y(lam)."""
+    that expression minus `margin`, computed in floating point, never
+    exceeds what `SmoothObjective.value` returns at y(lam)."""
 
     c0: float
     c1: float
     c2: float
     margin: float
-    u: float = 0.0
-    w: float = 0.0
-    d: Optional[float] = None
 
     def first_open(self, ladder: tuple, m: int, f_x: float,
                    directional_derivative: float) -> int:
@@ -422,41 +419,34 @@ class VertexRay(NamedTuple):
         not certainly rejected, or len(ladder): the trial at step lam is
         certainly rejected when
 
-            q + r - margin > f_x + beta*lam*directional_derivative,
+            0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) - margin
+                > f_x + beta*lam*directional_derivative,
 
-        q = 0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) and r = 1/((1-lam)u
-        + lam w + d) (r absent when d is None), evaluated left to right. Each
-        rung is tested with the bits, and so the decision (NaN included), of
-        that expression, from the products of lam that the rung holds."""
-        c0, c1, c2, margin, u, w, d = self
+        evaluated left to right. Each rung is tested with the bits, and so
+        the decision (NaN included), of that expression, from the products
+        of lam that the rung holds."""
+        c0, c1, c2, margin = self
         dd = directional_derivative
         rungs = ladder[m:] if m else ladder  # most searches start at rung 0
-        if d is None:
-            for _, blam, _, a0, a1, a2 in rungs:
-                if not 0.5 * (a0 * c0 + a1 * c1 + a2 * c2) - margin > f_x + blam * dd:
-                    return m
-                m += 1
-        else:
-            for lam, blam, lam1, a0, a1, a2 in rungs:
-                if not ((0.5 * (a0 * c0 + a1 * c1 + a2 * c2) + 1.0 / (lam1 * u + lam * w + d))
-                        - margin > f_x + blam * dd):
-                    return m
-                m += 1
+        for _, blam, a0, a1, a2 in rungs:
+            if not 0.5 * (a0 * c0 + a1 * c1 + a2 * c2) - margin > f_x + blam * dd:
+                return m
+            m += 1
         return m
 
 
 @functools.lru_cache(maxsize=16)
 def _ladder(theta: float, beta: float) -> tuple:
     """The steps of `armijo_step` for one (theta, beta): rung m is
-    (lam, beta*lam, 1-lam, (1-lam)^2, 2(1-lam)lam, lam^2) for lam = theta^m,
-    each product rounded left to right as written (2(1-lam) first). The
-    rungs run from m = 0 to the first m >= MAX_BACKTRACKS at which 1 - lam
-    rounds to 1, or to MAX_RUNGS - 1."""
+    (lam, beta*lam, (1-lam)^2, 2(1-lam)lam, lam^2) for lam = theta^m, each
+    product rounded left to right as written (1-lam first, then 2(1-lam)).
+    The rungs run from m = 0 to the first m >= MAX_BACKTRACKS at which
+    1 - lam rounds to 1, or to MAX_RUNGS - 1."""
     rungs = []
     for m in range(MAX_RUNGS):
         lam = theta ** m
         lam1 = 1.0 - lam
-        rungs.append((lam, beta * lam, lam1, lam1 * lam1, 2.0 * lam1 * lam, lam * lam))
+        rungs.append((lam, beta * lam, lam1 * lam1, 2.0 * lam1 * lam, lam * lam))
         if m >= MAX_BACKTRACKS and lam1 == 1.0:
             break
     return tuple(rungs)

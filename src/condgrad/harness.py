@@ -229,15 +229,19 @@ def write_trace_csv(report, steps: list, destination) -> None:
     delta_p; unknown values stay empty. `steps` is the run's trace list.
     `mu` is each step's `StepRecord.mu` and the terminal record's certified
     gap; the terminal stage is `report.counters.restarts + 1`, and its
-    `delta_p` the last step's (empty when the run took no step)."""
+    `delta_p` the last step's (empty when the run took no step). With
+    `report` None (the run raised) the file holds the traced steps only,
+    without a terminal record."""
     lines = [TRACE_HEADER]
     for k, s in enumerate(steps):
         lines.append(",".join([
             str(k), _trace_cell(s.lam), _trace_cell(s.f_before),
             _trace_cell(s.mu), str(s.stage), _trace_cell(s.delta)]))
-    lines.append(",".join([
-        str(report.counters.it), "", _trace_cell(report.f), _trace_cell(report.gap),
-        str(report.counters.restarts + 1), _trace_cell(steps[-1].delta if steps else None)]))
+    if report is not None:
+        lines.append(",".join([
+            str(report.counters.it), "", _trace_cell(report.f), _trace_cell(report.gap),
+            str(report.counters.restarts + 1),
+            _trace_cell(steps[-1].delta if steps else None)]))
     Path(destination).write_text("\n".join(lines) + "\n")
 
 
@@ -331,12 +335,10 @@ def _cmd_solve(parser, args) -> int:
         parser.error(str(exc))
     trace = [] if args.trace else None
     row, report = run_single(spec, args.method, config, trace=trace)
-    if report is None:
-        return 1
     if args.trace:
         write_trace_csv(report, trace, args.trace)
     emit_table([row], fmt=args.format, destination=args.out)
-    return 0
+    return 1 if report is None else 0
 
 
 def main(argv=None) -> int:

@@ -34,7 +34,7 @@ from .core import (NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay,
 DERIVED_STATE_MIN_ENTRIES = 20_000
 
 # Entries of a matrix that `build_phi3_data` computes, and that
-# `_ray_constants` takes absolute values of, at a time: a block of whole
+# `_abs_row_sums` takes absolute values of, at a time: a block of whole
 # rows whose temporaries stay in cache. Any block between 2**13 and 2**16
 # entries builds (500, 1000) in the same time.
 _BLOCK_ENTRIES = 2 ** 15
@@ -53,16 +53,24 @@ def _gamma(k: float) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-# the rounding of the ray's reciprocal term, its addition and the screen
-# (see `_MatrixObjective._vertex_ray`)
-_GAMMA_8 = _gamma(8)
-
-
 def _finite_data(a: np.ndarray, name: str) -> None:
     """Raise ValueError naming `a` when it holds NaN or +-inf, tested as
     `as_vector` tests a vector."""
     if not _all_finite(a):
         raise ValueError(f"{name} must be finite, got NaN or infinite entries")
+
+
+def _abs_row_sums(M: np.ndarray) -> np.ndarray:
+    """The row sums of |M|, one block of about _BLOCK_ENTRIES entries
+    (whole rows) at a time, so that no full-size |M| is held. Each row is
+    reduced on its own, so the result is bit for bit
+    np.abs(M).sum(axis=1)."""
+    rows, n = M.shape
+    out = np.empty(rows)
+    block = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, rows, block):
+        out[start:start + block] = np.abs(M[start:start + block]).sum(axis=1)
+    return out
 
 
 def build_phi1_matrix(n: int) -> np.ndarray:
@@ -167,19 +175,24 @@ class _MatrixObjective(SmoothObjective):
     from the state in O(rows), so a run charges each probe of the inexact
     direction search one kg.
 
-    On the ray y(lam) = (1-lam)x + lam b e_i the objective is exactly
+    On the ray y(lam) = (1-lam)x + lam b e_i the quadratic part is exactly
 
-        0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2) + 1/((1-lam)u + lam c_i b + d),
+        0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2),
 
-    with c0, c1, c2 from `_quad_ray` and u = <c,x>, all read from the state at
-    x in O(rows); c0 is twice the quadratic part's value at x, which the
-    state memoizes. The ray's margin bounds the difference between this
-    formula in floating point and `value` at the computed point
-    step_point(x, i, b, lam); see `_vertex_ray`. The margin reads x only
-    through s = max(sqrt(n <x, x>) rounded up, |b|) >= max(||x||_1, |b|)
-    and bounds the data's part once per instance, so it can be looser than
-    a bound summed over x for each ray; a looser margin only lets more
-    trials through to `value`.
+    with c0, c1, c2 from `_quad_ray`, read from the state at x in O(rows);
+    c0 is twice the quadratic part's value at x, which the state memoizes.
+    The barrier 1/((1-lam)u + lam c_i b + d), with u = <c,x>, is convex in
+    lam while its denominator stays positive, so its tangent at x, A + B lam
+    with A = 1/(u + d) and B = (u - c_i b) A^2, lies below it; the vertex ray
+    is the quadratic part plus that tangent, one quadratic in the same form.
+    A ray whose denominator may vanish or is negative is not offered. The
+    ray's margin bounds how far this formula in floating point may exceed
+    `value` at the computed point step_point(x, i, b, lam) (and, without the
+    barrier, how far it may fall below it); see `_vertex_ray`. The margin
+    reads x only through s = max(sqrt(n <x, x>) rounded up, |b|) >=
+    max(||x||_1, |b|) and bounds the data's part once per instance, so it
+    can be looser than a bound summed over x for each ray; a looser margin
+    only lets more trials through to `value`.
     """
 
     cheap_gradient_dot_point = True
@@ -234,13 +247,7 @@ class _MatrixObjective(SmoothObjective):
         of both rounding bounds for this instance's rows and n, and those of
         `_norm1_bound` for this n."""
         rows, n = self.P.shape
-        # the row sums of |P|, one block of rows at a time, so that no
-        # full-size |P| is held; each row is reduced on its own, so R is bit
-        # for bit np.abs(P).sum(axis=1)
-        R = np.empty(rows)
-        block = max(1, _BLOCK_ENTRIES // n)
-        for start in range(0, rows, block):
-            R[start:start + block] = np.abs(self.P[start:start + block]).sum(axis=1)
+        R = _abs_row_sums(self.P)
         total = float(R.sum())
         c_max = 0.0
         if self.c is not None:
@@ -292,31 +299,58 @@ class _MatrixObjective(SmoothObjective):
         # amp^2.
         amp = (1.0 + s) * (1.0 + total)
         margin = g_quad * T + eta_quad * amp * amp
-        if self.c is None:
-            ray = VertexRay(c0, c1, c2, margin)
-        else:
+        if self.c is not None:
             u, d = state["u"], self.d
             cb = float(self.c[i]) * b
-            # Either path's denominator is within E of the exact one, and
-            # so are u + d and c_i b + d of the ray's ends; the exact
-            # denominator is affine in lam, so when those ends share a sign
-            # and clear 2E, no denominator on the ray is smaller than low.
+            # Either path's denominator is within E of the exact one, D(lam)
+            # = (1-lam)U + lam W + d with U = <c, x> and W = c_i b, and so
+            # are u + d and c_i b + d of D(0) and D(1); D is affine in lam,
+            # so when both ends clear 2E, D >= low + E on the whole ray and
+            # the denominator that `value` divides by is at least low.
             # E counts gamma_{n+10} times the magnitude of <c, y> + d, where
-            # |<c, y>| <= sum_k |c_k| |y_k| <= max|c| ||y||_1 <= s max|c| on the
-            # whole ray (at its ends: |c|.|x| <= max|c| ||x||_1 <= s max|c|
-            # and |c_i b| <= s max|c|).
-            E = g_bar * (s * c_max + abs(d)) + eta_bar * amp
-            low = min(abs(u + d), abs(cb + d)) - 2.0 * E
-            if not (low > 0.0 and (u + d > 0.0) == (cb + d > 0.0)):
-                return None  # the denominator may reach zero on the ray
-            # the two reciprocals differ by <= 2E/low^2, and their
-            # rounding, the addition and the screen add <= gamma_8/low
-            margin += (2.0 * E / low + _GAMMA_8) / low
-            ray = VertexRay(c0, c1, c2, margin, u, cb, d)
+            # |<c, y>| <= sum_k |c_k| |y_k| <= max|c| ||y||_1 <= K = s max|c|
+            # on the whole ray (at its ends: |U| <= max|c| ||x||_1 <= K and
+            # |W| <= K).
+            K = s * c_max
+            E = g_bar * (K + abs(d)) + eta_bar * amp
+            low = min(u + d, cb + d) - 2.0 * E
+            if not low > 0.0:
+                # the denominator may reach zero on the ray, or be negative
+                # on it all, where 1/D is concave and its tangent above it
+                return None
+            # 1/D is convex where D > 0, so it lies above its tangent at x:
+            # 1/D(lam) = A* + B* lam + lam^2 (W - U)^2/(D(0)^2 D(lam)) with
+            # A* = 1/D(0) and B* = (U - W)/D(0)^2. The ray is the quadratic
+            # part plus A + B lam, the tangent from the state, which in the
+            # Bernstein form adds 2A, 2A + B and 2(A + B) to c0, c1 and c2.
+            A = 1.0 / (u + d)
+            B = (u - cb) * (A * A)
+            c0, c1, c2 = c0 + 2.0 * A, c1 + (2.0 * A + B), c2 + 2.0 * (A + B)
+            # T now bounds the tangent's coefficients too: |2A|, |2A + B| and
+            # |2(A + B)| are at most 2(A + |B|)
+            T += 2.0 * (A + abs(B))
+            # The tangent's margin, with gamma = gamma_{n+10} (g_bar), t =
+            # E/low and _U the unit roundoff (A <= (1+_U)/low, A* <= 1/low):
+            # - the reciprocal in `value` and its addition to f err by at
+            #   most E/low^2 + 2_U(1+_U)/low, and |A - A*| <= E/low^2 +
+            #   _U(1+_U)/low: together <= 2(t + gamma)/low;
+            # - |U - W| <= 2K(1+2_U), u - c_i b is within E of it and A^2
+            #   within ((2+_U)t + _U(1+_U)(3+2_U))/low^2 of A*^2, so that
+            #   |B - B*| <= (E + 2K((2+5_U)t + 4_U))/low^2 up to terms in
+            #   _U^2, which (2E + 2K(2t + 3gamma))/low^2 bounds;
+            # - folding the coefficients, the rounded products of lam and
+            #   the formula's flops err by about 9_U(A + |B|) + _U T/2, and
+            #   the screen's subtraction by _U(A + |B|): gamma T bounds them.
+            # E holds more than the denominators need (gamma_{n+10} where
+            # about gamma_{n+5} would do), and gamma more than 11_U, so each
+            # bound also covers its own rounding.
+            t = E / low
+            margin += ((2.0 * (t + g_bar) + (2.0 * E + 2.0 * K * (2.0 * t + 3.0 * g_bar)) / low)
+                       / low + g_bar * T)
         # no intermediate of either path can overflow
         if not math.isfinite(4.0 * (T + s * r_max) + margin + c0 + c1 + c2):
             return None
-        return ray
+        return VertexRay(c0, c1, c2, margin)
 
     def _value_impl(self, x, state):
         f = 0.5 * self._sq(x, state)
@@ -470,7 +504,7 @@ def lipschitz_upper_bound(spec: ProblemSpec, region: SimplexSet) -> float:
         raise ValueError(f"region dimension {region.n} does not match spec n={spec.n}")
     f = make_objective(spec)
     H = f.P if isinstance(f, QuadraticFormObjective) else f.P.T @ f.P
-    L = float(np.abs(H).sum(axis=1).max())
+    L = float(_abs_row_sums(H).max())
     if f.c is not None:
         L += 2.0 * float(np.dot(f.c, f.c)) / f.d ** 3
     return L

@@ -218,14 +218,10 @@ def reference_scan(g, gx, b, delta_p, cursor):
 
 
 def ray_value(ray, lam: float) -> float:
-    """f on `ray` (a `condgrad.core.VertexRay`) at step lam, from its closed
-    form: the reference its margin and the ladder screen are tested
-    against."""
+    """The quadratic of `ray` (a `condgrad.core.VertexRay`) at step lam:
+    the reference its margin and the ladder screen are tested against."""
     lam1 = 1.0 - lam
-    q = 0.5 * (lam1 * lam1 * ray.c0 + 2.0 * lam1 * lam * ray.c1 + lam * lam * ray.c2)
-    if ray.d is None:
-        return q
-    return q + 1.0 / (lam1 * ray.u + lam * ray.w + ray.d)
+    return 0.5 * (lam1 * lam1 * ray.c0 + 2.0 * lam1 * lam * ray.c1 + lam * lam * ray.c2)
 
 
 class NonConvergenceError(RuntimeError):

@@ -564,12 +564,24 @@ def _uphill_ray(f):
     return x, i, 10.0
 
 
+def _tangent_remainder(f, x, i, b, lam):
+    """A bound on how far the barrier 1/D(lam) lies above its tangent at x
+    on the vertex ray: lam^2 (w - u)^2/((u + d)^2 min(u + d, w + d)), with
+    D(lam) = (1-lam)u + lam w + d, u = <c, x> and w = c_i b."""
+    u, w, d = float(f.c.dot(x)), float(f.c[i]) * b, f.d
+    return lam * lam * (w - u) ** 2 / ((u + d) ** 2 * min(u + d, w + d))
+
+
 def _assert_ray_within_margin(f, x, i, b, lams, scale=None):
     ray = f.vertex_ray(x, i, b)
     kf = f.kf
     for lam in lams:
-        y = step_point(x, i, b, lam)
-        assert abs(ray_value(ray, lam) - _twin(f).value(y)) <= ray.margin, lam
+        gap = _twin(f).value(step_point(x, i, b, lam)) - ray_value(ray, lam)
+        assert gap >= -ray.margin, lam  # the screen's contract
+        if f.c is None:  # the ray is f itself
+            assert gap <= ray.margin, lam
+        else:  # and the barrier's tangent stays within its remainder of it
+            assert gap <= _tangent_remainder(f, x, i, b, lam) + 2.0 * ray.margin, lam
     assert 0.0 < ray.margin < 1e-9 * (abs(ray_value(ray, 1.0)) if scale is None else scale)
     assert f.kf == kf  # the ray is uncharged
 
@@ -634,15 +646,14 @@ def _screened_rays():
     # NaN and infinite coefficients: a NaN value is never a certain rejection
     return rays + [core.VertexRay(nan, 1.0, 1.0, 0.0), core.VertexRay(1.0, 1.0, inf, 1e-9),
                    core.VertexRay(1.0, -inf, inf, 0.0), core.VertexRay(2.0, 1.0, 3.0, nan),
-                   core.VertexRay(2.0, 1.0, 3.0, 1e-12, 1.0, nan, 5.0),
-                   core.VertexRay(2.0, 1.0, 3.0, 1e-12, 1.0, 2.0, 5.0)]
+                   core.VertexRay(2.0, nan, 3.0, 1e-12), core.VertexRay(2.0, -1.0, 3.0, 1e-12)]
 
 
 @pytest.mark.parametrize("theta, rungs", [(0.3, 61), (0.5, 61), (0.9, 357), (0.99, 3726)])
 def test_the_ladder_ends_where_one_minus_the_step_rounds_to_one(theta, rungs):
     ladder = core._ladder(theta, 0.1)
     assert len(ladder) == rungs
-    assert ladder[-1][2] == 1.0
+    assert 1.0 - ladder[-1][0] == 1.0
 
 
 @pytest.mark.parametrize("theta", [0.999, 1.0 - 1e-12, math.nextafter(1.0, 0.0)])
@@ -655,7 +666,7 @@ def test_the_ladder_and_the_search_stay_bounded_as_theta_nears_1(theta):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ladder) == core.MAX_RUNGS and ladder[-1][2] < 1.0
+    assert len(ladder) == core.MAX_RUNGS and 1.0 - ladder[-1][0] < 1.0
     assert peak < 4 * 2 ** 20
     # the search of test_armijo_trial_cap_is_an_error ends at the last rung
     f = scalar_objective(lambda t: abs(t - 1.0), lambda t: -1.0)
@@ -780,12 +791,14 @@ def test_quadratic_form_rejects_a_non_symmetric_p():
         QuadraticFormObjective(np.array([[1.0, 0.1 + 0.2], [0.3, 1.0]]))
 
 
-@pytest.mark.parametrize("d, offered", [(20.0, True), (5.0, False), (10.0 + 4e-14, False)],
-                         ids=["clear", "pole-on-the-ray", "within-the-bound"])
+@pytest.mark.parametrize("d, offered",
+                         [(20.0, True), (5.0, False), (10.0 + 4e-14, False), (-20.0, False)],
+                         ids=["clear", "pole-on-the-ray", "within-the-bound", "negative"])
 def test_vertex_ray_declines_when_the_barrier_denominator_may_vanish(d, offered):
     # from x = (5, 5) toward 10*e_1 the denominator <c,y> + d runs from d
-    # down to d - 10, which is 4e-14 for the last d: positive, but inside
-    # its rounding bound
+    # down to d - 10, which is 4e-14 for the third d: positive, but inside
+    # its rounding bound; for d = -20 it is negative on the whole ray, where
+    # the barrier is concave and its tangent lies above it
     f = QuadraticFormObjective(np.eye(2), barrier=([1.0, -1.0], d))
     x = _frozen([5.0, 5.0])
     f.value(x)

@@ -21,8 +21,9 @@ from condgrad.harness import (
     run_plan,
     run_single,
 )
+from condgrad.core import LineSearchError
 from condgrad.problems import ProblemSpec
-from condgrad.solvers import SolverConfig
+from condgrad.solvers import SolverConfig, StepRecord
 
 
 SMALL_PLAN = BenchPlan(
@@ -221,6 +222,29 @@ def test_cli_trace_of_an_inexact_method_follows_its_stages(tmp_path, capsys):
     has_mu = [ln.split(",")[3] != "" for ln in lines[1:]]
     opens = [True] + [b > a for (a, _), (b, _) in zip(records, records[1:])]
     assert has_mu == opens[:-1] + [True]
+
+
+def test_cli_solve_that_raises_writes_its_error_row_and_partial_trace(
+        monkeypatch, tmp_path, capsys):
+    def two_steps_then_boom(*a, trace=None):
+        for k in range(2):
+            trace.append(StepRecord(stage=1, delta=0.5, lam=0.25 * (k + 1), trials=1,
+                                    f_before=3.0 - k, dir_derivative=-1.0, vertex=k,
+                                    accepted=None, mu=float("nan"), tests=0))
+        raise LineSearchError("synthetic failure")
+
+    monkeypatch.setattr(hz, "solve_cgmi", two_steps_then_boom)
+    trace_path = tmp_path / "t.csv"
+    assert main(["solve", "--series", "2", "--n", "5", "--method", "cgmi",
+                 "--trace", str(trace_path)]) == 1
+    captured = capsys.readouterr()
+    assert "synthetic failure" in captured.err
+    header, row = captured.out.strip().split("\n")
+    assert header == CSV_HEADER and row.split(",")[10] == "Error"
+    # the traced steps, and no terminal record, as there is no report
+    assert trace_path.read_text() == ("k,lam,f,mu,stage,delta_p\n"
+                                      "0,0.25,3.0,,1,0.5\n"
+                                      "1,0.5,2.0,,1,0.5\n")
 
 
 def test_cli_usage_errors_exit_2():

@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from condgrad import problems
-from condgrad.core import COORD_FLOOR, SimplexSet
+from condgrad import core, problems
+from condgrad.core import COORD_FLOOR, SimplexSet, step_point
+from condgrad.harness import default_plan
 from condgrad.problems import (
     LeastSquaresObjective,
     ProblemSpec,
@@ -22,7 +23,7 @@ from condgrad.problems import (
     make_objective,
 )
 
-from helpers import phi1_triu, phi3_one_shot, random_simplex_points
+from helpers import phi1_triu, phi3_one_shot, random_simplex_points, ray_value
 
 ALL_SPECS = (
     ProblemSpec(series=1, n=7),
@@ -179,6 +180,44 @@ def test_the_ray_s_bounds_the_l1_norm_where_cauchy_schwarz_is_tight():
             x = np.full(n, v)
             x[::2] *= -1.0
             assert _norm1_bound(x) >= math.fsum(abs(x)), (n, v)
+
+
+@st.composite
+def barrier_rays(draw):
+    """An objective with a barrier of mixed-sign c, a point x anywhere in a
+    box of the mass's size, and a vertex ray from x on which the barrier's
+    denominator stays positive: d lifts the smaller end to `clear`."""
+    n = draw(st.integers(1, 8))
+    b = 10.0 ** draw(st.floats(-2.0, 4.0))
+    x = np.array(draw(st.lists(st.floats(-b, b), min_size=n, max_size=n)))
+    c = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    i = draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        A = rng.standard_normal((n, n))
+        P = A + A.T
+    else:
+        P = rng.standard_normal((draw(st.integers(1, 8)), n))
+    d = 10.0 ** draw(st.floats(-3.0, 3.0)) - min(float(c.dot(x)), float(c[i]) * b)
+    return P, x, c, d, i, b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=barrier_rays(), theta=st.sampled_from([0.3, 0.5, 0.9]))
+def test_the_barrier_ray_minus_its_margin_stays_below_value_on_every_rung(case, theta):
+    P, x, c, d, i, b = case
+    if P.shape[0] == P.shape[1] and (P == P.T).all():
+        f = QuadraticFormObjective(P, barrier=(c, d))
+    else:
+        f = LeastSquaresObjective(P, np.linspace(-1.0, 1.0, P.shape[0]), barrier=(c, d))
+    x = x.copy()
+    x.setflags(write=False)
+    f.value(x)  # x is the cached key
+    ray = f.vertex_ray(x, i, b)
+    assume(ray is not None)
+    for lam, *_ in core._ladder(theta, 0.5):
+        y = step_point(x, i, b, lam)
+        assert ray_value(ray, lam) - ray.margin <= f.value(y), lam
 
 
 def test_builders_are_deterministic():
@@ -425,6 +464,36 @@ def test_lipschitz_dominates_sampled_gradient_ratios():
                 continue
             dg = np.linalg.norm(obj.gradient(y) - obj.gradient(x))
             assert dg / dx <= L * (1.0 + 1e-12)
+
+
+def _lipschitz_reference(spec):
+    """`lipschitz_upper_bound` with the row sums of a full-size |H|."""
+    f = make_objective(spec)
+    H = f.P if spec.series in (1, 2) else f.P.T @ f.P
+    L = float(np.abs(H).sum(axis=1).max())
+    if f.c is not None:
+        L += 2.0 * float(np.dot(f.c, f.c)) / f.d ** 3
+    return L
+
+
+def test_lipschitz_keeps_its_bits_on_every_default_grid_cell():
+    for spec in default_plan().cells:
+        L = lipschitz_upper_bound(spec, SimplexSet(spec.n, spec.b))
+        assert repr(L) == repr(_lipschitz_reference(spec)), spec
+
+
+def test_lipschitz_holds_no_full_size_abs_of_the_hessian():
+    spec = ProblemSpec(series=3, m=500, n=1000)
+    tracemalloc.start()
+    try:
+        L = lipschitz_upper_bound(spec, SimplexSet(spec.n, spec.b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # P (4 MB) and P^T P (8 MB), but no second n x n array: a full-size
+    # |P^T P| would take the peak past 19 MiB
+    assert peak < 12 * 2 ** 20
+    assert repr(L) == repr(_lipschitz_reference(spec))
 
 
 def test_build_instance_start_is_feasible_barycenter():

@@ -65,8 +65,10 @@ def test_the_objective_offers_one_channel_per_oracle():
     assert "cheap_gradient_dot_point" not in vars(problems.QuadraticFormObjective)
     assert "cheap_gradient_dot_point" not in vars(problems.LeastSquaresObjective)
     assert solvers.FoundDirection._fields == ("index", "descent", "tests")
-    # the ray's closed form is a test reference, not library code
+    # the ray's closed form is a test reference, not library code, and the
+    # ray is one quadratic, whatever the objective
     assert not hasattr(core.VertexRay, "value")
+    assert core.VertexRay._fields == ("c0", "c1", "c2", "margin")
 
 
 def test_core_keeps_no_second_gap_formula():
