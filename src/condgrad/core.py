@@ -328,8 +328,11 @@ class SmoothObjective(ABC):
 
         Only the cached key with a state built by `_make_state` (not a
         derived one) is offered to the `_vertex_ray` hook, so the ray reads
-        the same state that `value` at x reads.
+        the same state that `value` at x reads. Raises ValueError, at any
+        x, unless i is an integer in [0, n), as `step_point` does.
         """
+        if not (_is_integer(i) and 0 <= i < self.n):
+            raise ValueError(f"vertex index must be an integer in [0, {self.n}), got {i!r}")
         if x is not self._cache_x or self._derived:
             return None
         return self._vertex_ray(x, self._cache_state, i, b)
@@ -505,9 +508,7 @@ def armijo_step(f: SmoothObjective, x, i: int, b: float,
             f"<f'(x), d> = {directional_derivative} is not negative")
     if x is not f._cache_x:  # the key was validated when it entered the cache
         x = as_vector(x, f.n)
-    if not (_is_integer(i) and 0 <= i < f.n):
-        raise ValueError(f"vertex index must be an integer in [0, {f.n}), got {i!r}")
-    ray = f.vertex_ray(x, i, b)
+    ray = f.vertex_ray(x, i, b)  # refuses an i that is not an integer index of x
     # as floats, so that an equal numpy scalar neither shares nor sets the
     # type of a cached rung
     ladder = _ladder(float(theta), float(beta))

@@ -16,16 +16,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .core import Status
+from . import solvers
+from .core import Counters, Status
 from .problems import ProblemSpec, build_instance, lipschitz_upper_bound
-from .solvers import (
-    SolverConfig,
-    solve_cgm,
-    solve_cgmi,
-    solve_cgmil,
-    solve_cgmis,
-    solve_cgms,
-)
+from .solvers import SolverConfig
 
 METHOD_ORDER = ("cgm", "cgms", "cgmi", "cgmis", "cgmil")
 
@@ -125,34 +119,34 @@ def default_plan(include_cgmil: bool = False,
 
 def run_single(spec: ProblemSpec, method: str, config: SolverConfig,
                trace: Optional[list] = None):
-    """Run one (instance, method) pair. Returns (RunRow, SolveReport or None);
-    the report is None when the solve raised (the row then carries Error).
-    With a `trace` list, the solver appends one StepRecord per iteration.
-    `wall_ms` times the solve_* call only, not the instance build or the
-    Lipschitz bound (0 when the run fails before its solve starts)."""
-    started = None
+    """Run one (instance, method) pair, calling `solvers.solve_<method>`.
+    Returns (RunRow, SolveReport or None); the report is None when the run
+    raised, and the row then carries Error, NaN f and gap, and the counters
+    the exception carries (zeros when it carries none, as when it was raised
+    before the run started). With a `trace` list, the solver appends one
+    StepRecord per iteration. `wall_ms` times the solve_* call only, not the
+    instance build or the Lipschitz bound (0 when the run fails before its
+    solve starts)."""
+    started, report = None, None
     try:
-        objective, feasible, x0 = build_instance(spec)
-        solve = {"cgm": solve_cgm, "cgms": solve_cgms, "cgmi": solve_cgmi,
-                 "cgmis": solve_cgmis, "cgmil": solve_cgmil}.get(method)
-        if solve is None:
+        if method not in METHOD_ORDER:
             raise ValueError(f"unknown method {method!r}")
+        objective, feasible, x0 = build_instance(spec)
         args = (objective, feasible, config, x0)
         if method == "cgmil":
             args += (lipschitz_upper_bound(spec, feasible),)
         started = time.perf_counter()
-        report = solve(*args, trace=trace)
+        report = getattr(solvers, "solve_" + method)(*args, trace=trace)
     except Exception as exc:
         wall = 0.0 if started is None else 1e3 * (time.perf_counter() - started)
         print(f"condgrad: series {spec.series} m={spec.rows} n={spec.n} "
               f"{method}: {exc}", file=sys.stderr)
-        row = RunRow(spec.series, method, spec.rows, spec.n, 0, 0, 0, 0,
-                     math.nan, math.nan, Status.ERROR.value, wall)
-        return row, None
-    wall = 1e3 * (time.perf_counter() - started)
-    c = report.counters
+        c, f, gap, status = getattr(exc, "counters", Counters()), math.nan, math.nan, Status.ERROR
+    else:
+        wall = 1e3 * (time.perf_counter() - started)
+        c, f, gap, status = report.counters, report.f, report.gap, report.status
     row = RunRow(spec.series, method, spec.rows, spec.n, c.it, c.kf, c.kg,
-                 c.restarts, report.f, report.gap, report.status.value, wall)
+                 c.restarts, f, gap, status.value, wall)
     return row, report
 
 
@@ -249,17 +243,12 @@ def write_trace_csv(report, steps: list, destination) -> None:
 # command line
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    d = SolverConfig()
-    p.add_argument("--eps", type=float, default=d.eps, help=f"target gap (default {d.eps})")
-    p.add_argument("--beta", type=float, default=d.beta, help="sufficient-decrease slope")
-    p.add_argument("--theta", type=float, default=d.theta, help="backtracking ratio")
-    p.add_argument("--sigma", type=float, default=d.sigma, help="step shrink factor")
-    p.add_argument("--nu", type=float, default=d.nu, help="stage tolerance decrease")
-    p.add_argument("--delta0", type=float, default=d.delta0,
-                   help="initial stage tolerance (default: max(eps, nu*gap(x0)))")
-    p.add_argument("--tau0", type=float, default=d.tau0, help="initial step ceiling")
-    p.add_argument("--max-iter", type=int, default=d.max_iterations, dest="max_iter",
-                   help="iteration cap per run")
+    """One flag per SolverConfig field: `--<name>` (`--max-iter` for
+    max_iterations), with the field's default and its help text."""
+    for f in dataclasses.fields(SolverConfig):
+        flag = "--max-iter" if f.name == "max_iterations" else "--" + f.name
+        p.add_argument(flag, dest=f.name, type=int if f.type == "int" else float,
+                       default=f.default, help=f.metadata["help"])
     p.add_argument("--dump-config", action="store_true",
                    help="print the fully resolved solver configuration as JSON "
                         "to stderr")
@@ -268,16 +257,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _config_from_args(parser: argparse.ArgumentParser,
                       args: argparse.Namespace) -> SolverConfig:
     try:
-        return SolverConfig(beta=args.beta, theta=args.theta, sigma=args.sigma,
-                            nu=args.nu, eps=args.eps, delta0=args.delta0,
-                            tau0=args.tau0, max_iterations=args.max_iter)
+        config = SolverConfig(**{f.name: getattr(args, f.name)
+                                 for f in dataclasses.fields(SolverConfig)})
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _maybe_dump_config(args: argparse.Namespace, config: SolverConfig) -> None:
     if args.dump_config:
         print(json.dumps(dataclasses.asdict(config), sort_keys=True), file=sys.stderr)
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bench(parser, args) -> int:
     config = _config_from_args(parser, args)
-    _maybe_dump_config(args, config)
     try:
         plan = default_plan(include_cgmil=args.include_cgmil, config=config,
                             series=args.series, m=args.m, n=args.n)
@@ -328,7 +313,6 @@ def _cmd_bench(parser, args) -> int:
 
 def _cmd_solve(parser, args) -> int:
     config = _config_from_args(parser, args)
-    _maybe_dump_config(args, config)
     try:
         spec = ProblemSpec(series=args.series, n=args.n, m=args.m)
     except ValueError as exc:
@@ -344,11 +328,8 @@ def _cmd_solve(parser, args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench":
-        return _cmd_bench(parser, args)
-    if args.command == "solve":
-        return _cmd_solve(parser, args)
-    parser.error(f"unknown command {args.command!r}")
+    command = _cmd_bench if args.command == "bench" else _cmd_solve
+    return command(parser, args)
 
 
 if __name__ == "__main__":

@@ -30,12 +30,16 @@ one kg per probed vertex, the paper's cost, when the objective declares
 `cheap_gradient_dot_point`, and n otherwise. The objective's own kf and kg
 count what it evaluated: `value` calls, and n per `gradient`, so its kg
 is n*(it + 1) for every method.
+
+An exception that stops a run after its checks of x0 carries the run's
+`Counters` as its `counters` attribute: what the run charged until it
+stopped, where a line search that raised has charged none of its trials.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -60,20 +64,22 @@ from .core import (
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All tunables shared by the solver family.
+    """All tunables shared by the solver family, each with its description
+    as `metadata["help"]`: the command line offers every field as a flag.
 
     delta0 is the initial stage tolerance for the restarted methods; None
     selects max(eps, nu * gap(x0)), from the gradient at x0 (charged n kg).
     """
 
-    beta: float = 0.5          # sufficient-decrease slope
-    theta: float = 0.5         # backtracking ratio
-    sigma: float = 0.9         # step shrink factor on failed acceptance
-    nu: float = 0.5            # stage tolerance decrease factor
-    eps: float = 0.1           # target gap
-    delta0: Optional[float] = None
-    tau0: float = 0.9          # initial step ceiling
-    max_iterations: int = 1_000_000
+    beta: float = field(default=0.5, metadata={"help": "sufficient-decrease slope"})
+    theta: float = field(default=0.5, metadata={"help": "backtracking ratio"})
+    sigma: float = field(default=0.9, metadata={"help": "step shrink factor on failed acceptance"})
+    nu: float = field(default=0.5, metadata={"help": "stage tolerance decrease factor"})
+    eps: float = field(default=0.1, metadata={"help": "target gap"})
+    delta0: Optional[float] = field(default=None, metadata={
+        "help": "initial stage tolerance (default: max(eps, nu*gap(x0)))"})
+    tau0: float = field(default=0.9, metadata={"help": "initial step ceiling"})
+    max_iterations: int = field(default=1_000_000, metadata={"help": "iteration cap per run"})
 
     def __post_init__(self):
         for name in ("beta", "theta", "sigma", "nu", "tau0"):
@@ -192,7 +198,8 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
     adaptive and fixed steps take `f.vertex_step`, so the oracle builds the
     new iterate and keys its cache on it without a scan, deriving its state
     from x's where it can. Each iteration appends its StepRecord to the
-    `trace` list, if one is given.
+    `trace` list, if one is given. An exception raised once the counters
+    exist leaves with them as its `counters` attribute.
     """
     inexact = direction == "inexact"
     armijo, adaptive, fixed = step == "armijo", step == "adaptive", step == "fixed"
@@ -209,105 +216,109 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
     # the paper's charge of one kg per probe needs a cheap <f'(x), x>
     probe_charge = f.cheap_gradient_dot_point
     counters = Counters()
-    # line-search or acceptance-test seed; not part of the per-step cost.
-    # The fixed step needs no function values unless it checks descent.
-    fx = f.value(x) if not fixed or check_descent else None
-    if fx is not None and not math.isfinite(fx):
-        raise NonFiniteOracleError(f"non-finite objective value f(x0) = {fx}", point=x)
-    g, gx = _linearize(f, x, 0)
-    status, mu = None, math.nan  # mu: the exact gap at x, NaN until computed
-    stage, delta, cursor = 1, math.nan, 0
-    if inexact:
-        # the default rule reads the gap at x0 and is charged its gradient;
-        # an explicit delta0 costs nothing
-        delta0 = cfg.delta0
-        if delta0 is None:
-            counters.kg += n
-            mu = _gap(g, gx, b)
-            if mu <= eps:  # the start is already good enough: skip the loop
-                status = Status.CONVERGED
-            delta0 = max(eps, nu * mu)
-        delta = nu ** stage * delta0
-    # adaptive step: ceiling tau, step lam = tau * sigma**failures
-    tau = lam = tau0
-    failures = 0
-    while status is None:
-        if counters.it >= max_iterations:
-            # the gap of the gradient already read; reporting only, never charged
-            mu = _gap(g, gx, b)
-            status = Status.CONVERGED if mu <= eps else Status.ITERATION_CAP
-            break
+    try:
+        # line-search or acceptance-test seed; not part of the per-step cost.
+        # The fixed step needs no function values unless it checks descent.
+        fx = f.value(x) if not fixed or check_descent else None
+        if fx is not None and not math.isfinite(fx):
+            raise NonFiniteOracleError(f"non-finite objective value f(x0) = {fx}", point=x)
+        g, gx = _linearize(f, x, 0)
+        status, mu = None, math.nan  # mu: the exact gap at x, NaN until computed
+        stage, delta, cursor = 1, math.nan, 0
         if inexact:
-            res, cursor = inexact_direction(g, gx, b, delta, cursor)
-            if isinstance(res, float):  # a full failed cycle certified the gap
-                mu = res
-                if mu <= eps:
-                    status = Status.CONVERGED  # terminal certification; not charged
-                    break
-                # each stage passed would fail on g, and is charged so
-                passed = _first_stage_reached(stage, mu, nu, delta0) - stage
-                counters.kg += passed * n
-                counters.restarts += passed
-                stage += passed
-                delta = nu ** stage * delta0
-                if adaptive:  # restart ceiling, see solve_cgmis
-                    for _ in range(passed):  # until lam stops moving, at tau0
-                        lam, prev = min(tau0, lam / sigma), lam
-                        if lam == prev:
-                            break
-                    tau, failures = lam, 0
-                continue  # the next scan reads the same gradient, and hits
-            counters.kg += res.tests if probe_charge else n
-            index, descent, tests = res.index, res.descent, res.tests
-        else:
-            index = exact_lmo(g, feasible_set)
-            mu = gx - b * float(g[index])
-            if mu <= eps:
-                status = Status.CONVERGED
+            # the default rule reads the gap at x0 and is charged its gradient;
+            # an explicit delta0 costs nothing
+            delta0 = cfg.delta0
+            if delta0 is None:
+                counters.kg += n
+                mu = _gap(g, gx, b)
+                if mu <= eps:  # the start is already good enough: skip the loop
+                    status = Status.CONVERGED
+                delta0 = max(eps, nu * mu)
+            delta = nu ** stage * delta0
+        # adaptive step: ceiling tau, step lam = tau * sigma**failures
+        tau = lam = tau0
+        failures = 0
+        while status is None:
+            if counters.it >= max_iterations:
+                # the gap of the gradient already read; reporting only, never charged
+                mu = _gap(g, gx, b)
+                status = Status.CONVERGED if mu <= eps else Status.ITERATION_CAP
                 break
-            counters.kg += n
-            descent, tests = mu, 0
-        trials, accepted = 0, None
-        if armijo:
-            search = armijo_step(f, x, index, b, -descent, beta, theta, fx)
-            x_new, f_new, lam, trials = (search.new_point, search.new_value,
-                                         search.step, search.trials)
-        else:
-            # the adaptive step is always taken and costs one kf; the fixed
-            # step costs none (check_descent evaluations are never charged)
-            if fixed:
-                lam = min(1.0, lam_bar * delta)
-            x_new = f.vertex_step(x, index, b, lam)
-            f_new = None if fx is None else f.value(x_new)
-            if adaptive:
-                trials, accepted = 1, f_new <= fx + beta * lam * (-descent)
-            elif check_descent:
-                slack = beta * lam * descent
-                if f_new > fx - slack + 1e-9 * max(1.0, abs(fx)):
-                    raise DescentViolationError(
-                        f"sufficient decrease violated at iteration {counters.it}: "
-                        f"{f_new} > {fx} - {slack}; the Lipschitz bound is too small",
-                        point=x, step=lam, f_before=fx, f_after=f_new)
-        counters.kf += trials
-        if trace is not None:
-            trace.append(StepRecord(
-                stage=stage, delta=delta, lam=lam, trials=trials,
-                f_before=fx if fx is not None else math.nan,
-                dir_derivative=-descent, vertex=index, accepted=accepted,
-                mu=mu, tests=tests))
-        x, fx, mu = x_new, f_new, math.nan  # the gap at x_new is not known yet
-        counters.it += 1
-        if accepted is False:
-            failures += 1
-            lam = tau * sigma ** failures
-        g, gx = _linearize(f, x, counters.it)
-    final_f = fx if fx is not None else f.value(x)  # reporting only
-    # the adaptive step keeps any f it takes; the fixed step evaluates f here
-    if not (math.isfinite(final_f) and math.isfinite(mu)):
-        raise NonFiniteOracleError(
-            f"non-finite result after {counters.it} iterations: "
-            f"f = {final_f}, gap = {mu}", point=x)
-    return SolveReport(x=x, f=final_f, gap=mu, counters=counters, status=status)
+            if inexact:
+                res, cursor = inexact_direction(g, gx, b, delta, cursor)
+                if isinstance(res, float):  # a full failed cycle certified the gap
+                    mu = res
+                    if mu <= eps:
+                        status = Status.CONVERGED  # terminal certification; not charged
+                        break
+                    # each stage passed would fail on g, and is charged so
+                    passed = _first_stage_reached(stage, mu, nu, delta0) - stage
+                    counters.kg += passed * n
+                    counters.restarts += passed
+                    stage += passed
+                    delta = nu ** stage * delta0
+                    if adaptive:  # restart ceiling, see solve_cgmis
+                        for _ in range(passed):  # until lam stops moving, at tau0
+                            lam, prev = min(tau0, lam / sigma), lam
+                            if lam == prev:
+                                break
+                        tau, failures = lam, 0
+                    continue  # the next scan reads the same gradient, and hits
+                counters.kg += res.tests if probe_charge else n
+                index, descent, tests = res.index, res.descent, res.tests
+            else:
+                index = exact_lmo(g, feasible_set)
+                mu = gx - b * float(g[index])
+                if mu <= eps:
+                    status = Status.CONVERGED
+                    break
+                counters.kg += n
+                descent, tests = mu, 0
+            trials, accepted = 0, None
+            if armijo:
+                search = armijo_step(f, x, index, b, -descent, beta, theta, fx)
+                x_new, f_new, lam, trials = (search.new_point, search.new_value,
+                                             search.step, search.trials)
+            else:
+                # the adaptive step is always taken and costs one kf; the fixed
+                # step costs none (check_descent evaluations are never charged)
+                if fixed:
+                    lam = min(1.0, lam_bar * delta)
+                x_new = f.vertex_step(x, index, b, lam)
+                f_new = None if fx is None else f.value(x_new)
+                if adaptive:
+                    trials, accepted = 1, f_new <= fx + beta * lam * (-descent)
+                elif check_descent:
+                    slack = beta * lam * descent
+                    if f_new > fx - slack + 1e-9 * max(1.0, abs(fx)):
+                        raise DescentViolationError(
+                            f"sufficient decrease violated at iteration {counters.it}: "
+                            f"{f_new} > {fx} - {slack}; the Lipschitz bound is too small",
+                            point=x, step=lam, f_before=fx, f_after=f_new)
+            counters.kf += trials
+            if trace is not None:
+                trace.append(StepRecord(
+                    stage=stage, delta=delta, lam=lam, trials=trials,
+                    f_before=fx if fx is not None else math.nan,
+                    dir_derivative=-descent, vertex=index, accepted=accepted,
+                    mu=mu, tests=tests))
+            x, fx, mu = x_new, f_new, math.nan  # the gap at x_new is not known yet
+            counters.it += 1
+            if accepted is False:
+                failures += 1
+                lam = tau * sigma ** failures
+            g, gx = _linearize(f, x, counters.it)
+        final_f = fx if fx is not None else f.value(x)  # reporting only
+        # the adaptive step keeps any f it takes; the fixed step evaluates f here
+        if not (math.isfinite(final_f) and math.isfinite(mu)):
+            raise NonFiniteOracleError(
+                f"non-finite result after {counters.it} iterations: "
+                f"f = {final_f}, gap = {mu}", point=x)
+        return SolveReport(x=x, f=final_f, gap=mu, counters=counters, status=status)
+    except Exception as exc:
+        exc.counters = counters  # what the run charged until it stopped
+        raise
 
 
 # ---------------------------------------------------------------------------

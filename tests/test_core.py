@@ -392,6 +392,20 @@ def test_step_point_refuses_an_index_or_a_step_off_the_segment():
     assert step_point(x, 9, 10.0, 1.0).tolist() == [0.0] * 9 + [10.0]
 
 
+def test_vertex_ray_refuses_what_step_point_refuses_as_an_index():
+    # -1 would read the ray toward the last vertex, n an entry past the end,
+    # and a bool a mask: each is refused at the key and at any other x
+    f, D, x0 = build_instance(ProblemSpec(series=1, n=5))
+    key = _frozen(x0)
+    f.value(key)
+    for x in (key, _frozen(x0), x0):
+        for i in (True, False, 1.0, np.float64(0.0), np.bool_(True), -1, 5, np.int64(-5)):
+            with pytest.raises(ValueError, match="integer"):
+                f.vertex_ray(x, i, D.b)
+    assert f.vertex_ray(key, np.int64(4), D.b) is not None
+    assert f.vertex_ray(x0, 4, D.b) is None
+
+
 @pytest.mark.parametrize("n, steps", [(10, 2000), (1000, 2000), (100_000, 300)])
 @pytest.mark.parametrize("b", [1e-2, 10.0, 1e6])
 def test_mass_drift_of_vertex_steps_does_not_grow_with_n(n, b, steps):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import condgrad.harness as hz
+import condgrad.solvers as solvers
 from condgrad.harness import (
     CSV_HEADER,
     BenchPlan,
@@ -22,7 +23,7 @@ from condgrad.harness import (
     run_single,
 )
 from condgrad.core import LineSearchError
-from condgrad.problems import ProblemSpec
+from condgrad.problems import ProblemSpec, build_instance
 from condgrad.solvers import SolverConfig, StepRecord
 
 
@@ -93,7 +94,7 @@ def test_run_single_captures_errors_as_rows(monkeypatch):
     def boom(*a, **k):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(hz, "solve_cgm", boom)
+    monkeypatch.setattr(solvers, "solve_cgm", boom)
     row, report = run_single(ProblemSpec(series=1, n=5), "cgm", SolverConfig())
     assert report is None
     assert row.status == "Error"
@@ -101,6 +102,38 @@ def test_run_single_captures_errors_as_rows(monkeypatch):
     # and the plan keeps going despite the failure
     rows = run_plan(SMALL_PLAN)
     assert [r.status for r in rows] == ["Error", "Converged", "Error", "Converged"]
+
+
+def test_an_error_row_reports_what_the_run_charged():
+    # beta near 1 leaves the Armijo search on series 2 at n = 20 no step
+    # after 35 iterations; the row reports the counters the run charged
+    config = SolverConfig(beta=0.999999999, eps=1e-6, max_iterations=20000)
+    trace = []
+    row, report = run_single(ProblemSpec(series=2, n=20), "cgmi", config, trace=trace)
+    assert report is None and row.status == "Error"
+    assert row.it == len(trace) == 35
+
+    objective, feasible, x0 = build_instance(ProblemSpec(series=2, n=20))
+    with pytest.raises(LineSearchError) as caught:
+        solvers.solve_cgmi(objective, feasible, config, x0)
+    c = caught.value.counters
+    assert (row.it, row.kf, row.kg, row.restarts) == (c.it, c.kf, c.kg, c.restarts)
+    assert row.kf > 0 and row.kg > 0
+    assert np.isnan(row.f_final) and np.isnan(row.mu_final)
+
+
+def test_an_error_before_the_run_starts_reports_zero_cost(monkeypatch, capsys):
+    # a start off the simplex is refused before the run charges anything
+    objective, feasible, _ = build_instance(ProblemSpec(series=1, n=5))
+    monkeypatch.setattr(hz, "build_instance", lambda spec: (objective, feasible, np.ones(5)))
+    row, report = run_single(ProblemSpec(series=1, n=5), "cgm", SolverConfig())
+    assert report is None and row.status == "Error"
+    assert (row.it, row.kf, row.kg, row.restarts) == (0, 0, 0, 0)
+    assert "not feasible" in capsys.readouterr().err
+    # as is a method that the harness does not know
+    row, report = run_single(ProblemSpec(series=1, n=5), "nonsense", SolverConfig())
+    assert report is None and row.status == "Error"
+    assert (row.it, row.kf, row.kg, row.restarts, row.wall_ms) == (0, 0, 0, 0, 0.0)
 
 
 def test_run_single_wall_ms_times_the_solve_only(monkeypatch):
@@ -233,7 +266,7 @@ def test_cli_solve_that_raises_writes_its_error_row_and_partial_trace(
                                     accepted=None, mu=float("nan"), tests=0))
         raise LineSearchError("synthetic failure")
 
-    monkeypatch.setattr(hz, "solve_cgmi", two_steps_then_boom)
+    monkeypatch.setattr(solvers, "solve_cgmi", two_steps_then_boom)
     trace_path = tmp_path / "t.csv"
     assert main(["solve", "--series", "2", "--n", "5", "--method", "cgmi",
                  "--trace", str(trace_path)]) == 1
@@ -275,6 +308,31 @@ def test_cli_dump_config(capsys):
     assert cfg["delta0"] is None
     # standard output stays one table
     assert captured.out.split("\n")[0] == CSV_HEADER
+
+
+# a valid value other than the default for each SolverConfig field
+_NON_DEFAULT = {"beta": 0.25, "theta": 0.75, "sigma": 0.5, "nu": 0.25, "eps": 0.2,
+                "delta0": 1.5, "tau0": 0.5, "max_iterations": 5000}
+
+
+@pytest.mark.parametrize("command", [["solve", "--method", "cgm"], ["bench"]])
+def test_cli_flags_are_the_solver_config_fields(command, tmp_path, capsys):
+    names = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert sorted(names) == sorted(_NON_DEFAULT)
+
+    def dumped(flags):
+        assert main(command + ["--series", "1", "--n", "5", "--out", str(tmp_path / "rows.csv"),
+                               "--dump-config"] + flags) == 0
+        return json.loads(capsys.readouterr().err.split("\n")[0])
+
+    def flag(name, value):
+        return ["--max-iter" if name == "max_iterations" else "--" + name, str(value)]
+
+    assert dumped([]) == dataclasses.asdict(SolverConfig())
+    for name, value in _NON_DEFAULT.items():
+        assert getattr(SolverConfig(), name) != value
+        assert dumped(flag(name, value)) == dataclasses.asdict(SolverConfig(**{name: value}))
+    assert dumped([a for item in _NON_DEFAULT.items() for a in flag(*item)]) == _NON_DEFAULT
 
 
 @pytest.mark.parametrize("command", [["solve", "--method", "cgm"], ["bench"]])

@@ -10,7 +10,7 @@ import types
 from pathlib import Path
 
 import condgrad
-from condgrad import core, oracle, problems, solvers
+from condgrad import core, harness, oracle, problems, solvers
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -110,3 +110,10 @@ def test_a_line_search_error_names_its_vertex_by_index():
     assert (err.vertex, err.directional_derivative, err.trials) == (2, -1.0, 3)
     # no dense direction vector is built for the report
     assert not hasattr(core, "_direction")
+
+
+def test_the_harness_calls_the_solvers_by_name():
+    # the methods are solvers.solve_<method>, so the harness binds none of them
+    assert not [name for name in vars(harness) if name.startswith("solve_")]
+    assert harness.METHOD_ORDER == ("cgm", "cgms", "cgmi", "cgmis", "cgmil")
+    assert all(callable(getattr(solvers, "solve_" + m)) for m in harness.METHOD_ORDER)
