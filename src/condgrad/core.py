@@ -47,11 +47,13 @@ class LineSearchError(RuntimeError):
 
 class NonFiniteOracleError(RuntimeError):
     """A run would report a non-finite objective value or gap; carries the
-    final iterate as `point` so the caller can diagnose the run."""
+    final iterate as `point` so the caller can diagnose the run, and, when
+    an Armijo search raised it, the number of trials it made as `trials`."""
 
-    def __init__(self, message: str, *, point=None):
+    def __init__(self, message: str, *, point=None, trials=None):
         super().__init__(message)
         self.point = point
+        self.trials = trials
 
 
 class DescentViolationError(RuntimeError):
@@ -499,6 +501,7 @@ def armijo_step(f: SmoothObjective, x, i: int, b: float,
     would pass the ladder's last rung. A trial that rounds back to x itself
     is never accepted: it raises NonFiniteOracleError carrying x when an earlier
     evaluated trial value was not finite, and LineSearchError otherwise.
+    Either error from the search carries its number of trials as `trials`.
     """
     if not (0.0 < beta < 1.0 and 0.0 < theta < 1.0):
         raise ValueError(f"beta and theta must lie in (0,1), got {beta}, {theta}")
@@ -530,7 +533,7 @@ def armijo_step(f: SmoothObjective, x, i: int, b: float,
                 if non_finite:
                     raise NonFiniteOracleError(
                         f"non-finite trial values until the step rounded to zero "
-                        f"after {m + 1} trials", point=x)
+                        f"after {m + 1} trials", point=x, trials=m + 1)
                 raise LineSearchError(
                     f"the step rounded to zero after {m + 1} trials "
                     f"(directional derivative {directional_derivative})",

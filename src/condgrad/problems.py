@@ -12,10 +12,20 @@ All index formulas are 1-based and all angles are radians. Both objective
 classes build on `_MatrixObjective`, which owns the barrier, the size gate
 for derived states and the vertex ray's rounding margin; each adds only its
 quadratic part.
+
+Both matrix builders fill their result in place one block of whole rows at
+a time, so set-up memory is the result plus one block of temporaries. The
+public `build_phi*` builders return fresh writable arrays. `make_objective`
+and `lipschitz_upper_bound` read the same data from private generators
+that keep each dataset they built, read-only, for the rest of the process
+(the last _DATA_CACHE_SIZE per generator): a process generates each dataset
+once, and every objective on it shares the arrays, series 1 and 2 at one n
+included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,11 +43,20 @@ from .core import (NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay,
 # saves; see CHANGES.md for the crossover, measured with column reads.
 DERIVED_STATE_MIN_ENTRIES = 20_000
 
-# Entries of a matrix that `build_phi3_data` computes, and that
-# `_abs_row_sums` takes absolute values of, at a time: a block of whole
-# rows whose temporaries stay in cache. Any block between 2**13 and 2**16
-# entries builds (500, 1000) in the same time.
+# Entries of a matrix that `build_phi1_matrix` and `build_phi3_data`
+# compute, and that `_abs_row_sums` takes absolute values of, at a time: a
+# block of whole rows whose temporaries stay in cache. Any block between
+# 2**13 and 2**16 entries builds (500, 1000) in the same time.
 _BLOCK_ENTRIES = 2 ** 15
+
+# Datasets each private generator (`_phi1_matrix`, `_phi2_terms`,
+# `_phi3_data`) keeps, read-only, as every objective built on a kept
+# dataset shares its arrays. A grid or a benchmark workload solves a few
+# datasets many times over, and each is deterministic, so a kept one is
+# reused rather than rebuilt. 8 covers the default grid's 5 sizes per
+# family and every benchmark workload's datasets, while a process that
+# walks through many sizes holds at most 8 per generator.
+_DATA_CACHE_SIZE = 8
 
 # Unit roundoff of float64, and the largest error of one rounding into the
 # subnormal range: a rounded result r is off by at most _U*|r| + _ETA.
@@ -76,14 +95,29 @@ def _abs_row_sums(M: np.ndarray) -> np.ndarray:
 def build_phi1_matrix(n: int) -> np.ndarray:
     """Symmetric n x n matrix with sin/cos off-diagonals and a diagonal of
     one plus the absolute off-diagonal row sum, which makes it strictly
-    diagonally dominant and hence positive definite."""
+    diagonally dominant and hence positive definite.
+
+    P is filled in place, one block of about _BLOCK_ENTRIES entries (whole
+    rows) at a time, as `build_phi3_data` fills its matrix: off the
+    diagonal P[i, j] = sin(min(i, j)) * cos(max(i, j)), the product that
+    the upper triangle of outer(sin, cos) and its transpose give, and each
+    diagonal entry is its row's sum of |P| with the diagonal at zero, plus
+    one. So P is bit for bit that triu formula's, and set-up holds the
+    result plus one block of temporaries rather than three full-size ones."""
     if not (_is_integer(n) and n >= 1):
         raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
     idx = np.arange(1, n + 1, dtype=np.float64)
-    upper = np.outer(np.sin(idx), np.cos(idx))
-    upper[idx[:, None] >= idx] = 0.0  # in place, as np.triu(upper, k=1) would copy
-    P = upper + upper.T
-    np.fill_diagonal(P, np.abs(P).sum(axis=1) + 1.0)
+    sin, cos = np.sin(idx), np.cos(idx)
+    j = np.arange(n)
+    P = np.empty((n, n))
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        blk = P[start:start + rows]
+        i = j[start:start + len(blk)]
+        np.multiply(sin[np.minimum(i[:, None], j)], cos[np.maximum(i[:, None], j)], out=blk)
+        diagonal = (np.arange(len(blk)), i)
+        blk[diagonal] = 0.0
+        blk[diagonal] = np.abs(blk).sum(axis=1) + 1.0
     return P
 
 
@@ -124,6 +158,28 @@ def build_phi3_data(m: int, n: int, b: float = 10.0):
     P[np.arange(k), np.arange(k)] += 2.0
     q = b * P.sum(axis=1)
     return P, q
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=_DATA_CACHE_SIZE)
+def _phi1_matrix(n: int) -> np.ndarray:
+    return _read_only(build_phi1_matrix(n))
+
+
+@functools.lru_cache(maxsize=_DATA_CACHE_SIZE)
+def _phi2_terms(n: int):
+    c, d = build_phi2_terms(n)
+    return _read_only(c), d
+
+
+@functools.lru_cache(maxsize=_DATA_CACHE_SIZE)
+def _phi3_data(m: int, n: int, b: float):
+    P, q = build_phi3_data(m, n, b)
+    return _read_only(P), _read_only(q)
 
 
 @dataclass(frozen=True)
@@ -473,14 +529,21 @@ class LeastSquaresObjective(_MatrixObjective):
                 (s * s * r2 + 2.0 * s * rq) + qq)
 
 
-def make_objective(spec: ProblemSpec) -> SmoothObjective:
-    """Assemble the counted oracle for a benchmark instance."""
+def _kept_data(spec: ProblemSpec):
+    """(P, q, barrier) of an instance, from the generators that keep it: q
+    is None for the quadratic form, and barrier None without one."""
+    barrier = _phi2_terms(spec.n) if spec.series in (2, 4) else None
     if spec.series in (1, 2):
-        P = build_phi1_matrix(spec.n)
-        barrier = build_phi2_terms(spec.n) if spec.series == 2 else None
+        return _phi1_matrix(spec.n), None, barrier
+    return (*_phi3_data(spec.m, spec.n, spec.b), barrier)
+
+
+def make_objective(spec: ProblemSpec) -> SmoothObjective:
+    """Assemble the counted oracle for a benchmark instance, on the
+    process's read-only copy of its data (see the module docstring)."""
+    P, q, barrier = _kept_data(spec)
+    if q is None:
         return QuadraticFormObjective(P, barrier=barrier)
-    P, q = build_phi3_data(spec.m, spec.n, spec.b)
-    barrier = build_phi2_terms(spec.n) if spec.series == 4 else None
     return LeastSquaresObjective(P, q, barrier=barrier)
 
 
@@ -494,17 +557,18 @@ def lipschitz_upper_bound(spec: ProblemSpec, region: SimplexSet) -> float:
     """A valid upper bound on the gradient Lipschitz constant over the region.
 
     Row-sum (infinity-norm) bounds on the Hessian of the objective that
-    `make_objective(spec)` builds: for the quadratic form the Hessian is P
-    itself, for least squares it is P^T P; the barrier adds at most
-    2||c||^2/d^3 because <c,x> >= 0 on the nonnegative orthant. Cheap,
-    deterministic, and only an upper bound is ever needed: a larger constant
-    just shrinks the derived fixed step.
+    `make_objective(spec)` builds, read from the same data: for the
+    quadratic form the Hessian is P itself, for least squares it is P^T P;
+    the barrier adds at most 2||c||^2/d^3 because <c,x> >= 0 on the
+    nonnegative orthant. Cheap, deterministic, and only an upper bound is
+    ever needed: a larger constant just shrinks the derived fixed step.
     """
     if region.n != spec.n:
         raise ValueError(f"region dimension {region.n} does not match spec n={spec.n}")
-    f = make_objective(spec)
-    H = f.P if isinstance(f, QuadraticFormObjective) else f.P.T @ f.P
+    P, q, barrier = _kept_data(spec)
+    H = P if q is None else P.T @ P
     L = float(_abs_row_sums(H).max())
-    if f.c is not None:
-        L += 2.0 * float(np.dot(f.c, f.c)) / f.d ** 3
+    if barrier is not None:
+        c, d = barrier
+        L += 2.0 * float(np.dot(c, c)) / d ** 3
     return L

@@ -33,7 +33,8 @@ is n*(it + 1) for every method.
 
 An exception that stops a run after its checks of x0 carries the run's
 `Counters` as its `counters` attribute: what the run charged until it
-stopped, where a line search that raised has charged none of its trials.
+stopped, where a line search that raised has charged its trials, one kf
+each, as one that returns does.
 """
 
 from __future__ import annotations
@@ -199,7 +200,8 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
     new iterate and keys its cache on it without a scan, deriving its state
     from x's where it can. Each iteration appends its StepRecord to the
     `trace` list, if one is given. An exception raised once the counters
-    exist leaves with them as its `counters` attribute.
+    exist leaves with them as its `counters` attribute, kf including the
+    `trials` of the Armijo search that raised it.
     """
     inexact = direction == "inexact"
     armijo, adaptive, fixed = step == "armijo", step == "adaptive", step == "fixed"
@@ -317,6 +319,8 @@ def _run(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig, x0,
                 f"f = {final_f}, gap = {mu}", point=x)
         return SolveReport(x=x, f=final_f, gap=mu, counters=counters, status=status)
     except Exception as exc:
+        # an Armijo search that raised is charged the trials it made
+        counters.kf += getattr(exc, "trials", None) or 0
         exc.counters = counters  # what the run charged until it stopped
         raise
 

@@ -286,6 +286,7 @@ def test_armijo_null_step_after_non_finite_trials_is_an_error():
     with pytest.raises(NonFiniteOracleError) as err:
         armijo_step(f, [1.0], 0, 2.0, -1.0, 0.5, 0.5, f_x=1.0)
     assert np.array_equal(err.value.point, [1.0])
+    assert err.value.trials == f.kf < 61
 
 
 def test_armijo_null_step_with_finite_trials_is_a_line_search_error():

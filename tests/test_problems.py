@@ -60,7 +60,8 @@ def test_phi1_symmetric_and_diagonally_dominant(n):
     assert np.all(np.diag(P) > off)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 50, 129, 500])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 50, 129, 500,
+                               181, 182, 183, 1000])  # one block up to 181, then several
 def test_phi1_matches_the_triu_formula_bit_for_bit(n):
     assert build_phi1_matrix(n).tobytes() == phi1_triu(n).tobytes()
 
@@ -116,6 +117,18 @@ def test_phi3_build_holds_its_result_and_one_block_of_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= P.nbytes + q.nbytes + 2 ** 20
+
+
+def test_phi1_build_holds_its_result_and_one_block_of_temporaries():
+    # the triu formula (`phi1_triu`) holds three full-size temporaries at
+    # once: a 22.9 MiB peak for a 7.6 MiB result here
+    tracemalloc.start()
+    try:
+        P = build_phi1_matrix(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= P.nbytes + 2 ** 20
 
 
 @pytest.mark.parametrize("spec", [ProblemSpec(series=4, n=1000, m=500),
@@ -353,6 +366,74 @@ def test_problem_spec_validation():
     assert spec.rows == 2 and feasible.n == 5 and objective.value(x0) >= 0.0
     assert ProblemSpec(series=3, n=5, m=2).rows == 2
     assert ProblemSpec(series=1, n=5).rows == 5
+
+
+# ---------------------------------------------------------------------------
+# kept datasets
+
+# the benchmark workloads' cells that the default grid does not hold
+LARGE_SPECS = (ProblemSpec(series=1, n=500), ProblemSpec(series=2, n=500),
+               ProblemSpec(series=3, n=500, m=250), ProblemSpec(series=4, n=500, m=250),
+               ProblemSpec(series=3, n=1000, m=500), ProblemSpec(series=4, n=1000, m=500))
+
+
+def test_kept_data_are_the_builders_bytes_on_every_grid_and_workload_cell():
+    for spec in default_plan().cells + LARGE_SPECS:
+        f = make_objective(spec)
+        if spec.series in (1, 2):
+            assert f.P.tobytes() == build_phi1_matrix(spec.n).tobytes(), spec
+        else:
+            P, q = build_phi3_data(spec.m, spec.n, spec.b)
+            assert f.P.tobytes() == P.tobytes() and f.q.tobytes() == q.tobytes(), spec
+        if spec.series in (2, 4):
+            c, d = build_phi2_terms(spec.n)
+            assert f.c.tobytes() == c.tobytes() and f.d == d, spec
+        else:
+            assert f.c is None
+
+
+def test_kept_data_are_read_only_and_the_builders_return_writable_copies():
+    for spec in ALL_SPECS:
+        f = make_objective(spec)
+        for a in (f.P, getattr(f, "q", None), f.c):
+            assert a is None or not a.flags.writeable, spec
+        with pytest.raises(ValueError, match="read-only"):
+            f.P[0, 0] = 1.0
+    for a in (build_phi1_matrix(7), build_phi2_terms(7)[0], *build_phi3_data(4, 7)):
+        assert a.flags.writeable
+    assert build_phi1_matrix(7) is not build_phi1_matrix(7)
+
+
+def test_objectives_of_one_dataset_share_its_arrays():
+    for spec in ALL_SPECS:
+        assert build_instance(spec)[0].P is build_instance(spec)[0].P
+    s1, s2, s3, s4 = (make_objective(spec) for spec in ALL_SPECS)
+    assert s1.P is s2.P and s3.P is s4.P and s3.q is s4.q
+    assert s2.c is s4.c  # one barrier per n, across the families
+    # a dataset is keyed by all it depends on: the mass changes q
+    other = make_objective(ProblemSpec(series=3, n=7, m=4, b=2.0))
+    assert other.P is not s3.P and other.q.tobytes() != s3.q.tobytes()
+
+
+def test_a_dataset_dropped_from_the_cache_is_rebuilt_with_the_same_bytes():
+    sizes = range(1, problems._DATA_CACHE_SIZE + 2)
+    kept = {n: make_objective(ProblemSpec(series=1, n=n)).P for n in sizes}
+    # the first size was the least recently used: it was dropped and is
+    # generated again, and the last one is still kept
+    again = make_objective(ProblemSpec(series=1, n=1)).P
+    assert again is not kept[1] and again.tobytes() == kept[1].tobytes()
+    assert make_objective(ProblemSpec(series=1, n=sizes[-1])).P is kept[sizes[-1]]
+
+
+def test_lipschitz_reads_the_data_without_building_an_objective(monkeypatch):
+    expected = [lipschitz_upper_bound(spec, SimplexSet(spec.n, spec.b)) for spec in ALL_SPECS]
+
+    def refuse(spec):
+        raise AssertionError("lipschitz_upper_bound built an objective")
+
+    monkeypatch.setattr(problems, "make_objective", refuse)
+    for spec, L in zip(ALL_SPECS, expected):
+        assert repr(lipschitz_upper_bound(spec, SimplexSet(spec.n, spec.b))) == repr(L)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from condgrad import solvers
 from condgrad.core import (
     MAX_BACKTRACKS,
     DescentViolationError,
+    LineSearchError,
     NonFiniteOracleError,
     SimplexSet,
     SmoothObjective,
@@ -703,6 +704,28 @@ def test_no_report_with_non_finite_f_or_gap(name, fn, extra):
         return
     assert math.isfinite(rep.f) and math.isfinite(rep.gap), \
         f"{name} reported {rep.status.value} with f = {rep.f}, gap = {rep.gap}"
+
+
+def test_a_failed_line_search_is_charged_its_trials():
+    # beta near 1 leaves the Armijo search on series 2 at n = 20 no step
+    # after 35 iterations: the search that raised made 59 trials, and each
+    # is charged one kf, as the trials of every search that returned are
+    config = SolverConfig(beta=0.999999999, eps=1e-6, max_iterations=20000)
+    objective, feasible, x0 = build_instance(ProblemSpec(series=2, n=20))
+    trace = []
+    with pytest.raises(LineSearchError) as caught:
+        solve_cgmi(objective, feasible, config, x0, trace=trace)
+    exc = caught.value
+    assert (len(trace), exc.trials) == (35, 59)
+    assert exc.counters.kf == sum(s.trials for s in trace) + exc.trials == 1161 + 59
+    # a search whose trials were all NaN until the step rounded to zero
+    for method in (solve_cgm, solve_cgmi):
+        x0 = np.ones(3)
+        obj = _finite_only_at(x0, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(NonFiniteOracleError) as caught:
+            method(obj, SimplexSet(3, 3.0), SolverConfig(), x0)
+        c = caught.value.counters
+        assert c.it == 0 and c.kf == caught.value.trials == obj.kf - 1 > 0
 
 
 @pytest.mark.parametrize("name,fn,extra", FIVE_METHODS)
