@@ -268,11 +268,12 @@ def _config_from_args(parser: argparse.ArgumentParser,
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="condgrad",
+        prog="condgrad", allow_abbrev=False,
         description="Projection-free conditional gradient benchmarks on the scaled simplex")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    bench = sub.add_parser("bench", help="run a benchmark plan and emit a table")
+    bench = sub.add_parser("bench", allow_abbrev=False,
+                           help="run a benchmark plan and emit a table")
     _add_config_flags(bench)
     bench.add_argument("--series", type=int, choices=(1, 2, 3, 4),
                        help="restrict the grid to one series")
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--include-cgmil", action="store_true",
                        help="add the fixed-step method to the grid")
 
-    solve = sub.add_parser("solve", help="run one instance with one method")
+    solve = sub.add_parser("solve", allow_abbrev=False, help="run one instance with one method")
     solve.add_argument("--series", type=int, required=True, choices=(1, 2, 3, 4))
     solve.add_argument("--m", type=int, help="row count (series 3-4)")
     solve.add_argument("--n", type=int, required=True)

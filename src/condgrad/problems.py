@@ -20,13 +20,16 @@ and `lipschitz_upper_bound` read the same data from private generators
 that keep each dataset they built, read-only, for the rest of the process
 (the last _DATA_CACHE_SIZE per generator): a process generates each dataset
 once, and every objective on it shares the arrays, series 1 and 2 at one n
-included.
+included. Both constructors check their data (finite, and the quadratic
+form's P symmetric) once per process for an array those generators kept,
+and on every construction for any other; see `SmoothObjective`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,11 +75,40 @@ def _gamma(k: float) -> float:
     return k * _U / (1.0 - k * _U)
 
 
+# Arrays the private generators keep (read-only, owning their data, made
+# by this module alone), and those of them that passed a data check, one
+# memo per property, all keyed by id. A kept array's values cannot change,
+# so each constructor check runs on it once per process; a record dies with
+# its array, and a hit needs the recorded array itself, so a recycled id
+# never matches. Any other array, a caller's frozen one included, is
+# checked on every construction.
+_KEPT = weakref.WeakValueDictionary()
+_FINITE = weakref.WeakValueDictionary()
+_SYMMETRIC = weakref.WeakValueDictionary()
+
+
+def _passes(a: np.ndarray, memo: weakref.WeakValueDictionary, check) -> bool:
+    """check(a), run in full unless `a` is kept and passed it before; a
+    pass of a kept array is recorded in `memo`, a failure never is."""
+    if memo.get(id(a)) is a:
+        return True
+    if not check(a):
+        return False
+    if _KEPT.get(id(a)) is a:
+        memo[id(a)] = a
+    return True
+
+
 def _finite_data(a: np.ndarray, name: str) -> None:
     """Raise ValueError naming `a` when it holds NaN or +-inf, tested as
-    `as_vector` tests a vector."""
-    if not _all_finite(a):
+    `as_vector` tests a vector (once per process for a kept array)."""
+    if not _passes(a, _FINITE, _all_finite):
         raise ValueError(f"{name} must be finite, got NaN or infinite entries")
+
+
+def _symmetric(P: np.ndarray) -> bool:
+    """Whether the square P equals its transpose, entry for entry."""
+    return bool((P == P.T).all())
 
 
 def _abs_row_sums(M: np.ndarray) -> np.ndarray:
@@ -161,7 +193,9 @@ def build_phi3_data(m: int, n: int, b: float = 10.0):
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
+    """Freeze `a` and record it as kept (see `_passes`)."""
     a.setflags(write=False)
+    _KEPT[id(a)] = a
     return a
 
 
@@ -436,7 +470,7 @@ class QuadraticFormObjective(_MatrixObjective):
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"P must be square, got shape {P.shape}")
         _finite_data(P, "P")  # a NaN would fail the symmetry test below
-        if not (P == P.T).all():
+        if not _passes(P, _SYMMETRIC, _symmetric):
             raise ValueError("P must be symmetric")
         super().__init__(P, barrier)
 

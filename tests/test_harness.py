@@ -335,6 +335,39 @@ def test_cli_flags_are_the_solver_config_fields(command, tmp_path, capsys):
     assert dumped([a for item in _NON_DEFAULT.items() for a in flag(*item)]) == _NON_DEFAULT
 
 
+# every option of each subcommand, spelled in full
+_FULL_FLAGS = {
+    "solve": ["--series", "3", "--m", "2", "--n", "5", "--method", "cgm", "--format", "md",
+              "--out", "rows.md", "--trace", "trace.csv", "--dump-config"],
+    "bench": ["--series", "3", "--m", "2", "--n", "5", "--format", "md", "--out", "rows.md",
+              "--include-cgmil", "--dump-config"],
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_cli_takes_every_flag_in_full_and_no_abbreviation(command):
+    parser = hz.build_parser()
+    config = [a for name, value in _NON_DEFAULT.items()
+              for a in ("--max-iter" if name == "max_iterations" else "--" + name, str(value))]
+    args = parser.parse_args([command] + _FULL_FLAGS[command] + config)
+    assert {name: getattr(args, name) for name in _NON_DEFAULT} == _NON_DEFAULT
+    sub = parser._subparsers._group_actions[0].choices[command]
+    defined = {flag for action in sub._actions for flag in action.option_strings}
+    assert defined - {"-h", "--help"} == {a for a in _FULL_FLAGS[command] + config
+                                          if a.startswith("--")}
+    # `--b` once set beta, though b is the paper's mass; `--max` and `--e`
+    # resolved to --max-iter and --eps, and `--hel` to --help
+    required = _FULL_FLAGS[command][:8] if command == "solve" else []
+    for abbreviation in (["--b", "0.5"], ["--max", "5"], ["--e", "0.2"], ["--ser", "1"],
+                         ["--include"], ["--hel"]):
+        with pytest.raises(SystemExit) as e:
+            parser.parse_args([command] + required + abbreviation)
+        assert e.value.code == 2, abbreviation
+    with pytest.raises(SystemExit) as e:
+        parser.parse_args(["--hel"])
+    assert e.value.code == 2
+
+
 @pytest.mark.parametrize("command", [["solve", "--method", "cgm"], ["bench"]])
 def test_cli_dump_config_defaults_are_the_solver_config(command, tmp_path, capsys):
     out = tmp_path / "rows.csv"

@@ -1,5 +1,6 @@
 """Problem generators: frozen scalar values, structure, convexity, bounds."""
 
+import gc
 import math
 import tracemalloc
 
@@ -434,6 +435,124 @@ def test_lipschitz_reads_the_data_without_building_an_objective(monkeypatch):
     monkeypatch.setattr(problems, "make_objective", refuse)
     for spec, L in zip(ALL_SPECS, expected):
         assert repr(lipschitz_upper_bound(spec, SimplexSet(spec.n, spec.b))) == repr(L)
+
+
+# ---------------------------------------------------------------------------
+# data checks: once per process for a kept array
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+def _clear_kept_data():
+    for generator in (problems._phi1_matrix, problems._phi2_terms, problems._phi3_data):
+        generator.cache_clear()
+    gc.collect()
+
+
+def _count_checks(monkeypatch):
+    """Count the full finiteness and symmetry scans the constructors run."""
+    calls = {"finite": 0, "symmetric": 0}
+
+    def counted(name, check):
+        def scan(a):
+            calls[name] += 1
+            return check(a)
+        return scan
+
+    monkeypatch.setattr(problems, "_all_finite", counted("finite", problems._all_finite))
+    monkeypatch.setattr(problems, "_symmetric", counted("symmetric", problems._symmetric))
+    return calls
+
+
+def test_kept_data_are_checked_once_per_process(monkeypatch):
+    _clear_kept_data()
+    calls = _count_checks(monkeypatch)
+    for spec in ALL_SPECS * 3:
+        build_instance(spec)
+    # P, c, and the least-squares P and q are each scanned for finiteness
+    # once, and the quadratic form's P for symmetry once
+    assert calls == {"finite": 4, "symmetric": 1}
+
+
+def test_a_callers_frozen_array_is_checked_on_every_build(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    P, c = _frozen(build_phi1_matrix(7)), _frozen(build_phi2_terms(7)[0])
+    A, q = map(_frozen, build_phi3_data(4, 7))
+    for _ in range(3):
+        QuadraticFormObjective(P, barrier=(c, 5.0))
+        LeastSquaresObjective(A, q, barrier=(c, 5.0))
+    assert calls == {"finite": 3 * 5, "symmetric": 3}
+    assert not any(id(a) in memo for a in (P, c, A, q)
+                   for memo in (problems._FINITE, problems._SYMMETRIC))
+    # frozen, built on, thawed, changed and frozen again: the change is caught
+    for bad, message in ((math.nan, "^P must be finite"),
+                         (np.nextafter(P[2, 3], math.inf), "^P must be symmetric$")):
+        P = _frozen(build_phi1_matrix(7))
+        QuadraticFormObjective(P)
+        P.setflags(write=True)
+        P[2, 3] = bad
+        with pytest.raises(ValueError, match=message):
+            QuadraticFormObjective(_frozen(P))
+
+
+def test_a_writeable_array_a_view_or_a_converted_copy_is_checked_on_every_build(monkeypatch):
+    P = build_phi1_matrix(7)
+    QuadraticFormObjective(P)
+    P[2, 3] = math.nan
+    with pytest.raises(ValueError, match="^P must be finite"):
+        QuadraticFormObjective(P)
+    P = build_phi1_matrix(7)
+    QuadraticFormObjective(P)
+    P[2, 3] = np.nextafter(P[2, 3], math.inf)
+    with pytest.raises(ValueError, match="^P must be symmetric$"):
+        QuadraticFormObjective(P)
+    A, q = build_phi3_data(4, 7)
+    c = build_phi2_terms(7)[0]
+    LeastSquaresObjective(A, q, barrier=(c, 5.0))
+    c[1] = math.inf
+    with pytest.raises(ValueError, match="^barrier vector c must be finite"):
+        LeastSquaresObjective(A, q, barrier=(c, 5.0))
+    q[0] = math.nan
+    with pytest.raises(ValueError, match="^q must be finite"):
+        LeastSquaresObjective(A, q)
+    # a read-only view of kept data is not kept, and an integer array is
+    # converted to a fresh writeable copy: both are scanned on every build
+    calls = _count_checks(monkeypatch)
+    view = problems._phi1_matrix(7)[:, :]
+    integers = _frozen(np.array([[2, 1], [1, 2]]))
+    for _ in range(3):
+        QuadraticFormObjective(view)
+        QuadraticFormObjective(integers)
+    assert calls == {"finite": 6, "symmetric": 6}
+    assert id(view) not in problems._FINITE and id(view) not in problems._SYMMETRIC
+
+
+def test_a_kept_array_that_fails_a_check_fails_it_on_every_build(monkeypatch):
+    # a square least-squares matrix is kept, finite and not symmetric: its
+    # finite pass is recorded and does not vouch for symmetry
+    calls = _count_checks(monkeypatch)
+    P, q = problems._phi3_data(7, 7, 10.0)
+    LeastSquaresObjective(P, q)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^P must be symmetric$"):
+            QuadraticFormObjective(P)
+    assert calls["symmetric"] == 3
+    assert problems._FINITE.get(id(P)) is P and id(P) not in problems._SYMMETRIC
+
+
+def test_a_record_dies_with_its_array():
+    _clear_kept_data()
+    P = problems._phi1_matrix(7)
+    key = id(P)
+    QuadraticFormObjective(P)
+    assert all(memo.get(key) is P
+               for memo in (problems._KEPT, problems._FINITE, problems._SYMMETRIC))
+    _clear_kept_data()
+    del P
+    gc.collect()
+    assert not any(key in memo for memo in (problems._KEPT, problems._FINITE, problems._SYMMETRIC))
 
 
 # ---------------------------------------------------------------------------
