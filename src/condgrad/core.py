@@ -198,14 +198,9 @@ class SmoothObjective(ABC):
     reads nor replaces the cached entry, so callers may mutate their own
     arrays in place. Making a trusted array writeable again, or writing to
     it through a view taken before it was frozen, breaks this contract.
-    The objectives of `condgrad.problems` apply a narrower rule to their
-    data: a constructor checks P, q or c (finite, and the quadratic form's
-    P symmetric) on every construction, except that an array the module's
-    own dataset generators keep, read-only, is checked the first time a
-    constructor sees it and skipped after a pass. A caller's array, frozen
-    or not, is never trusted this way, so a frozen array made writeable
-    and changed is caught on its next construction; making a kept array
-    writeable again breaks the contract, as it does for an iterate.
+    The objectives of `condgrad.problems` check their data (finite, and the
+    quadratic form's P symmetric) on every construction, and keep it by
+    reference: writing to it later breaks the contract.
 
     `vertex_step(x, i, b, lam)` (uncharged) builds the step x_new =
     (1-lam)*x + lam*b*e_i with `step_point`, a fresh read-only array. When x

@@ -21,15 +21,16 @@ that keep each dataset they built, read-only, for the rest of the process
 (the last _DATA_CACHE_SIZE per generator): a process generates each dataset
 once, and every objective on it shares the arrays, series 1 and 2 at one n
 included. Both constructors check their data (finite, and the quadratic
-form's P symmetric) once per process for an array those generators kept,
-and on every construction for any other; see `SmoothObjective`.
+form's P symmetric) on every call. `make_objective` builds one checked
+objective per spec, which it never hands out, and returns a copy of it, so
+a process checks each instance's data once; `lipschitz_upper_bound` is
+computed once per spec.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,34 +76,10 @@ def _gamma(k: float) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-# Arrays the private generators keep (read-only, owning their data, made
-# by this module alone), and those of them that passed a data check, one
-# memo per property, all keyed by id. A kept array's values cannot change,
-# so each constructor check runs on it once per process; a record dies with
-# its array, and a hit needs the recorded array itself, so a recycled id
-# never matches. Any other array, a caller's frozen one included, is
-# checked on every construction.
-_KEPT = weakref.WeakValueDictionary()
-_FINITE = weakref.WeakValueDictionary()
-_SYMMETRIC = weakref.WeakValueDictionary()
-
-
-def _passes(a: np.ndarray, memo: weakref.WeakValueDictionary, check) -> bool:
-    """check(a), run in full unless `a` is kept and passed it before; a
-    pass of a kept array is recorded in `memo`, a failure never is."""
-    if memo.get(id(a)) is a:
-        return True
-    if not check(a):
-        return False
-    if _KEPT.get(id(a)) is a:
-        memo[id(a)] = a
-    return True
-
-
 def _finite_data(a: np.ndarray, name: str) -> None:
     """Raise ValueError naming `a` when it holds NaN or +-inf, tested as
-    `as_vector` tests a vector (once per process for a kept array)."""
-    if not _passes(a, _FINITE, _all_finite):
+    `as_vector` tests a vector."""
+    if not _all_finite(a):
         raise ValueError(f"{name} must be finite, got NaN or infinite entries")
 
 
@@ -193,9 +170,8 @@ def build_phi3_data(m: int, n: int, b: float = 10.0):
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    """Freeze `a` and record it as kept (see `_passes`)."""
+    """Freeze `a` and return it."""
     a.setflags(write=False)
-    _KEPT[id(a)] = a
     return a
 
 
@@ -463,6 +439,11 @@ class QuadraticFormObjective(_MatrixObjective):
     vertex step updates it with one row of P (equal to the column).
     P must be symmetric bit for bit: for any other P the gradient of
     0.5 <Px, x> is 0.5 (P + P^T) x, not Px.
+
+    Float64 P and c are kept by reference, not copied, and checked once,
+    here: a later write to them voids the checks, and a P made asymmetric
+    that way leaves `gradient` returning Px. Freeze the arrays or pass
+    copies.
     """
 
     def __init__(self, P: np.ndarray, barrier=None):
@@ -470,7 +451,7 @@ class QuadraticFormObjective(_MatrixObjective):
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"P must be square, got shape {P.shape}")
         _finite_data(P, "P")  # a NaN would fail the symmetry test below
-        if not _passes(P, _SYMMETRIC, _symmetric):
+        if not _symmetric(P):
             raise ValueError("P must be symmetric")
         super().__init__(P, barrier)
 
@@ -511,6 +492,10 @@ class LeastSquaresObjective(_MatrixObjective):
     The quadratic part's state is the residual r = Px - q. Its gradient
     vector P^T r is materialized lazily on the first derivative request.
     Across a vertex step r is updated with one column of P.
+
+    Float64 P, q and c are kept by reference, not copied, and checked once,
+    here: a later write to them voids the checks. Freeze the arrays or pass
+    copies.
     """
 
     def __init__(self, P: np.ndarray, q: np.ndarray, barrier=None):
@@ -572,13 +557,31 @@ def _kept_data(spec: ProblemSpec):
     return (*_phi3_data(spec.m, spec.n, spec.b), barrier)
 
 
-def make_objective(spec: ProblemSpec) -> SmoothObjective:
-    """Assemble the counted oracle for a benchmark instance, on the
-    process's read-only copy of its data (see the module docstring)."""
+@functools.lru_cache(maxsize=_DATA_CACHE_SIZE)
+def _checked_objective(spec: ProblemSpec) -> SmoothObjective:
+    """The instance's objective, built once on its kept data and never
+    used, so every copy of it starts with no calls counted and no key."""
     P, q, barrier = _kept_data(spec)
     if q is None:
         return QuadraticFormObjective(P, barrier=barrier)
     return LeastSquaresObjective(P, q, barrier=barrier)
+
+
+def _copy(f):
+    """A shallow copy of `f`, set attribute by attribute: `copy.copy`
+    writes through `__dict__`, which leaves CPython 3.11 reading the
+    copy's attributes on a slower path (see CHANGES.md)."""
+    new = object.__new__(type(f))
+    for name, value in vars(f).items():
+        setattr(new, name, value)
+    return new
+
+
+def make_objective(spec: ProblemSpec) -> SmoothObjective:
+    """Assemble the counted oracle for a benchmark instance: a fresh copy of
+    one objective per spec, checked once per process, on the process's
+    read-only copy of its data (see the module docstring)."""
+    return _copy(_checked_objective(spec))
 
 
 def build_instance(spec: ProblemSpec):
@@ -594,11 +597,17 @@ def lipschitz_upper_bound(spec: ProblemSpec, region: SimplexSet) -> float:
     `make_objective(spec)` builds, read from the same data: for the
     quadratic form the Hessian is P itself, for least squares it is P^T P;
     the barrier adds at most 2||c||^2/d^3 because <c,x> >= 0 on the
-    nonnegative orthant. Cheap, deterministic, and only an upper bound is
-    ever needed: a larger constant just shrinks the derived fixed step.
+    nonnegative orthant. Cheap, deterministic (computed once per spec),
+    and only an upper bound is ever needed: a larger constant just shrinks
+    the derived fixed step.
     """
     if region.n != spec.n:
         raise ValueError(f"region dimension {region.n} does not match spec n={spec.n}")
+    return _lipschitz(spec)
+
+
+@functools.lru_cache(maxsize=_DATA_CACHE_SIZE)
+def _lipschitz(spec: ProblemSpec) -> float:
     P, q, barrier = _kept_data(spec)
     H = P if q is None else P.T @ P
     L = float(_abs_row_sums(H).max())

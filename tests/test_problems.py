@@ -1,6 +1,5 @@
 """Problem generators: frozen scalar values, structure, convexity, bounds."""
 
-import gc
 import math
 import tracemalloc
 
@@ -23,6 +22,7 @@ from condgrad.problems import (
     lipschitz_upper_bound,
     make_objective,
 )
+from condgrad.solvers import SolverConfig, solve_cgm
 
 from helpers import phi1_triu, phi3_one_shot, random_simplex_points, ray_value
 
@@ -378,6 +378,12 @@ LARGE_SPECS = (ProblemSpec(series=1, n=500), ProblemSpec(series=2, n=500),
                ProblemSpec(series=3, n=1000, m=500), ProblemSpec(series=4, n=1000, m=500))
 
 
+def _clear_caches():
+    for cached in (problems._phi1_matrix, problems._phi2_terms, problems._phi3_data,
+                   problems._checked_objective, problems._lipschitz):
+        cached.cache_clear()
+
+
 def test_kept_data_are_the_builders_bytes_on_every_grid_and_workload_cell():
     for spec in default_plan().cells + LARGE_SPECS:
         f = make_objective(spec)
@@ -417,6 +423,7 @@ def test_objectives_of_one_dataset_share_its_arrays():
 
 
 def test_a_dataset_dropped_from_the_cache_is_rebuilt_with_the_same_bytes():
+    _clear_caches()
     sizes = range(1, problems._DATA_CACHE_SIZE + 2)
     kept = {n: make_objective(ProblemSpec(series=1, n=n)).P for n in sizes}
     # the first size was the least recently used: it was dropped and is
@@ -432,23 +439,19 @@ def test_lipschitz_reads_the_data_without_building_an_objective(monkeypatch):
     def refuse(spec):
         raise AssertionError("lipschitz_upper_bound built an objective")
 
+    problems._lipschitz.cache_clear()
     monkeypatch.setattr(problems, "make_objective", refuse)
+    monkeypatch.setattr(problems, "_checked_objective", refuse)
     for spec, L in zip(ALL_SPECS, expected):
         assert repr(lipschitz_upper_bound(spec, SimplexSet(spec.n, spec.b))) == repr(L)
 
 
 # ---------------------------------------------------------------------------
-# data checks: once per process for a kept array
+# data checks: on every construction, and once per spec for make_objective
 
 def _frozen(a):
     a.setflags(write=False)
     return a
-
-
-def _clear_kept_data():
-    for generator in (problems._phi1_matrix, problems._phi2_terms, problems._phi3_data):
-        generator.cache_clear()
-    gc.collect()
 
 
 def _count_checks(monkeypatch):
@@ -466,48 +469,38 @@ def _count_checks(monkeypatch):
     return calls
 
 
-def test_kept_data_are_checked_once_per_process(monkeypatch):
-    _clear_kept_data()
+def test_a_direct_construction_scans_its_data_on_every_call(monkeypatch):
     calls = _count_checks(monkeypatch)
-    for spec in ALL_SPECS * 3:
-        build_instance(spec)
-    # P, c, and the least-squares P and q are each scanned for finiteness
-    # once, and the quadratic form's P for symmetry once
-    assert calls == {"finite": 4, "symmetric": 1}
-
-
-def test_a_callers_frozen_array_is_checked_on_every_build(monkeypatch):
-    calls = _count_checks(monkeypatch)
-    P, c = _frozen(build_phi1_matrix(7)), _frozen(build_phi2_terms(7)[0])
-    A, q = map(_frozen, build_phi3_data(4, 7))
+    # a caller's frozen array, a writeable one, a read-only view of kept
+    # data, an integer array (converted to a fresh copy) and a kept array
+    sources = (_frozen(build_phi1_matrix(7)), build_phi1_matrix(7),
+               problems._phi1_matrix(7)[:, :], _frozen(np.array([[2, 1], [1, 2]])),
+               problems._phi1_matrix(7))
+    for P in sources:
+        for _ in range(3):
+            QuadraticFormObjective(P)
+    assert calls == {"finite": 15, "symmetric": 15}
+    calls.update(finite=0)
+    A, q = problems._phi3_data(4, 7, 10.0)
+    c = _frozen(build_phi2_terms(7)[0])
     for _ in range(3):
-        QuadraticFormObjective(P, barrier=(c, 5.0))
         LeastSquaresObjective(A, q, barrier=(c, 5.0))
-    assert calls == {"finite": 3 * 5, "symmetric": 3}
-    assert not any(id(a) in memo for a in (P, c, A, q)
-                   for memo in (problems._FINITE, problems._SYMMETRIC))
-    # frozen, built on, thawed, changed and frozen again: the change is caught
-    for bad, message in ((math.nan, "^P must be finite"),
-                         (np.nextafter(P[2, 3], math.inf), "^P must be symmetric$")):
-        P = _frozen(build_phi1_matrix(7))
-        QuadraticFormObjective(P)
-        P.setflags(write=True)
-        P[2, 3] = bad
-        with pytest.raises(ValueError, match=message):
-            QuadraticFormObjective(_frozen(P))
+    assert calls == {"finite": 9, "symmetric": 15}
 
 
-def test_a_writeable_array_a_view_or_a_converted_copy_is_checked_on_every_build(monkeypatch):
-    P = build_phi1_matrix(7)
-    QuadraticFormObjective(P)
-    P[2, 3] = math.nan
-    with pytest.raises(ValueError, match="^P must be finite"):
-        QuadraticFormObjective(P)
-    P = build_phi1_matrix(7)
-    QuadraticFormObjective(P)
-    P[2, 3] = np.nextafter(P[2, 3], math.inf)
-    with pytest.raises(ValueError, match="^P must be symmetric$"):
-        QuadraticFormObjective(P)
+def test_a_change_to_the_data_is_caught_on_the_next_construction():
+    # built on, changed in place (or thawed, changed and frozen again), and
+    # built on again: the change is caught
+    for freeze in (_frozen, lambda a: a):
+        for bad, message in ((math.nan, "^P must be finite"),
+                             (np.nextafter(build_phi1_matrix(7)[2, 3], math.inf),
+                              "^P must be symmetric$")):
+            P = freeze(build_phi1_matrix(7))
+            QuadraticFormObjective(P)
+            P.setflags(write=True)
+            P[2, 3] = bad
+            with pytest.raises(ValueError, match=message):
+                QuadraticFormObjective(freeze(P))
     A, q = build_phi3_data(4, 7)
     c = build_phi2_terms(7)[0]
     LeastSquaresObjective(A, q, barrier=(c, 5.0))
@@ -517,42 +510,60 @@ def test_a_writeable_array_a_view_or_a_converted_copy_is_checked_on_every_build(
     q[0] = math.nan
     with pytest.raises(ValueError, match="^q must be finite"):
         LeastSquaresObjective(A, q)
-    # a read-only view of kept data is not kept, and an integer array is
-    # converted to a fresh writeable copy: both are scanned on every build
-    calls = _count_checks(monkeypatch)
-    view = problems._phi1_matrix(7)[:, :]
-    integers = _frozen(np.array([[2, 1], [1, 2]]))
-    for _ in range(3):
-        QuadraticFormObjective(view)
-        QuadraticFormObjective(integers)
-    assert calls == {"finite": 6, "symmetric": 6}
-    assert id(view) not in problems._FINITE and id(view) not in problems._SYMMETRIC
 
 
 def test_a_kept_array_that_fails_a_check_fails_it_on_every_build(monkeypatch):
-    # a square least-squares matrix is kept, finite and not symmetric: its
-    # finite pass is recorded and does not vouch for symmetry
+    # a square least-squares matrix is kept, finite and not symmetric
     calls = _count_checks(monkeypatch)
     P, q = problems._phi3_data(7, 7, 10.0)
     LeastSquaresObjective(P, q)
     for _ in range(3):
         with pytest.raises(ValueError, match="^P must be symmetric$"):
             QuadraticFormObjective(P)
-    assert calls["symmetric"] == 3
-    assert problems._FINITE.get(id(P)) is P and id(P) not in problems._SYMMETRIC
+    assert calls == {"finite": 2 + 3, "symmetric": 3}
 
 
-def test_a_record_dies_with_its_array():
-    _clear_kept_data()
-    P = problems._phi1_matrix(7)
-    key = id(P)
-    QuadraticFormObjective(P)
-    assert all(memo.get(key) is P
-               for memo in (problems._KEPT, problems._FINITE, problems._SYMMETRIC))
-    _clear_kept_data()
-    del P
-    gc.collect()
-    assert not any(key in memo for memo in (problems._KEPT, problems._FINITE, problems._SYMMETRIC))
+def test_make_objective_checks_each_spec_once_per_process(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    _clear_caches()
+    for spec in ALL_SPECS:
+        build_instance(spec)
+    # each spec's P, c and q for finiteness, series 1 and 2 sharing P, and
+    # the quadratic forms' P for symmetry
+    once = dict(calls)
+    assert once == {"finite": 1 + 2 + 2 + 3, "symmetric": 2}
+    _clear_caches()
+    calls.update(finite=0, symmetric=0)
+    for spec in ALL_SPECS * 3:
+        build_instance(spec)
+    assert calls == once
+
+
+def test_make_objective_hands_out_a_fresh_copy_on_every_call():
+    cfg = SolverConfig()
+    for spec in ALL_SPECS:
+        D = SimplexSet(spec.n, spec.b)
+        used = make_objective(spec)
+        assert used is not make_objective(spec)
+        # instrumented through instance attributes, as perfbench wraps the
+        # oracle, and run
+        calls = []
+        value = used.value
+        used.value = lambda x: calls.append(x) or value(x)
+        first = solve_cgm(used, D, cfg, D.barycenter())
+        assert calls and used.kf and used._ray_bounds is not None
+        fresh = make_objective(spec)
+        assert (fresh.kf, fresh.kg, fresh._derived) == (0, 0, 0)
+        assert fresh._cache_x is None and fresh._cache_state is None
+        assert fresh._ray_bounds is None and "value" not in vars(fresh)
+        # the attributes of a constructed objective, in the same order
+        P, q, barrier = problems._kept_data(spec)
+        built = (QuadraticFormObjective(P, barrier) if q is None
+                 else LeastSquaresObjective(P, q, barrier))
+        assert type(fresh) is type(built) and list(vars(fresh)) == list(vars(built))
+        again = solve_cgm(fresh, D, cfg, D.barycenter())
+        assert again.counters == first.counters and again.x.tobytes() == first.x.tobytes()
+        assert (fresh.kf, fresh.kg) == (used.kf, used.kg)
 
 
 # ---------------------------------------------------------------------------

@@ -117,3 +117,15 @@ def test_the_harness_calls_the_solvers_by_name():
     assert not [name for name in vars(harness) if name.startswith("solve_")]
     assert harness.METHOD_ORDER == ("cgm", "cgms", "cgmi", "cgmis", "cgmil")
     assert all(callable(getattr(solvers, "solve_" + m)) for m in harness.METHOD_ORDER)
+
+
+def test_the_problems_module_keeps_no_identity_memo():
+    # make_objective copies one checked objective per spec: no record of
+    # which arrays passed a check, and no weak references to keep one
+    for name in ("_KEPT", "_FINITE", "_SYMMETRIC", "_passes", "weakref"):
+        assert not hasattr(problems, name), name
+    tree = ast.parse(inspect.getsource(problems))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "weakref" not in imported
