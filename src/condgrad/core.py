@@ -198,9 +198,9 @@ class SmoothObjective(ABC):
     reads nor replaces the cached entry, so callers may mutate their own
     arrays in place. Making a trusted array writeable again, or writing to
     it through a view taken before it was frozen, breaks this contract.
-    The objectives of `condgrad.problems` check their data (finite, and the
-    quadratic form's P symmetric) on every construction, and keep it by
-    reference: writing to it later breaks the contract.
+    The objectives of `condgrad.problems` hold their data by the same rule:
+    a trusted array as it is and any other as a frozen copy, checked
+    (finite, and the quadratic form's P symmetric) on every construction.
 
     `vertex_step(x, i, b, lam)` (uncharged) builds the step x_new =
     (1-lam)*x + lam*b*e_i with `step_point`, a fresh read-only array. When x

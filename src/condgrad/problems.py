@@ -10,34 +10,36 @@ builds of the same instance are bit-identical:
 
 All index formulas are 1-based and all angles are radians. Both objective
 classes build on `_MatrixObjective`, which owns the barrier, the size gate
-for derived states and the vertex ray's rounding margin; each adds only its
-quadratic part.
+for derived states, the vertex ray's rounding margin and the Lipschitz
+bound; each adds only its quadratic part.
 
 Both matrix builders fill their result in place one block of whole rows at
 a time, so set-up memory is the result plus one block of temporaries. The
-public `build_phi*` builders return fresh writable arrays. `make_objective`
-and `lipschitz_upper_bound` read the same data from private generators
-that keep each dataset they built, read-only, for the rest of the process
-(the last _DATA_CACHE_SIZE per generator): a process generates each dataset
-once, and every objective on it shares the arrays, series 1 and 2 at one n
-included. Both constructors check their data (finite, and the quadratic
-form's P symmetric) on every call. `make_objective` builds one checked
-objective per spec, which it never hands out, and returns a copy of it, so
-a process checks each instance's data once; `lipschitz_upper_bound` is
-computed once per spec.
+public `build_phi*` builders return fresh writable arrays.
+
+Both constructors hold P, q and c by the iterates' rule (`core._trusted`):
+a read-only array that owns its data is kept as it is, any other becomes a
+frozen copy, and either is checked (finite, and the quadratic form's P
+symmetric) on every call, so no later write by a caller reaches the oracle.
+An objective computes its ray constants at construction and its Lipschitz
+bound on first request, and a copy shares both. `make_objective` builds one
+checked objective per spec on frozen data, which it never hands out, and
+returns a copy of it: series 1 and 3 generate their data, and series 2 and
+4 add a barrier to the data of series 1 or 3 at the same size and mass.
+`lipschitz_upper_bound` reads the bound of that same objective.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import (NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay, _all_finite,
-                   _is_integer, _is_real, _real_array)
+                   _is_integer, _is_real, _real_array, _trusted)
 
 # Size gate for derived oracle states, in entries of the problem matrix
 # (rows * n). Below it a matrix-vector product is cheap enough that the
@@ -53,13 +55,13 @@ DERIVED_STATE_MIN_ENTRIES = 20_000
 # 2**13 and 2**16 entries builds (500, 1000) in the same time.
 _BLOCK_ENTRIES = 2 ** 15
 
-# Datasets each private generator (`_phi1_matrix`, `_phi2_terms`,
-# `_phi3_data`) keeps, read-only, as every objective built on a kept
-# dataset shares its arrays. A grid or a benchmark workload solves a few
-# datasets many times over, and each is deterministic, so a kept one is
-# reused rather than rebuilt. 8 covers the default grid's 5 sizes per
-# family and every benchmark workload's datasets, while a process that
-# walks through many sizes holds at most 8 per generator.
+# Specs whose checked objective, with its data and constants, a process
+# keeps (`_checked_objective`). A benchmark workload solves a few specs
+# many times over, and each is deterministic, so a kept one is copied
+# rather than rebuilt and checked again. The paper-grid workload has
+# exactly 8 specs, so a smaller cache would rebuild every one of them on
+# every set-up round; 8 also covers the other workloads' 6, while a
+# process that walks through many specs holds at most 8.
 _DATA_CACHE_SIZE = 8
 
 # Unit roundoff of float64, and the largest error of one rounding into the
@@ -76,11 +78,20 @@ def _gamma(k: float) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _finite_data(a: np.ndarray, name: str) -> None:
-    """Raise ValueError naming `a` when it holds NaN or +-inf, tested as
-    `as_vector` tests a vector."""
-    if not _all_finite(a):
+def _owned(a, name: str) -> np.ndarray:
+    """`a` as float64 data that no caller can write to: a trusted array
+    (`core._trusted`) as it is, any other frozen, after a copy unless the
+    conversion to float64 made a fresh array already, so that a caller's
+    writable array costs one copy. Raise ValueError naming it when it
+    holds NaN or +-inf, tested as `as_vector` tests a vector."""
+    v = _real_array(a)
+    if not _trusted(v):
+        if np.may_share_memory(v, a):
+            v = v.copy()
+        v.setflags(write=False)
+    if not _all_finite(v):
         raise ValueError(f"{name} must be finite, got NaN or infinite entries")
+    return v
 
 
 def _symmetric(P: np.ndarray) -> bool:
@@ -175,23 +186,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=_DATA_CACHE_SIZE)
-def _phi1_matrix(n: int) -> np.ndarray:
-    return _read_only(build_phi1_matrix(n))
-
-
-@functools.lru_cache(maxsize=_DATA_CACHE_SIZE)
-def _phi2_terms(n: int):
-    c, d = build_phi2_terms(n)
-    return _read_only(c), d
-
-
-@functools.lru_cache(maxsize=_DATA_CACHE_SIZE)
-def _phi3_data(m: int, n: int, b: float):
-    P, q = build_phi3_data(m, n, b)
-    return _read_only(P), _read_only(q)
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Declarative description of one benchmark instance."""
@@ -233,9 +227,14 @@ class _MatrixObjective(SmoothObjective):
     quadratic part's value, `_sq`, which the value and the vertex ray both
     read. A subclass supplies the quadratic part's state (`_quad_state`),
     its update across a vertex step (`_quad_step`), twice its value
-    (`_quad_sq`), its gradient vector (`_quad_gradient`), and its form along
+    (`_quad_sq`), its gradient vector (`_quad_gradient`), its form along
     a vertex ray (`_quad_ray`) with the per-instance bounds behind its
-    margin (`_quad_bounds`).
+    margin (`_quad_bounds`), and its Hessian (`_hessian`).
+
+    The instance's constants live on it: the ray's (`_ray_bounds`),
+    computed at construction, and the Lipschitz bound
+    (`_lipschitz_bound`), computed on first request. A shallow copy shares
+    the ray's, and the bound once computed; no solve computes either.
 
     Both objectives declare `cheap_gradient_dot_point`: <f'(x), x> follows
     from the state in O(rows), so a run charges each probe of the inexact
@@ -269,14 +268,16 @@ class _MatrixObjective(SmoothObjective):
         self.c = self.d = None
         if barrier is not None:
             c, d = barrier
-            self.c = _real_array(c)
+            self.c = _owned(c, "barrier vector c")
             if self.c.shape != (self.n,):
                 raise ValueError("barrier vector length must match the column count of P")
-            _finite_data(self.c, "barrier vector c")
             if not _is_real(d):
                 raise ValueError(f"barrier offset d must be a finite real, got {d!r}")
             self.d = float(d)
-        self._ray_bounds = None  # set on the first line search
+        # huge finite data overflow these bounds to inf, and the vertex ray
+        # then declines at its finiteness test
+        with np.errstate(over="ignore"):
+            self._ray_bounds = self._ray_constants()
 
     def _make_state(self, x):
         state = self._quad_state(x)
@@ -306,12 +307,12 @@ class _MatrixObjective(SmoothObjective):
         return new
 
     def _ray_constants(self) -> tuple:
-        """The instance's part of the ray margin, computed once: the
-        subclass's bounds on the quadratic part (`_quad_bounds`), the
-        largest row sum of |P|, the total magnitude of the data (sum|P| +
-        sum|c| + |d|, plus sum|q| for least squares), max|c|, the constants
-        of both rounding bounds for this instance's rows and n, and those of
-        `_norm1_bound` for this n."""
+        """The instance's part of the ray margin, computed at
+        construction: the subclass's bounds on the quadratic part
+        (`_quad_bounds`), the largest row sum of |P|, the total magnitude
+        of the data (sum|P| + sum|c| + |d|, plus sum|q| for least squares),
+        max|c|, the constants of both rounding bounds for this instance's
+        rows and n, and those of `_norm1_bound` for this n."""
         rows, n = self.P.shape
         R = _abs_row_sums(self.P)
         total = float(R.sum())
@@ -336,11 +337,19 @@ class _MatrixObjective(SmoothObjective):
         the scaling."""
         return math.sqrt(self.n * (float(x.dot(x)) + eta_n)) * scale
 
+    @functools.cached_property
+    def _lipschitz_bound(self) -> float:
+        """A row-sum (infinity-norm) bound on the Hessian of the quadratic
+        part (`_hessian`), plus 2||c||^2/d^3 for the barrier, which bounds
+        its Hessian 2cc^T/(<c,x> + d)^3 where <c,x> >= 0, as on the
+        nonnegative orthant for c >= 0. Computed on first request, not at
+        construction: for least squares it forms P^T P."""
+        L = float(_abs_row_sums(self._hessian()).max())
+        if self.c is not None:
+            L += 2.0 * float(np.dot(self.c, self.c)) / self.d ** 3
+        return L
+
     def _vertex_ray(self, x, state, i, b):
-        # Computed on the first line search, not in the constructor, so
-        # that building an instance costs what it did.
-        if self._ray_bounds is None:
-            self._ray_bounds = self._ray_constants()
         (quad, r_max, total, c_max, g_quad, eta_quad, g_bar, eta_bar,
          eta_n, scale) = self._ray_bounds
         # ||y(lam)||_1 <= (1-lam)||x||_1 + lam|b| <= s for every lam in
@@ -440,17 +449,15 @@ class QuadraticFormObjective(_MatrixObjective):
     P must be symmetric bit for bit: for any other P the gradient of
     0.5 <Px, x> is 0.5 (P + P^T) x, not Px.
 
-    Float64 P and c are kept by reference, not copied, and checked once,
-    here: a later write to them voids the checks, and a P made asymmetric
-    that way leaves `gradient` returning Px. Freeze the arrays or pass
-    copies.
+    P and c are held by the module's rule: a trusted array as it is, any
+    other as a frozen copy, checked here, so a caller's later write to
+    its own array changes no output.
     """
 
     def __init__(self, P: np.ndarray, barrier=None):
-        P = _real_array(P)
+        P = _owned(P, "P")  # a NaN would fail the symmetry test below
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"P must be square, got shape {P.shape}")
-        _finite_data(P, "P")  # a NaN would fail the symmetry test below
         if not _symmetric(P):
             raise ValueError("P must be symmetric")
         super().__init__(P, barrier)
@@ -474,6 +481,9 @@ class QuadraticFormObjective(_MatrixObjective):
     def _quad_bounds(self, R, r_max):
         return r_max, 0.0
 
+    def _hessian(self):
+        return self.P
+
     def _quad_ray(self, x, state, i, b, s, r_max):
         # 0.5 <Py, y> = 0.5((1-lam)^2 <Px,x> + 2(1-lam)lam b (Px)_i + lam^2 b^2 P_ii),
         # whose cross term holds as P is symmetric.
@@ -493,21 +503,18 @@ class LeastSquaresObjective(_MatrixObjective):
     vector P^T r is materialized lazily on the first derivative request.
     Across a vertex step r is updated with one column of P.
 
-    Float64 P, q and c are kept by reference, not copied, and checked once,
-    here: a later write to them voids the checks. Freeze the arrays or pass
-    copies.
+    P, q and c are held by the module's rule: a trusted array as it is, any
+    other as a frozen copy, checked here, so a caller's later write to
+    its own array changes no output. P has at least one row.
     """
 
     def __init__(self, P: np.ndarray, q: np.ndarray, barrier=None):
-        P, q = _real_array(P), _real_array(q)
-        if P.ndim != 2:
-            raise ValueError(f"P must be a matrix, got shape {P.shape}")
-        if q.shape != (P.shape[0],):
+        P, self.q = _owned(P, "P"), _owned(q, "q")
+        if P.ndim != 2 or P.shape[0] == 0:
+            raise ValueError(f"P must be a matrix with at least one row, got shape {P.shape}")
+        if self.q.shape != (P.shape[0],):
             raise ValueError("q length must match the row count of P")
-        _finite_data(P, "P")
-        _finite_data(q, "q")
         super().__init__(P, barrier)
-        self.q = q
 
     def _quad_state(self, x):
         return {"r": self.P @ x - self.q}
@@ -536,6 +543,9 @@ class LeastSquaresObjective(_MatrixObjective):
         return ((float(np.dot(R, R)), float(np.dot(R, aq)), float(np.dot(self.q, self.q))),
                 float(aq.sum()))
 
+    def _hessian(self):
+        return self.P.T @ self.P
+
     def _quad_ray(self, x, state, i, b, s, sums):
         # Py - q = (1-lam) r + lam v with v = b P[:, i] - q. Both paths err
         # by a multiple of sum_k w_k^2, where w_k = s R_k + |q_k| bounds
@@ -548,23 +558,24 @@ class LeastSquaresObjective(_MatrixObjective):
                 (s * s * r2 + 2.0 * s * rq) + qq)
 
 
-def _kept_data(spec: ProblemSpec):
-    """(P, q, barrier) of an instance, from the generators that keep it: q
-    is None for the quadratic form, and barrier None without one."""
-    barrier = _phi2_terms(spec.n) if spec.series in (2, 4) else None
-    if spec.series in (1, 2):
-        return _phi1_matrix(spec.n), None, barrier
-    return (*_phi3_data(spec.m, spec.n, spec.b), barrier)
-
-
 @functools.lru_cache(maxsize=_DATA_CACHE_SIZE)
-def _checked_objective(spec: ProblemSpec) -> SmoothObjective:
-    """The instance's objective, built once on its kept data and never
-    used, so every copy of it starts with no calls counted and no key."""
-    P, q, barrier = _kept_data(spec)
-    if q is None:
-        return QuadraticFormObjective(P, barrier=barrier)
-    return LeastSquaresObjective(P, q, barrier=barrier)
+def _checked_objective(spec: ProblemSpec) -> _MatrixObjective:
+    """The instance's objective, built once and never used, so every copy
+    of it starts with no calls counted and no key. Its data are frozen
+    before construction, so none is copied: series 1 and 3 generate
+    theirs, and series 2 and 4 take P (and q) from series 1 or 3 at the
+    same size and mass and add the barrier."""
+    if spec.series == 1:
+        return QuadraticFormObjective(_read_only(build_phi1_matrix(spec.n)))
+    if spec.series == 3:
+        P, q = build_phi3_data(spec.m, spec.n, spec.b)
+        return LeastSquaresObjective(_read_only(P), _read_only(q))
+    c, d = build_phi2_terms(spec.n)
+    barrier = (_read_only(c), d)
+    quad = _checked_objective(replace(spec, series=spec.series - 1))
+    if spec.series == 2:
+        return QuadraticFormObjective(quad.P, barrier)
+    return LeastSquaresObjective(quad.P, quad.q, barrier)
 
 
 def _copy(f):
@@ -579,8 +590,8 @@ def _copy(f):
 
 def make_objective(spec: ProblemSpec) -> SmoothObjective:
     """Assemble the counted oracle for a benchmark instance: a fresh copy of
-    one objective per spec, checked once per process, on the process's
-    read-only copy of its data (see the module docstring)."""
+    one objective per spec, checked once per process, which shares its
+    read-only data and constants (see the module docstring)."""
     return _copy(_checked_objective(spec))
 
 
@@ -594,24 +605,13 @@ def lipschitz_upper_bound(spec: ProblemSpec, region: SimplexSet) -> float:
     """A valid upper bound on the gradient Lipschitz constant over the region.
 
     Row-sum (infinity-norm) bounds on the Hessian of the objective that
-    `make_objective(spec)` builds, read from the same data: for the
-    quadratic form the Hessian is P itself, for least squares it is P^T P;
-    the barrier adds at most 2||c||^2/d^3 because <c,x> >= 0 on the
-    nonnegative orthant. Cheap, deterministic (computed once per spec),
-    and only an upper bound is ever needed: a larger constant just shrinks
-    the derived fixed step.
+    `make_objective(spec)` returns, memoized on the spec's checked
+    objective: for the quadratic form the Hessian is P itself, for least
+    squares it is P^T P; the barrier adds at most 2||c||^2/d^3 because
+    <c,x> >= 0 on the nonnegative orthant. Deterministic, computed once
+    per spec, and only an upper bound is ever needed: a larger constant
+    just shrinks the derived fixed step.
     """
     if region.n != spec.n:
         raise ValueError(f"region dimension {region.n} does not match spec n={spec.n}")
-    return _lipschitz(spec)
-
-
-@functools.lru_cache(maxsize=_DATA_CACHE_SIZE)
-def _lipschitz(spec: ProblemSpec) -> float:
-    P, q, barrier = _kept_data(spec)
-    H = P if q is None else P.T @ P
-    L = float(_abs_row_sums(H).max())
-    if barrier is not None:
-        c, d = barrier
-        L += 2.0 * float(np.dot(c, c)) / d ** 3
-    return L
+    return _checked_objective(spec)._lipschitz_bound

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from condgrad.problems import (
     lipschitz_upper_bound,
     make_objective,
 )
-from condgrad.solvers import SolverConfig, solve_cgm
+from condgrad.solvers import SolverConfig, solve_cgm, solve_cgmil
 
 from helpers import phi1_triu, phi3_one_shot, random_simplex_points, ray_value
 
@@ -298,12 +299,15 @@ def test_objective_data_holds_real_numbers():
         for bad in bads:
             with pytest.raises(ValueError, match="real numbers"):
                 make(bad)
-    # integer data is converted; float64 data is taken as it is, not copied
+    # integer data is converted; writable float64 data is held as a frozen
+    # copy, and a trusted array as it is
     assert QuadraticFormObjective([[2, 0], [0, 2]]).value(np.ones(2)) == 2.0
     P, q, c = np.eye(2), np.ones(2), np.ones(2)
     f = LeastSquaresObjective(P, q, barrier=(c, 5.0))
-    assert f.P is P and f.q is q and f.c is c
-    assert QuadraticFormObjective(P).P is P
+    for held, given in ((f.P, P), (f.q, q), (f.c, c)):
+        assert held is not given and core._trusted(held) and np.array_equal(held, given)
+    frozen = _frozen(np.eye(2))
+    assert QuadraticFormObjective(frozen).P is frozen
 
 
 NON_FINITE_DATA = {
@@ -335,8 +339,51 @@ def test_finite_data_may_square_past_the_float_range():
     # entries above about 1.3e154 overflow the one-dot check, and the exact
     # check takes them
     big = np.array([[1e200, 0.0], [0.0, 1e200]])
-    assert QuadraticFormObjective(big).P is big
-    assert LeastSquaresObjective(big, np.array([1e200, -1e200])).P is big
+    assert np.array_equal(QuadraticFormObjective(big).P, big)
+    assert np.array_equal(LeastSquaresObjective(big, np.array([1e200, -1e200])).P, big)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QuadraticFormObjective(1e308 * np.eye(2)),
+    lambda: LeastSquaresObjective(1e308 * np.eye(2), np.array([1e308, -1e308])),
+], ids=["quadratic", "least-squares"])
+def test_data_whose_ray_constants_overflow_construct_without_a_warning(make):
+    # the constants overflow to inf at construction, quietly, and the
+    # vertex ray declines at its finiteness test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = make()
+    assert f._ray_bounds[2] == math.inf  # the data's total magnitude
+    x = _frozen(np.array([5.0, 5.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f.value(x)
+        assert f.vertex_ray(x, 0, 10.0) is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda P, q, c: QuadraticFormObjective(P, barrier=(c, 5.0)),
+    lambda P, q, c: LeastSquaresObjective(P, q, barrier=(c, 5.0)),
+], ids=["quadratic", "least-squares"])
+def test_a_write_to_the_callers_arrays_changes_no_output(make):
+    # the caller's writable arrays are copied at construction, so writes
+    # after it (an asymmetric P, a NaN q, a changed c) reach no oracle
+    P, q, c = build_phi1_matrix(3), np.array([1.0, -2.0, 0.5]), np.array([1.0, 2.0, 3.0])
+    x = np.array([1.0, 2.0, 7.0])
+    f = make(P, q, c)
+    key = _frozen(x.copy())
+    before = (f.value(x), f.gradient(x).tobytes(), f.value(key), f.vertex_ray(key, 1, 10.0))
+    P[0, 1] += 3.0
+    q[0] = math.nan
+    c[2] = -100.0
+    fresh = _frozen(x.copy())
+    after = (f.value(x), f.gradient(x).tobytes(), f.value(fresh), f.vertex_ray(fresh, 1, 10.0))
+    assert repr(after) == repr(before)
+
+
+def test_a_least_squares_p_needs_a_row():
+    # with no rows the ray's constants would reduce an empty array
+    with pytest.raises(ValueError, match="^P must be a matrix with at least one row"):
+        LeastSquaresObjective(np.ones((0, 3)), np.ones(0), barrier=(np.array([1.0, 2.0, 3.0]), 5.0))
 
 
 def test_problem_spec_validation():
@@ -379,9 +426,7 @@ LARGE_SPECS = (ProblemSpec(series=1, n=500), ProblemSpec(series=2, n=500),
 
 
 def _clear_caches():
-    for cached in (problems._phi1_matrix, problems._phi2_terms, problems._phi3_data,
-                   problems._checked_objective, problems._lipschitz):
-        cached.cache_clear()
+    problems._checked_objective.cache_clear()
 
 
 def test_kept_data_are_the_builders_bytes_on_every_grid_and_workload_cell():
@@ -415,9 +460,11 @@ def test_objectives_of_one_dataset_share_its_arrays():
     for spec in ALL_SPECS:
         assert build_instance(spec)[0].P is build_instance(spec)[0].P
     s1, s2, s3, s4 = (make_objective(spec) for spec in ALL_SPECS)
+    # series 2 and 4 add a barrier to the data of series 1 and 3
     assert s1.P is s2.P and s3.P is s4.P and s3.q is s4.q
-    assert s2.c is s4.c  # one barrier per n, across the families
-    # a dataset is keyed by all it depends on: the mass changes q
+    # each barrier is its own spec's, with the same bytes across the families
+    assert s2.c is not s4.c and s2.c.tobytes() == s4.c.tobytes()
+    # a spec is keyed by all it holds: the mass changes q
     other = make_objective(ProblemSpec(series=3, n=7, m=4, b=2.0))
     assert other.P is not s3.P and other.q.tobytes() != s3.q.tobytes()
 
@@ -433,17 +480,18 @@ def test_a_dataset_dropped_from_the_cache_is_rebuilt_with_the_same_bytes():
     assert make_objective(ProblemSpec(series=1, n=sizes[-1])).P is kept[sizes[-1]]
 
 
-def test_lipschitz_reads_the_data_without_building_an_objective(monkeypatch):
+def test_lipschitz_is_the_memo_of_the_spec_s_checked_objective(monkeypatch):
     expected = [lipschitz_upper_bound(spec, SimplexSet(spec.n, spec.b)) for spec in ALL_SPECS]
 
     def refuse(spec):
-        raise AssertionError("lipschitz_upper_bound built an objective")
+        raise AssertionError("lipschitz_upper_bound built a copy")
 
-    problems._lipschitz.cache_clear()
+    _clear_caches()
     monkeypatch.setattr(problems, "make_objective", refuse)
-    monkeypatch.setattr(problems, "_checked_objective", refuse)
+    monkeypatch.setattr(problems, "_copy", refuse)
     for spec, L in zip(ALL_SPECS, expected):
         assert repr(lipschitz_upper_bound(spec, SimplexSet(spec.n, spec.b))) == repr(L)
+        assert repr(vars(problems._checked_objective(spec))["_lipschitz_bound"]) == repr(L)
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +518,19 @@ def _count_checks(monkeypatch):
 
 
 def test_a_direct_construction_scans_its_data_on_every_call(monkeypatch):
+    kept = make_objective(ProblemSpec(series=1, n=7)).P
+    kept3 = make_objective(ProblemSpec(series=3, n=7, m=4))
     calls = _count_checks(monkeypatch)
     # a caller's frozen array, a writeable one, a read-only view of kept
     # data, an integer array (converted to a fresh copy) and a kept array
     sources = (_frozen(build_phi1_matrix(7)), build_phi1_matrix(7),
-               problems._phi1_matrix(7)[:, :], _frozen(np.array([[2, 1], [1, 2]])),
-               problems._phi1_matrix(7))
+               kept[:, :], _frozen(np.array([[2, 1], [1, 2]])), kept)
     for P in sources:
         for _ in range(3):
             QuadraticFormObjective(P)
     assert calls == {"finite": 15, "symmetric": 15}
     calls.update(finite=0)
-    A, q = problems._phi3_data(4, 7, 10.0)
+    A, q = kept3.P, kept3.q
     c = _frozen(build_phi2_terms(7)[0])
     for _ in range(3):
         LeastSquaresObjective(A, q, barrier=(c, 5.0))
@@ -514,8 +563,9 @@ def test_a_change_to_the_data_is_caught_on_the_next_construction():
 
 def test_a_kept_array_that_fails_a_check_fails_it_on_every_build(monkeypatch):
     # a square least-squares matrix is kept, finite and not symmetric
+    kept = make_objective(ProblemSpec(series=3, n=7, m=7))
+    P, q = kept.P, kept.q
     calls = _count_checks(monkeypatch)
-    P, q = problems._phi3_data(7, 7, 10.0)
     LeastSquaresObjective(P, q)
     for _ in range(3):
         with pytest.raises(ValueError, match="^P must be symmetric$"):
@@ -541,25 +591,28 @@ def test_make_objective_checks_each_spec_once_per_process(monkeypatch):
 
 def test_make_objective_hands_out_a_fresh_copy_on_every_call():
     cfg = SolverConfig()
+    _clear_caches()  # no checked objective holds a Lipschitz bound yet
     for spec in ALL_SPECS:
         D = SimplexSet(spec.n, spec.b)
         used = make_objective(spec)
         assert used is not make_objective(spec)
-        # instrumented through instance attributes, as perfbench wraps the
-        # oracle, and run
+        # instrumented through instance attributes, as the benchmark's
+        # tracer wraps the oracle, and run
         calls = []
         value = used.value
         used.value = lambda x: calls.append(x) or value(x)
         first = solve_cgm(used, D, cfg, D.barycenter())
-        assert calls and used.kf and used._ray_bounds is not None
+        assert calls and used.kf
         fresh = make_objective(spec)
         assert (fresh.kf, fresh.kg, fresh._derived) == (0, 0, 0)
         assert fresh._cache_x is None and fresh._cache_state is None
-        assert fresh._ray_bounds is None and "value" not in vars(fresh)
+        assert "value" not in vars(fresh)
+        # the ray constants are the checked objective's, shared, not redone
+        assert fresh._ray_bounds is used._ray_bounds is problems._checked_objective(spec)._ray_bounds
         # the attributes of a constructed objective, in the same order
-        P, q, barrier = problems._kept_data(spec)
-        built = (QuadraticFormObjective(P, barrier) if q is None
-                 else LeastSquaresObjective(P, q, barrier))
+        barrier = None if fresh.c is None else (fresh.c, fresh.d)
+        built = (QuadraticFormObjective(fresh.P, barrier) if spec.series in (1, 2)
+                 else LeastSquaresObjective(fresh.P, fresh.q, barrier))
         assert type(fresh) is type(built) and list(vars(fresh)) == list(vars(built))
         again = solve_cgm(fresh, D, cfg, D.barycenter())
         assert again.counters == first.counters and again.x.tobytes() == first.x.tobytes()
@@ -568,6 +621,37 @@ def test_make_objective_hands_out_a_fresh_copy_on_every_call():
 
 # ---------------------------------------------------------------------------
 # assembled objectives
+
+def test_no_warm_solve_computes_an_instance_constant(monkeypatch):
+    # the ray constants are computed once per checked objective, at
+    # construction, and the Lipschitz bound (P^T P for least squares) on the
+    # first request: warm set-up and solves compute neither
+    row_sums, hessians = [], []
+    abs_row_sums = problems._abs_row_sums
+    monkeypatch.setattr(problems, "_abs_row_sums",
+                        lambda M: row_sums.append(M.shape) or abs_row_sums(M))
+    for cls in (QuadraticFormObjective, LeastSquaresObjective):
+        hessian = cls._hessian
+        monkeypatch.setattr(cls, "_hessian",
+                            lambda f, hessian=hessian: hessians.append(f) or hessian(f))
+    _clear_caches()
+    for spec in ALL_SPECS:
+        build_instance(spec)
+    # one ray-constant scan per checked objective, and no Hessian
+    assert len(row_sums) == len(ALL_SPECS) and hessians == []
+    for spec in ALL_SPECS:
+        lipschitz_upper_bound(spec, SimplexSet(spec.n, spec.b))
+    assert hessians == [problems._checked_objective(spec) for spec in ALL_SPECS]
+    del row_sums[:], hessians[:]
+    cfg = SolverConfig()
+    for _ in range(3):
+        for spec in ALL_SPECS:
+            f, D, x0 = build_instance(spec)
+            L = lipschitz_upper_bound(spec, D)
+            solve_cgm(f, D, cfg, x0)
+            solve_cgmil(make_objective(spec), D, cfg, x0, L)
+    assert row_sums == [] and hessians == []
+
 
 def test_series1_scalar_case():
     obj = make_objective(ProblemSpec(series=1, n=1))

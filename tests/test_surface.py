@@ -129,3 +129,16 @@ def test_the_problems_module_keeps_no_identity_memo():
                 for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "weakref" not in imported
+
+
+def test_the_problems_module_keeps_one_cache():
+    # one checked objective per spec holds the instance's data, its ray
+    # constants and its Lipschitz bound: no data generator, data mapper or
+    # bound is cached apart from it
+    cached = [name for name, value in vars(problems).items() if hasattr(value, "cache_clear")]
+    assert cached == ["_checked_objective"]
+    source = inspect.getsource(problems)
+    assert source.count("lru_cache") == 1 and "functools.cache(" not in source
+    for name in ("_phi1_matrix", "_phi2_terms", "_phi3_data", "_kept_data", "_lipschitz",
+                 "_finite_data"):
+        assert not hasattr(problems, name), name
