@@ -479,7 +479,8 @@ def armijo_step(f: SmoothObjective, x, i: int, b: float,
     and returns the accepted step theta^m, the number of trials (each
     charged one kf by the caller), the accepted objective value, and the
     accepted point. `f_x` is the caller's cached value of f at x; this
-    routine never re-evaluates it.
+    routine never re-evaluates it. Only a trial whose value is finite is
+    accepted: one at NaN or +-inf is rejected as one above its threshold.
 
     The steps come from a ladder cached per (theta, beta) (`_ladder`): rung
     m holds theta^m, beta*theta^m and the products of theta^m that the ray
@@ -500,10 +501,11 @@ def armijo_step(f: SmoothObjective, x, i: int, b: float,
     scan; one from any other x is scanned in full by `value`.
 
     Raises ValueError when the supplied directional derivative is not
-    negative or i is not an integer index of x, and LineSearchError when m
-    would pass the ladder's last rung. A trial that rounds back to x itself
-    is never accepted: it raises NonFiniteOracleError carrying x when an earlier
-    evaluated trial value was not finite, and LineSearchError otherwise.
+    negative, f_x is not finite or i is not an integer index of x, and
+    LineSearchError when m would pass the ladder's last rung. A trial that
+    rounds back to x itself is never accepted: it raises
+    NonFiniteOracleError carrying x when an earlier evaluated trial value
+    was not finite, and LineSearchError otherwise.
     Either error from the search carries its number of trials as `trials`.
     """
     if not (0.0 < beta < 1.0 and 0.0 < theta < 1.0):
@@ -512,6 +514,8 @@ def armijo_step(f: SmoothObjective, x, i: int, b: float,
         raise ValueError(
             "armijo_step requires a descent direction: "
             f"<f'(x), d> = {directional_derivative} is not negative")
+    if not math.isfinite(f_x):
+        raise ValueError(f"armijo_step requires a finite f(x), got {f_x}")
     if x is not f._cache_x:  # the key was validated when it entered the cache
         x = as_vector(x, f.n)
     ray = f.vertex_ray(x, i, b)  # refuses an i that is not an integer index of x
@@ -530,7 +534,7 @@ def armijo_step(f: SmoothObjective, x, i: int, b: float,
         threshold = f_x + blam * directional_derivative
         trial = f._step(x, i, b, lam, False)  # from the key: no scan in `value`
         f_trial = f.value(trial)
-        if f_trial <= threshold:
+        if f_trial <= threshold and math.isfinite(f_trial):
             if f_trial == f_x and np.array_equal(trial, x):
                 # theta^m has rounded the step away: a null step is no progress
                 if non_finite:

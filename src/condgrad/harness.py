@@ -329,6 +329,10 @@ def _cmd_solve(parser, args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a path in a missing directory is a usage error, refused before any run
+    for path in (args.out, getattr(args, "trace", None)):
+        if path and not Path(path).parent.is_dir():
+            parser.error(f"no directory for the output path {path!r}")
     command = _cmd_bench if args.command == "bench" else _cmd_solve
     return command(parser, args)
 

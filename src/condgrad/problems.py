@@ -11,7 +11,10 @@ builds of the same instance are bit-identical:
 All index formulas are 1-based and all angles are radians. Both objective
 classes build on `_MatrixObjective`, which owns the barrier, the size gate
 for derived states, the vertex ray's rounding margin and the Lipschitz
-bound; each adds only its quadratic part.
+bound; each adds only its quadratic part. Every oracle state holds the
+quadratic part's gradient vector as "g", built or derived with the state:
+Px for the quadratic form, and P^T r beside the residual r = Px - q for
+least squares. A state's one memo is twice the quadratic part's value.
 
 Both matrix builders fill their result in place one block of whole rows at
 a time, so set-up memory is the result plus one block of temporaries. The
@@ -226,10 +229,10 @@ class _MatrixObjective(SmoothObjective):
     least DERIVED_STATE_MIN_ENTRIES entries, and the memo of twice the
     quadratic part's value, `_sq`, which the value and the vertex ray both
     read. A subclass supplies the quadratic part's state (`_quad_state`),
-    its update across a vertex step (`_quad_step`), twice its value
-    (`_quad_sq`), its gradient vector (`_quad_gradient`), its form along
-    a vertex ray (`_quad_ray`) with the per-instance bounds behind its
-    margin (`_quad_bounds`), and its Hessian (`_hessian`).
+    which holds its gradient vector as "g", the update of that state across
+    a vertex step (`_quad_step`), twice its value (`_quad_sq`), its form
+    along a vertex ray (`_quad_ray`) with the per-instance bounds behind
+    its margin (`_quad_bounds`), and its Hessian (`_hessian`).
 
     The instance's constants live on it: the ray's (`_ray_bounds`),
     computed at construction, and the Lipschitz bound
@@ -434,7 +437,7 @@ class _MatrixObjective(SmoothObjective):
         return f
 
     def _gradient_impl(self, x, state):
-        g = self._quad_gradient(state)
+        g = state["g"]
         if self.c is None:
             return g.copy()
         w = (state["u"] + self.d) ** 2
@@ -444,8 +447,8 @@ class _MatrixObjective(SmoothObjective):
 class QuadraticFormObjective(_MatrixObjective):
     """0.5 <Px, x> for symmetric P, optionally plus 1/(<c,x> + d).
 
-    The quadratic part's state is Px, which is also its gradient vector; a
-    vertex step updates it with one row of P (equal to the column).
+    The quadratic part's state is its gradient vector g = Px; a vertex step
+    updates it with one row of P (equal to the column).
     P must be symmetric bit for bit: for any other P the gradient of
     0.5 <Px, x> is 0.5 (P + P^T) x, not Px.
 
@@ -463,20 +466,17 @@ class QuadraticFormObjective(_MatrixObjective):
         super().__init__(P, barrier)
 
     def _quad_state(self, x):
-        return {"px": self.P @ x}
+        return {"g": self.P @ x}
 
     def _quad_step(self, state, i, lam, b):
         # P((1-lam)x + lam*b*e_i) = (1-lam)Px + lam*b*P[:, i], and P[:, i]
         # is the contiguous row P[i], as P is symmetric bit for bit
-        px = state["px"] * (1.0 - lam)
-        px += (lam * b) * self.P[i]
-        return {"px": px}
+        g = state["g"] * (1.0 - lam)
+        g += (lam * b) * self.P[i]
+        return {"g": g}
 
     def _quad_sq(self, x, state):
-        return float(state["px"].dot(x))
-
-    def _quad_gradient(self, state):
-        return state["px"]
+        return float(state["g"].dot(x))
 
     def _quad_bounds(self, R, r_max):
         return r_max, 0.0
@@ -491,17 +491,16 @@ class QuadraticFormObjective(_MatrixObjective):
         # |y|^T |P| |y| = sum_k |y_k| (|P| |y|)_k <= ||y||_1 max_k (|P| |y|)_k
         #              <= ||y||_1 max|y_j| max_k R_k <= s^2 max R,
         # with R the row sums of |P|.
-        px = state["px"]
-        return (self._sq(x, state), b * float(px[i]),
+        return (self._sq(x, state), b * float(state["g"][i]),
                 b * b * float(self.P[i, i]), s * s * r_max)
 
 
 class LeastSquaresObjective(_MatrixObjective):
     """0.5 ||Px - q||^2, optionally plus 1/(<c,x> + d).
 
-    The quadratic part's state is the residual r = Px - q. Its gradient
-    vector P^T r is materialized lazily on the first derivative request.
-    Across a vertex step r is updated with one column of P.
+    The quadratic part's state is the residual r = Px - q and its gradient
+    vector g = P^T r. Across a vertex step r is updated with one column of
+    P, and g is the product P^T r of the updated r.
 
     P, q and c are held by the module's rule: a trusted array as it is, any
     other as a frozen copy, checked here, so a caller's later write to
@@ -517,26 +516,19 @@ class LeastSquaresObjective(_MatrixObjective):
         super().__init__(P, barrier)
 
     def _quad_state(self, x):
-        return {"r": self.P @ x - self.q}
+        r = self.P @ x - self.q
+        return {"r": r, "g": self.P.T @ r}
 
     def _quad_step(self, state, i, lam, b):
-        # r+ = (1-lam)r + lam(b*P[:, i] - q); P^T r+ stays lazy
+        # r+ = (1-lam)r + lam(b*P[:, i] - q), and g+ = P^T r+ in full
         r = state["r"] * (1.0 - lam)
         r += (lam * b) * self.P[:, i]
         r -= lam * self.q
-        return {"r": r}
-
-    def _pt_r(self, state):
-        if "t" not in state:
-            state["t"] = self.P.T @ state["r"]
-        return state["t"]
+        return {"r": r, "g": self.P.T @ r}
 
     def _quad_sq(self, x, state):
         r = state["r"]
         return float(r.dot(r))
-
-    def _quad_gradient(self, state):
-        return self._pt_r(state)
 
     def _quad_bounds(self, R, r_max):
         aq = np.abs(self.q)

@@ -231,6 +231,11 @@ def test_armijo_rejects_non_descent():
         armijo_step(f, [1.0], 0, 2.0, 2.0, 0.5, 0.5, f_x=1.0)
     with pytest.raises(ValueError):
         armijo_step(f, [1.0], 0, 2.0, 0.0, 0.5, 0.5, f_x=1.0)
+    # a non-finite f(x) gives no threshold to test a trial against
+    for f_x in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            armijo_step(f, [1.0], 0, 0.0, -2.0, 0.5, 0.5, f_x=f_x)
+    assert f.kf == 0
 
 
 def test_armijo_rejects_a_vertex_index_out_of_range():
@@ -427,8 +432,8 @@ def test_mass_drift_of_vertex_steps_does_not_grow_with_n(n, b, steps):
 # per-point state cache
 
 def _objectives():
-    """One objective per state layout: Px with a barrier, r = Px - q with
-    a lazily built P^T r and a barrier."""
+    """One objective per state layout: g = Px with a barrier, r = Px - q
+    and g = P^T r with a barrier."""
     P3, q = build_phi3_data(4, 6)
     return [QuadraticFormObjective(build_phi1_matrix(6), barrier=build_phi2_terms(6)),
             LeastSquaresObjective(P3, q, barrier=build_phi2_terms(6))]
@@ -735,6 +740,14 @@ def test_value_gradient_and_ray_read_one_memo_in_either_order(f):
     fresh = _twin(f)
     assert repr((fresh.value(x.copy()), tuple(fresh.gradient(x.copy())))) == \
         repr((f.value(x), tuple(f.gradient(x))))
+    # the gradient is the state's own vector g, plus the barrier term, in a
+    # new array, and reading it adds no entry to the state
+    h = _twin(f)
+    grad = h.gradient(x)
+    state = h._cache_state
+    assert sorted(state) == sorted(type(h)._make_state(h, x))
+    g = state["g"] if h.c is None else state["g"] - h.c / (state["u"] + h.d) ** 2
+    assert grad.tobytes() == g.tobytes() and not np.shares_memory(grad, state["g"])
 
 
 @pytest.mark.parametrize("f", _ray_objectives(), ids=RAY_IDS)

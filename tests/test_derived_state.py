@@ -54,9 +54,10 @@ def test_derived_state_matches_a_fresh_build_and_refreshes(spec):
         assert len(builds) == 1 + k // (f.n + 1)
         assert f._cache_x is x_new
         fresh = type(f)._make_state(f, x_new)
-        for key in ("px", "r", "u"):
-            if key in fresh:
-                assert rel_err(f._cache_state[key], fresh[key]) <= 1e-13, (k, key)
+        keys = {1: ["g"], 2: ["g", "u"], 3: ["g", "r"], 4: ["g", "r", "u"]}[spec.series]
+        assert sorted(fresh) == keys
+        for key in keys:
+            assert rel_err(f._cache_state[key], fresh[key]) <= 1e-13, (k, key)
         x = x_new
 
 
@@ -102,7 +103,7 @@ def test_no_derived_state_below_the_size_gate():
     x_new = f.vertex_step(x, 0, D.b, 0.5)
     # x_new is the key with a state built at once, bit for bit a fresh one
     assert f._cache_x is x_new and len(builds) == 2
-    assert np.array_equal(f._cache_state["px"], type(f)._make_state(f, x_new)["px"])
+    assert np.array_equal(f._cache_state["g"], type(f)._make_state(f, x_new)["g"])
 
 
 def _solve(spec, method, cfg):
@@ -213,7 +214,7 @@ def test_an_armijo_trial_from_the_key_becomes_the_key_without_a_scan(spec, monke
     # so the next search is offered the vertex ray on both sides of the gate
     assert f.vertex_ray(res.new_point, (i + 1) % f.n, D.b) is not None
     fresh = type(f)._make_state(f, res.new_point)
-    for key in ("px", "u"):
+    for key in ("g", "u"):
         assert np.array_equal(f._cache_state[key], fresh[key]), key
 
 
@@ -270,14 +271,13 @@ def test_a_derived_state_never_reads_the_memo_of_the_state_it_came_from(spec):
     f.value(x)
     f.gradient(x)
     parent = f._cache_state
-    memo = [key for key in ("sq", "t") if key in parent]
-    # <Px, x> or <r, r>, and for least squares P^T r, memoized at x
-    assert memo == (["sq"] if spec.series in (1, 2) else ["sq", "t"])
+    memo = sorted(set(parent) - {"g", "r", "u"})
+    assert memo == ["sq"]  # <Px, x> or <r, r>, memoized at x
     for key in memo:
         parent[key] = parent[key] * math.nan  # a derived state that read it would return NaN
     x_new = f.vertex_step(x, 3, D.b, 0.25)
     assert f._cache_x is x_new and f._cache_state is not parent  # derived
-    raw = {key: f._cache_state[key] for key in ("px", "r", "u") if key in f._cache_state}
+    raw = {key: f._cache_state[key] for key in ("g", "r", "u") if key in f._cache_state}
     value, g = f.value(x_new), f.gradient(x_new)
     assert math.isfinite(value) and np.isfinite(g).all()
     # the bits of the derived state's own entries, without any memo

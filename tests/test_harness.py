@@ -280,7 +280,23 @@ def test_cli_solve_that_raises_writes_its_error_row_and_partial_trace(
                                       "1,0.5,2.0,,1,0.5\n")
 
 
-def test_cli_usage_errors_exit_2():
+def test_cli_usage_errors_exit_2(tmp_path, monkeypatch):
+    # an output path in a directory that does not exist is refused before any run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(hz, "run_plan", no_run)
+    monkeypatch.setattr(hz, "run_single", no_run)
+    missing = tmp_path / "missing"
+    for argv in (["bench", "--series", "1", "--n", "5", "--out", str(missing / "x.csv")],
+                 ["solve", "--series", "1", "--n", "5", "--method", "cgm",
+                  "--out", str(missing / "row.csv")],
+                 ["solve", "--series", "1", "--n", "5", "--method", "cgm",
+                  "--trace", str(missing / "t.csv")]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+    assert not missing.exists()
     with pytest.raises(SystemExit) as e:
         main(["solve", "--series", "1", "--n", "5", "--method", "cgms",
               "--eps", "0.0"])

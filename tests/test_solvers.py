@@ -728,6 +728,26 @@ def test_a_failed_line_search_is_charged_its_trials():
         assert c.it == 0 and c.kf == caught.value.trials == obj.kf - 1 > 0
 
 
+@pytest.mark.parametrize("solve", [solve_cgm, solve_cgmi])
+def test_a_trial_at_minus_inf_is_rejected_as_one_at_nan(solve):
+    # f = x.x + 3 x_0 where x_1 <= 6, and `outside` elsewhere: an Armijo
+    # search rejects a -inf trial as it rejects a NaN one, so the two runs
+    # take the same steps (a run at f = -inf would accept only -inf trials)
+    def objective(outside):
+        return CallableObjective(
+            2,
+            fn=lambda x: float(x @ x + 3.0 * x[0]) if x[1] <= 6.0 else outside,
+            partial_fn=lambda x, i: float(2.0 * x[i] + (3.0 if i == 0 else 0.0)),
+        )
+
+    D, cfg = SimplexSet(2, 10.0), SolverConfig(max_iterations=50)
+    minus_inf, nan = (solve(objective(outside), D, cfg, np.array([9.0, 1.0]))
+                      for outside in (-math.inf, math.nan))
+    assert nan.status == Status.CONVERGED
+    assert (minus_inf.status, minus_inf.counters, minus_inf.f) == \
+        (nan.status, nan.counters, nan.f)
+
+
 @pytest.mark.parametrize("name,fn,extra", FIVE_METHODS)
 def test_a_run_rejects_an_objective_of_another_dimension(name, fn, extra):
     # x0 fits the set, so only the dimension check can reject the run
