@@ -128,6 +128,18 @@ def _is_real(v) -> bool:
         return False
 
 
+def _require_int(v, name: str, low: int) -> None:
+    """Raise ValueError naming `name` unless `v` is an integer (`_is_integer`) >= `low`."""
+    if not (_is_integer(v) and v >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+
+
+def _require_positive(v, name: str) -> None:
+    """Raise ValueError naming `name` unless `v` is a positive finite real (`_is_real`)."""
+    if not (_is_real(v) and v > 0):
+        raise ValueError(f"{name} must be a positive finite real, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SimplexSet:
     """The scaled standard simplex {x in R^n : x >= 0, sum(x) = b}.
@@ -140,10 +152,13 @@ class SimplexSet:
     b: float = 10.0
 
     def __post_init__(self):
+        # the rules of `_require_int` and `_require_positive`, written out:
+        # `build_instance` makes one SimplexSet per build, in every warm
+        # set-up round, where two calls would add to its cost
         if not (_is_integer(self.n) and self.n >= 1):
-            raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not (_is_real(self.b) and self.b > 0):
-            raise ValueError(f"mass must be a positive finite real, got {self.b!r}")
+            raise ValueError(f"b must be a positive finite real, got {self.b!r}")
 
     @property
     def diameter_squared(self) -> float:
@@ -198,9 +213,6 @@ class SmoothObjective(ABC):
     reads nor replaces the cached entry, so callers may mutate their own
     arrays in place. Making a trusted array writeable again, or writing to
     it through a view taken before it was frozen, breaks this contract.
-    The objectives of `condgrad.problems` hold their data by the same rule:
-    a trusted array as it is and any other as a frozen copy, checked
-    (finite, and the quadratic form's P symmetric) on every construction.
 
     `vertex_step(x, i, b, lam)` (uncharged) builds the step x_new =
     (1-lam)*x + lam*b*e_i with `step_point`, a fresh read-only array. When x
@@ -241,8 +253,7 @@ class SmoothObjective(ABC):
     cheap_gradient_dot_point = False
 
     def __init__(self, n: int):
-        if not (_is_integer(n) and n >= 1):
-            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        _require_int(n, "n", 1)
         self.n = int(n)
         self.kf = 0
         self.kg = 0

@@ -254,13 +254,19 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                         "to stderr")
 
 
-def _config_from_args(parser: argparse.ArgumentParser,
-                      args: argparse.Namespace) -> SolverConfig:
+def _or_usage_error(parser: argparse.ArgumentParser, make, **kwargs):
+    """make(**kwargs), the object that the flags describe; a ValueError
+    from it is a usage error (exit 2), refused before any run."""
     try:
-        config = SolverConfig(**{f.name: getattr(args, f.name)
-                                 for f in dataclasses.fields(SolverConfig)})
+        return make(**kwargs)
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def _config_from_args(parser: argparse.ArgumentParser,
+                      args: argparse.Namespace) -> SolverConfig:
+    config = _or_usage_error(parser, SolverConfig, **{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)})
     if args.dump_config:
         print(json.dumps(dataclasses.asdict(config), sort_keys=True), file=sys.stderr)
     return config
@@ -298,11 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bench(parser, args) -> int:
     config = _config_from_args(parser, args)
-    try:
-        plan = default_plan(include_cgmil=args.include_cgmil, config=config,
-                            series=args.series, m=args.m, n=args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
+    plan = _or_usage_error(parser, default_plan, include_cgmil=args.include_cgmil,
+                           config=config, series=args.series, m=args.m, n=args.n)
     rows = run_plan(plan)
     emit_table(rows, fmt=args.format, destination=args.out)
     converged = sum(r.status == Status.CONVERGED.value for r in rows)
@@ -314,10 +317,7 @@ def _cmd_bench(parser, args) -> int:
 
 def _cmd_solve(parser, args) -> int:
     config = _config_from_args(parser, args)
-    try:
-        spec = ProblemSpec(series=args.series, n=args.n, m=args.m)
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = _or_usage_error(parser, ProblemSpec, series=args.series, n=args.n, m=args.m)
     trace = [] if args.trace else None
     row, report = run_single(spec, args.method, config, trace=trace)
     if args.trace:
@@ -329,10 +329,16 @@ def _cmd_solve(parser, args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a path in a missing directory is a usage error, refused before any run
-    for path in (args.out, getattr(args, "trace", None)):
-        if path and not Path(path).parent.is_dir():
-            parser.error(f"no directory for the output path {path!r}")
+    # an output path that is a directory or lies in a missing one, or --out
+    # and --trace naming one file, is a usage error, refused before any run
+    paths = [Path(p) for p in (args.out, getattr(args, "trace", None)) if p]
+    for path in paths:
+        if not path.parent.is_dir():
+            parser.error(f"no directory for the output path {str(path)!r}")
+        if path.is_dir():
+            parser.error(f"the output path {str(path)!r} is a directory")
+    if len(paths) == 2 and paths[0].resolve() == paths[1].resolve():
+        parser.error("--out and --trace name the same file")
     command = _cmd_bench if args.command == "bench" else _cmd_solve
     return command(parser, args)
 

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay, _all_finite,
-                   _is_integer, _is_real, _real_array, _trusted)
+                   _is_integer, _is_real, _real_array, _require_int, _require_positive, _trusted)
 
 # Size gate for derived oracle states, in entries of the problem matrix
 # (rows * n). Below it a matrix-vector product is cheap enough that the
@@ -52,10 +52,11 @@ from .core import (NonFiniteOracleError, SimplexSet, SmoothObjective, VertexRay,
 # saves; see CHANGES.md for the crossover, measured with column reads.
 DERIVED_STATE_MIN_ENTRIES = 20_000
 
-# Entries of a matrix that `build_phi1_matrix` and `build_phi3_data`
-# compute, and that `_abs_row_sums` takes absolute values of, at a time: a
-# block of whole rows whose temporaries stay in cache. Any block between
-# 2**13 and 2**16 entries builds (500, 1000) in the same time.
+# Entries of a matrix in one block of whole rows from `_row_blocks`, the
+# blocks in which `build_phi1_matrix` and `build_phi3_data` fill their
+# matrix and `_abs_row_sums` takes absolute values, so that their
+# temporaries stay in cache. Any block between 2**13 and 2**16 entries
+# builds (500, 1000) in the same time.
 _BLOCK_ENTRIES = 2 ** 15
 
 # Specs whose checked objective, with its data and constants, a process
@@ -102,16 +103,22 @@ def _symmetric(P: np.ndarray) -> bool:
     return bool((P == P.T).all())
 
 
+def _row_blocks(M: np.ndarray):
+    """Yield (start, M[start:start + k]) over the whole rows of the matrix
+    M, k rows of about _BLOCK_ENTRIES entries at a time: views, so a
+    caller may fill M through them."""
+    k = max(1, _BLOCK_ENTRIES // M.shape[1])
+    for start in range(0, M.shape[0], k):
+        yield start, M[start:start + k]
+
+
 def _abs_row_sums(M: np.ndarray) -> np.ndarray:
-    """The row sums of |M|, one block of about _BLOCK_ENTRIES entries
-    (whole rows) at a time, so that no full-size |M| is held. Each row is
-    reduced on its own, so the result is bit for bit
-    np.abs(M).sum(axis=1)."""
-    rows, n = M.shape
-    out = np.empty(rows)
-    block = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, rows, block):
-        out[start:start + block] = np.abs(M[start:start + block]).sum(axis=1)
+    """The row sums of |M|, one block of `_row_blocks` at a time, so that
+    no full-size |M| is held. Each row is reduced on its own, so the
+    result is bit for bit np.abs(M).sum(axis=1)."""
+    out = np.empty(M.shape[0])
+    for start, blk in _row_blocks(M):
+        out[start:start + len(blk)] = np.abs(blk).sum(axis=1)
     return out
 
 
@@ -120,22 +127,19 @@ def build_phi1_matrix(n: int) -> np.ndarray:
     one plus the absolute off-diagonal row sum, which makes it strictly
     diagonally dominant and hence positive definite.
 
-    P is filled in place, one block of about _BLOCK_ENTRIES entries (whole
-    rows) at a time, as `build_phi3_data` fills its matrix: off the
-    diagonal P[i, j] = sin(min(i, j)) * cos(max(i, j)), the product that
-    the upper triangle of outer(sin, cos) and its transpose give, and each
-    diagonal entry is its row's sum of |P| with the diagonal at zero, plus
-    one. So P is bit for bit that triu formula's, and set-up holds the
-    result plus one block of temporaries rather than three full-size ones."""
-    if not (_is_integer(n) and n >= 1):
-        raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
+    P is filled in place, one block of `_row_blocks` at a time, as
+    `build_phi3_data` fills its matrix: off the diagonal P[i, j] =
+    sin(min(i, j)) * cos(max(i, j)), the product that the upper triangle
+    of outer(sin, cos) and its transpose give, and each diagonal entry is
+    its row's sum of |P| with the diagonal at zero, plus one. So P is bit
+    for bit that triu formula's, and set-up holds the result plus one block
+    of temporaries rather than three full-size ones."""
+    _require_int(n, "n", 1)
     idx = np.arange(1, n + 1, dtype=np.float64)
     sin, cos = np.sin(idx), np.cos(idx)
     j = np.arange(n)
     P = np.empty((n, n))
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, rows):
-        blk = P[start:start + rows]
+    for start, blk in _row_blocks(P):
         i = j[start:start + len(blk)]
         np.multiply(sin[np.minimum(i[:, None], j)], cos[np.maximum(i[:, None], j)], out=blk)
         diagonal = (np.arange(len(blk)), i)
@@ -146,8 +150,7 @@ def build_phi1_matrix(n: int) -> np.ndarray:
 
 def build_phi2_terms(n: int):
     """Barrier data: c_i = 2 + sin(i) (so c_i in [1, 3]) and d = 5."""
-    if not (_is_integer(n) and n >= 1):
-        raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
+    _require_int(n, "n", 1)
     c = 2.0 + np.sin(np.arange(1, n + 1, dtype=np.float64))
     return c, 5.0
 
@@ -157,21 +160,17 @@ def build_phi3_data(m: int, n: int, b: float = 10.0):
     +2 on the main diagonal, and the right-hand side q = b * row sums of P,
     which makes the residual vanish at the all-b vector.
 
-    P is filled in place, one block of about _BLOCK_ENTRIES entries
-    (whole rows) at a time, so that set-up holds the result plus one block
-    of temporaries rather than three full-size ones. Each entry takes the
-    same float operations in the same order as the one-shot formula
-    log1p(i/j) * sin(i/j) / (i + j), so P and q are bit for bit what it
-    gives."""
-    if not (_is_integer(m) and m >= 1 and _is_integer(n) and n >= 1):
-        raise ValueError(f"dimensions must be integers >= 1, got m={m!r}, n={n!r}")
-    if not (_is_real(b) and b > 0):
-        raise ValueError(f"mass must be a positive finite real, got {b!r}")
+    P is filled in place, one block of `_row_blocks` at a time, so that
+    set-up holds the result plus one block of temporaries rather than three
+    full-size ones. Each entry takes the same float operations in the same
+    order as the one-shot formula log1p(i/j) * sin(i/j) / (i + j), so P and
+    q are bit for bit what it gives."""
+    _require_int(m, "m", 1)
+    _require_int(n, "n", 1)
+    _require_positive(b, "b")
     P = np.empty((m, n))
     j = np.arange(1, n + 1, dtype=np.float64)
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, m, rows):
-        blk = P[start:start + rows]
+    for start, blk in _row_blocks(P):
         ib = np.arange(start + 1, start + len(blk) + 1, dtype=np.float64)[:, None]
         r = ib / j
         np.log1p(r, out=blk)
@@ -201,16 +200,12 @@ class ProblemSpec:
     def __post_init__(self):
         if not (_is_integer(self.series) and self.series in (1, 2, 3, 4)):
             raise ValueError(f"series must be an integer in 1..4, got {self.series!r}")
-        if not (_is_integer(self.n) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        _require_int(self.n, "n", 1)
         if self.series in (3, 4):
-            if not (_is_integer(self.m) and self.m >= 1):
-                raise ValueError(f"series {self.series} needs an integer row count m >= 1, "
-                                 f"got {self.m!r}")
+            _require_int(self.m, f"series {self.series}'s row count m", 1)
         elif self.m is not None:
             raise ValueError(f"series {self.series} takes no row count m")
-        if not (_is_real(self.b) and self.b > 0):
-            raise ValueError(f"mass must be a positive finite real, got {self.b!r}")
+        _require_positive(self.b, "b")
 
     @property
     def rows(self) -> int:

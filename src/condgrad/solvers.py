@@ -53,8 +53,9 @@ from .core import (
     SmoothObjective,
     SolveReport,
     Status,
-    _is_integer,
     _is_real,
+    _require_int,
+    _require_positive,
     armijo_step,
     as_vector,
     exact_lmo,
@@ -87,12 +88,10 @@ class SolverConfig:
             v = getattr(self, name)
             if not (_is_real(v) and 0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie in (0,1), got {v!r}")
-        if not (_is_real(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be a positive real, got {self.eps!r}")
-        if self.delta0 is not None and not (_is_real(self.delta0) and self.delta0 > 0.0):
-            raise ValueError(f"delta0 must be a positive real when given, got {self.delta0!r}")
-        if not (_is_integer(self.max_iterations) and self.max_iterations >= 0):
-            raise ValueError(f"max_iterations must be an integer >= 0, got {self.max_iterations!r}")
+        _require_positive(self.eps, "eps")
+        if self.delta0 is not None:
+            _require_positive(self.delta0, "delta0")
+        _require_int(self.max_iterations, "max_iterations", 0)
 
 
 @dataclass(frozen=True)
@@ -376,8 +375,7 @@ def solve_cgmil(f: SmoothObjective, feasible_set: SimplexSet, cfg: SolverConfig,
     objective evaluations; kf stays 0. `check_descent` re-verifies the
     inequality at every step (debug aid, excluded from the cost counters).
     """
-    if not (_is_real(lipschitz) and lipschitz > 0.0):
-        raise ValueError(f"lipschitz must be a positive real, got {lipschitz!r}")
+    _require_positive(lipschitz, "lipschitz")
     lam_bar = 2.0 * (1.0 - cfg.beta) / (lipschitz * feasible_set.diameter_squared)
     return _run(f, feasible_set, cfg, x0, trace, "inexact", "fixed",
                 lam_bar=lam_bar, check_descent=check_descent)

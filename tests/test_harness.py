@@ -297,6 +297,21 @@ def test_cli_usage_errors_exit_2(tmp_path, monkeypatch):
             main(argv)
         assert e.value.code == 2, argv
     assert not missing.exists()
+    # so is an output path that is a directory, and --out and --trace naming
+    # one file, however spelled: the trace would be overwritten by the row
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    solve = ["solve", "--series", "1", "--n", "5", "--method", "cgms"]
+    for argv in (["bench", "--series", "1", "--n", "5", "--out", str(tmp_path)],
+                 solve + ["--out", str(tmp_path)],
+                 solve + ["--trace", str(sub)],
+                 solve + ["--trace", str(sub / "f.csv"), "--out", str(sub / "f.csv")],
+                 solve + ["--trace", str(sub / ".." / "sub" / "f.csv"),
+                          "--out", str(sub / "f.csv")]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+    assert list(tmp_path.rglob("*")) == [sub]
     with pytest.raises(SystemExit) as e:
         main(["solve", "--series", "1", "--n", "5", "--method", "cgms",
               "--eps", "0.0"])

@@ -1,6 +1,7 @@
 """Problem generators: frozen scalar values, structure, convexity, bounds."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -25,7 +26,7 @@ from condgrad.problems import (
 )
 from condgrad.solvers import SolverConfig, solve_cgm, solve_cgmil
 
-from helpers import phi1_triu, phi3_one_shot, random_simplex_points, ray_value
+from helpers import CallableObjective, phi1_triu, phi3_one_shot, random_simplex_points, ray_value
 
 ALL_SPECS = (
     ProblemSpec(series=1, n=7),
@@ -267,6 +268,40 @@ def test_builder_validation():
             build_phi3_data(m, n)
     assert build_phi1_matrix(np.int64(3)).shape == (3, 3)
     assert build_phi3_data(np.int32(2), 3)[0].shape == (2, 3)
+
+
+def _cgmil_with(lipschitz):
+    f, D, x0 = build_instance(ProblemSpec(series=1, n=3))
+    return solve_cgmil(f, D, SolverConfig(), x0, lipschitz=lipschitz)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CallableObjective(0, None, None), "n must be an integer >= 1, got 0"),
+    (lambda: ProblemSpec(series=1, n=0), "n must be an integer >= 1, got 0"),
+    (lambda: ProblemSpec(series=3, n=5),
+     "series 3's row count m must be an integer >= 1, got None"),
+    (lambda: ProblemSpec(series=4, n=5, m=0),
+     "series 4's row count m must be an integer >= 1, got 0"),
+    (lambda: ProblemSpec(series=1, n=5, b=0.0), "b must be a positive finite real, got 0.0"),
+    (lambda: build_phi1_matrix(2.0), "n must be an integer >= 1, got 2.0"),
+    (lambda: build_phi2_terms(True), "n must be an integer >= 1, got True"),
+    (lambda: build_phi3_data(0, 5), "m must be an integer >= 1, got 0"),
+    (lambda: build_phi3_data(2, "5"), "n must be an integer >= 1, got '5'"),
+    (lambda: build_phi3_data(2, 5, b=-1.0), "b must be a positive finite real, got -1.0"),
+    (lambda: SolverConfig(eps=0.0), "eps must be a positive finite real, got 0.0"),
+    (lambda: SolverConfig(delta0=math.inf), "delta0 must be a positive finite real, got inf"),
+    (lambda: SolverConfig(max_iterations=-1), "max_iterations must be an integer >= 0, got -1"),
+    (lambda: _cgmil_with(0.0), "lipschitz must be a positive finite real, got 0.0"),
+    (lambda: SimplexSet(0), "n must be an integer >= 1, got 0"),
+    (lambda: SimplexSet(3, math.nan), "b must be a positive finite real, got nan"),
+], ids=["objective-n", "spec-n", "spec-m-missing", "spec-m", "spec-b", "phi1-n", "phi2-n",
+        "phi3-m", "phi3-n", "phi3-b", "eps", "delta0", "max-iterations", "lipschitz",
+        "simplex-n", "simplex-b"])
+def test_each_input_rule_refuses_with_its_one_message(make, message):
+    # "an integer >= low" and "a positive finite real" are each stated in
+    # one message, wherever the rule is checked
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        make()
 
 
 @pytest.mark.parametrize("make", [
