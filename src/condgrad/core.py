@@ -152,13 +152,8 @@ class SimplexSet:
     b: float = 10.0
 
     def __post_init__(self):
-        # the rules of `_require_int` and `_require_positive`, written out:
-        # `build_instance` makes one SimplexSet per build, in every warm
-        # set-up round, where two calls would add to its cost
-        if not (_is_integer(self.n) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (_is_real(self.b) and self.b > 0):
-            raise ValueError(f"b must be a positive finite real, got {self.b!r}")
+        _require_int(self.n, "n", 1)
+        _require_positive(self.b, "b")
 
     @property
     def diameter_squared(self) -> float:

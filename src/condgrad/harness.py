@@ -330,14 +330,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # an output path that is a directory or lies in a missing one, or --out
-    # and --trace naming one file, is a usage error, refused before any run
+    # and --trace naming one file, is a usage error, refused before any run;
+    # both may name one stream (/dev/stdout on a pipe or a terminal), which
+    # takes the trace and then the row
     paths = [Path(p) for p in (args.out, getattr(args, "trace", None)) if p]
     for path in paths:
         if not path.parent.is_dir():
             parser.error(f"no directory for the output path {str(path)!r}")
         if path.is_dir():
             parser.error(f"the output path {str(path)!r} is a directory")
-    if len(paths) == 2 and paths[0].resolve() == paths[1].resolve():
+    if (len(paths) == 2 and paths[0].resolve() == paths[1].resolve()
+            and (paths[0].is_file() or not paths[0].exists())):
         parser.error("--out and --trace name the same file")
     command = _cmd_bench if args.command == "bench" else _cmd_solve
     return command(parser, args)

@@ -2,8 +2,12 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +329,20 @@ def test_cli_usage_errors_exit_2(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as e:
         main(["nonsense"])
     assert e.value.code == 2
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+def test_cli_out_and_trace_may_name_one_stream():
+    # /dev/stdout on a pipe is not a file: the trace goes out, then the row
+    env = dict(os.environ, PYTHONPATH=str(Path(hz.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from condgrad.harness import main; "
+         "sys.exit(main(sys.argv[1:]))", "solve", "--series", "1", "--n", "5",
+         "--method", "cgms", "--trace", "/dev/stdout", "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == hz.TRACE_HEADER and CSV_HEADER in lines
 
 
 def test_cli_dump_config(capsys):
