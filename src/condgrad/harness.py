@@ -280,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", allow_abbrev=False,
                            help="run a benchmark plan and emit a table")
+    bench.set_defaults(parser=bench)
     _add_config_flags(bench)
     bench.add_argument("--series", type=int, choices=(1, 2, 3, 4),
                        help="restrict the grid to one series")
@@ -291,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="add the fixed-step method to the grid")
 
     solve = sub.add_parser("solve", allow_abbrev=False, help="run one instance with one method")
+    solve.set_defaults(parser=solve)
     solve.add_argument("--series", type=int, required=True, choices=(1, 2, 3, 4))
     solve.add_argument("--m", type=int, help="row count (series 3-4)")
     solve.add_argument("--n", type=int, required=True)
@@ -327,8 +329,9 @@ def _cmd_solve(parser, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # a usage error prints the subcommand's own usage line, with its flags
+    parser = args.parser
     # an output path that is a directory or lies in a missing one, or --out
     # and --trace naming one file, is a usage error, refused before any run;
     # both may name one stream (/dev/stdout on a pipe or a terminal), which

@@ -223,11 +223,11 @@ class _MatrixObjective(SmoothObjective):
     size gate: a state follows a vertex step in O(rows) only when P has at
     least DERIVED_STATE_MIN_ENTRIES entries, and the memo of twice the
     quadratic part's value, `_sq`, which the value and the vertex ray both
-    read. A subclass supplies the quadratic part's state (`_quad_state`),
-    which holds its gradient vector as "g", the update of that state across
-    a vertex step (`_quad_step`), twice its value (`_quad_sq`), its form
-    along a vertex ray (`_quad_ray`) with the per-instance bounds behind
-    its margin (`_quad_bounds`), and its Hessian (`_hessian`).
+    read. A subclass supplies five hooks for the quadratic part: its state
+    (`_quad_state`), which holds its gradient vector as "g", the update of
+    that state across a vertex step (`_quad_step`), twice its value
+    (`_quad_sq`), its per-instance constants behind the vertex ray and its
+    margin (`_quad_bounds`), and its Hessian (`_hessian`).
 
     The instance's constants live on it: the ray's (`_ray_bounds`),
     computed at construction, and the Lipschitz bound
@@ -242,8 +242,12 @@ class _MatrixObjective(SmoothObjective):
 
         0.5((1-lam)^2 c0 + 2(1-lam)lam c1 + lam^2 c2),
 
-    with c0, c1, c2 from `_quad_ray`, read from the state at x in O(rows);
-    c0 is twice the quadratic part's value at x, which the state memoizes.
+    with one formula for both objectives (see `_vertex_ray`): c0 = `_sq`,
+    c1 = b g_i - k and c2 = b^2 h_i - 2b p_i + qq, where h = diag(H), p =
+    P^T q and qq = <q, q> are the instance's, and k = <r, q> is read from
+    the least-squares residual; the quadratic form has no q, so its p, qq
+    and k are 0. So the ray reads the state's g, its `_sq` memo and, for
+    least squares, one length-rows dot product for k; no column of P.
     The barrier 1/((1-lam)u + lam c_i b + d), with u = <c,x>, is convex in
     lam while its denominator stays positive, so its tangent at x, A + B lam
     with A = 1/(u + d) and B = (u - c_i b) A^2, lies below it; the vertex ray
@@ -305,12 +309,14 @@ class _MatrixObjective(SmoothObjective):
         return new
 
     def _ray_constants(self) -> tuple:
-        """The instance's part of the ray margin, computed at
-        construction: the subclass's bounds on the quadratic part
-        (`_quad_bounds`), the largest row sum of |P|, the total magnitude
-        of the data (sum|P| + sum|c| + |d|, plus sum|q| for least squares),
-        max|c|, the constants of both rounding bounds for this instance's
-        rows and n, and those of `_norm1_bound` for this n."""
+        """The instance's part of the vertex ray, computed at
+        construction: the subclass's constants of the quadratic part
+        (`_quad_bounds`: h = diag(H) and p = P^T q as lists of floats, which
+        a search indexes faster than arrays, and the sums behind T), the
+        largest row sum of |P|, the total magnitude of the data (sum|P| +
+        sum|c| + |d|, plus sum|q| for least squares), max|c|, the constants
+        of both rounding bounds for this instance's rows and n, and those of
+        `_norm1_bound` for this n."""
         rows, n = self.P.shape
         R = _abs_row_sums(self.P)
         total = float(R.sum())
@@ -348,7 +354,7 @@ class _MatrixObjective(SmoothObjective):
         return L
 
     def _vertex_ray(self, x, state, i, b):
-        (quad, r_max, total, c_max, g_quad, eta_quad, g_bar, eta_bar,
+        ((h, p, t2, t1, qq), r_max, total, c_max, g_quad, eta_quad, g_bar, eta_bar,
          eta_n, scale) = self._ray_bounds
         # ||y(lam)||_1 <= (1-lam)||x||_1 + lam|b| <= s for every lam in
         # [0, 1], and so |y_j(lam)| <= s for every j: the ray reads x
@@ -357,19 +363,58 @@ class _MatrixObjective(SmoothObjective):
         # with it the margin, may grow by up to a factor of n; that only
         # lets more trials through to `value`.
         s = max(self._norm1_bound(x, eta_n, scale), abs(b))
-        c0, c1, c2, T = self._quad_ray(x, state, i, b, s, quad)
+        # One formula for both objectives. For least squares, Py - q =
+        # (1-lam) r + lam v with v = b P[:, i] - q, so c0 = <r, r>, c1 =
+        # <r, v> = b (P^T r)_i - <r, q> and c2 = <v, v> = b^2 (P^T P)_ii -
+        # 2b (P^T q)_i + <q, q>; for the quadratic form, 0.5 <Py, y> =
+        # 0.5((1-lam)^2 <Px, x> + 2(1-lam)lam b (Px)_i + lam^2 b^2 P_ii), as
+        # P is symmetric, and p, qq and k are 0, so that b g_i - 0.0 and
+        # b^2 h_i - 0.0 + 0.0 add no rounding. T bounds the magnitudes of the
+        # quadratic part's terms on the whole ray. For the quadratic form,
+        # (t2, t1, qq) = (max R, 0, 0) with R the row sums of |P|, and
+        #   |y|^T |P| |y| <= ||y||_1 max_j |y_j| max_k R_k <= s^2 max R;
+        # for least squares, w_k = s R_k + |q_k| bounds |r_k|, |v_k| and
+        # |(Py - q)_k| on the whole ray, as every |y_j| <= s, and
+        #   sum_k w_k^2 = s^2 sum R_k^2 + 2 s sum R_k |q_k| + sum q_k^2.
+        k = float(state["r"].dot(self.q)) if "r" in state else 0.0
+        c0 = self._sq(x, state)
+        c1 = b * float(state["g"][i]) - k
+        c2 = b * b * h[i] - 2.0 * b * p[i] + qq
+        T = (s * s * t2 + 2.0 * s * t1) + qq
         # Rounding margin, counted over both paths to f(y(lam)): the
         # products and sums of `value` at the point step_point rounded, the
         # rounding of that point itself, the coefficients at x and the few
         # flops of the formula, then the barrier's addition and the screen's
         # own subtraction. Each quadratic path errs by at most
-        # gamma_{rows + 2n + 11} T, where T (from `_quad_ray`) bounds the
-        # magnitudes of the quadratic part's terms on the whole ray, and the
-        # rounded point moves f by gamma_4 T; k = 2 rows + 4n + 32 (g_quad)
-        # covers their sum with room for the final additions and for R and
-        # T being rounded themselves. Each rounding into the subnormal range
-        # errs by at most _ETA, and no intermediate moves f by more than
-        # amp^2.
+        # gamma_{rows + 2n + 11} T, and the rounded point moves f by
+        # gamma_4 T; gamma_{2 rows + 4n + 32} (g_quad) covers their sum with
+        # room for the final additions and for R and T being rounded
+        # themselves. Each rounding into the subnormal range errs by at most
+        # _ETA, and no intermediate moves f by more than amp^2.
+        # The least-squares coefficients read g, h, p and k rather than the
+        # residual along the ray, and fit that count. The ray reads only a
+        # built state, whose r is within gamma_{n+1} w_k of the exact
+        # residual at x in entry k, and whose g is P^T r computed from it.
+        # With |b| |P_ki| <= s R_k <= w_k and |q_k| <= w_k:
+        # - c0 = <r, r> errs by at most gamma_{rows+2n+3} T;
+        # - b g_i errs by at most |b| sum_k |P_ki| (gamma_{n+1} w_k +
+        #   gamma_rows |r_k|) <= gamma_{rows+n+2} T, as does k with |q_k| in
+        #   place of |b| |P_ki|, and the product by b and the subtraction
+        #   add 3 _U T: c1 errs by at most gamma_{2rows+2n+7} T;
+        # - h_i, p_i and qq are length-rows sums, each within gamma_rows of
+        #   the sum of its terms' magnitudes, and b^2 h_i <= s^2 sum R_k^2
+        #   and 2|b p_i| <= 2s sum R_k |q_k|, so c2's three terms' magnitudes
+        #   add up to at most T; as its own flops round each term at most
+        #   four times, c2 errs by at most gamma_{rows+4} T, also where
+        #   b P[:, i] is near q and c2 cancels to that error.
+        # The formula weighs c0, c1 and c2 by (1-lam)^2, 2(1-lam)lam and
+        # lam^2, which add to 1 and are rounded within gamma_2, and halves
+        # the sum, so their errors move it by at most gamma_{rows+n+8} T,
+        # and its own flops by gamma_3 T more: within gamma_{rows+2n+11} T.
+        # g_i, k, h_i and p_i add at most 4 rows roundings into the
+        # subnormal range, each of which moves c1 or c2 by at most 2 _ETA
+        # amp^2 (b^2 <= s^2 <= amp^2), which eta_quad's 8(rows + 2)(n + 2)
+        # _ETA amp^2 covers with the rest.
         amp = (1.0 + s) * (1.0 + total)
         margin = g_quad * T + eta_quad * amp * amp
         if self.c is not None:
@@ -474,20 +519,10 @@ class QuadraticFormObjective(_MatrixObjective):
         return float(state["g"].dot(x))
 
     def _quad_bounds(self, R, r_max):
-        return r_max, 0.0
+        return (self.P.diagonal().tolist(), [0.0] * self.n, r_max, 0.0, 0.0), 0.0
 
     def _hessian(self):
         return self.P
-
-    def _quad_ray(self, x, state, i, b, s, r_max):
-        # 0.5 <Py, y> = 0.5((1-lam)^2 <Px,x> + 2(1-lam)lam b (Px)_i + lam^2 b^2 P_ii),
-        # whose cross term holds as P is symmetric.
-        # Both paths err by a multiple of
-        # |y|^T |P| |y| = sum_k |y_k| (|P| |y|)_k <= ||y||_1 max_k (|P| |y|)_k
-        #              <= ||y||_1 max|y_j| max_k R_k <= s^2 max R,
-        # with R the row sums of |P|.
-        return (self._sq(x, state), b * float(state["g"][i]),
-                b * b * float(self.P[i, i]), s * s * r_max)
 
 
 class LeastSquaresObjective(_MatrixObjective):
@@ -526,23 +561,12 @@ class LeastSquaresObjective(_MatrixObjective):
         return float(r.dot(r))
 
     def _quad_bounds(self, R, r_max):
-        aq = np.abs(self.q)
-        return ((float(np.dot(R, R)), float(np.dot(R, aq)), float(np.dot(self.q, self.q))),
-                float(aq.sum()))
+        P, q, aq = self.P, self.q, np.abs(self.q)
+        return ((np.einsum("ij,ij->j", P, P).tolist(), (q @ P).tolist(), float(np.dot(R, R)),
+                 float(np.dot(R, aq)), float(np.dot(q, q))), float(aq.sum()))
 
     def _hessian(self):
         return self.P.T @ self.P
-
-    def _quad_ray(self, x, state, i, b, s, sums):
-        # Py - q = (1-lam) r + lam v with v = b P[:, i] - q. Both paths err
-        # by a multiple of sum_k w_k^2, where w_k = s R_k + |q_k| bounds
-        # |r_k|, |v_k| and |(Py - q)_k| on the whole ray, as every |y_j| <= s;
-        # expanded, sum_k w_k^2 = s^2 sum R_k^2 + 2 s sum R_k |q_k| + sum q_k^2.
-        r2, rq, qq = sums
-        r = state["r"]
-        v = b * self.P[:, i] - self.q
-        return (self._sq(x, state), float(r.dot(v)), float(v.dot(v)),
-                (s * s * r2 + 2.0 * s * rq) + qq)
 
 
 @functools.lru_cache(maxsize=_DATA_CACHE_SIZE)

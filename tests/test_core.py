@@ -613,6 +613,11 @@ def test_vertex_ray_is_within_its_margin_of_value(f):
 
 
 EDGE_CASES = ["vertex", "negative-coordinate", "b=1e-2", "b=1e4", "n=1"]
+# least squares only: q = b P[:, i] at the ray's own i, so that v = b P[:, i]
+# - q vanishes and the expanded c2 = b^2 h_i - 2b p_i + qq cancels to rounding
+CANCELLING = "q=bP_i"
+EDGE_RAYS = [(case, series) for case in EDGE_CASES + [CANCELLING] for series in (1, 2, 3, 4)
+             if case != CANCELLING or series > 2]
 
 
 def _edge_ray(case, series):
@@ -621,7 +626,10 @@ def _edge_ray(case, series):
     n = 1 if case == "n=1" else 6
     b = {"b=1e-2": 1e-2, "b=1e4": 1e4}.get(case, 10.0)
     m = (1 if n == 1 else 4) if series > 2 else None
+    i = n - 1
     f = make_objective(ProblemSpec(series=series, n=n, m=m, b=b))
+    if case == CANCELLING:
+        f = LeastSquaresObjective(f.P, b * f.P[:, i], None if f.c is None else (f.c, f.d))
     x = b * np.random.default_rng(7).dirichlet(np.ones(n))
     if case == "vertex":
         x = np.zeros(n)
@@ -630,19 +638,35 @@ def _edge_ray(case, series):
         x[0] = -1e-13  # stays negative, scaled by 1 - lam, along the ray
     x = _frozen(x)
     f.value(x)
-    i = n - 1
     return f, x, i, b
 
 
-@pytest.mark.parametrize("series", [1, 2, 3, 4])
-@pytest.mark.parametrize("case", EDGE_CASES)
+@pytest.mark.parametrize("case, series", EDGE_RAYS)
 def test_vertex_ray_is_within_its_margin_at_edge_cases(case, series):
     f, x, i, b = _edge_ray(case, series)
     lams = [0.5 ** m for m in range(core.MAX_BACKTRACKS + 1)] + [0.3, 1e-3, 0.0]
     # at n = 1 the least-squares residual vanishes at the only point, b*e_1,
-    # where f = 0, so there the margin is compared with 1 instead
-    scale = 1.0 if (case, series) == ("n=1", 3) else None
+    # where f = 0, and so it does at b*e_i where q = b P[:, i]: there the
+    # margin is compared with 1 instead
+    scale = 1.0 if (case, series) in (("n=1", 3), (CANCELLING, 3), (CANCELLING, 4)) else None
     _assert_ray_within_margin(f, x, i, b, lams, scale)
+
+
+@pytest.mark.parametrize("series", [1, 2])
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_a_quadratic_form_ray_reads_the_memo_the_gradient_and_the_diagonal(case, series):
+    # the quadratic form's p, qq and k are 0, and the one formula adds no
+    # rounding for them: c0, c1 and c2 are _sq, b g_i and b b P_ii bit for
+    # bit, plus the barrier's tangent in the Bernstein form on series 2
+    f, x, i, b = _edge_ray(case, series)
+    state = f._cache_state
+    c0, c1, c2 = f._sq(x, state), b * float(state["g"][i]), b * b * float(f.P[i, i])
+    if f.c is not None:
+        A = 1.0 / (state["u"] + f.d)
+        B = (state["u"] - float(f.c[i]) * b) * (A * A)
+        c0, c1, c2 = c0 + 2.0 * A, c1 + (2.0 * A + B), c2 + 2.0 * (A + B)
+    ray = f.vertex_ray(x, i, b)
+    assert repr((ray.c0, ray.c1, ray.c2)) == repr((c0, c1, c2))
 
 
 def _reference_first_opens(ray, theta, beta, rungs, f_x, dd):

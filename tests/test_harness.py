@@ -284,7 +284,7 @@ def test_cli_solve_that_raises_writes_its_error_row_and_partial_trace(
                                       "1,0.5,2.0,,1,0.5\n")
 
 
-def test_cli_usage_errors_exit_2(tmp_path, monkeypatch):
+def test_cli_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     # an output path in a directory that does not exist is refused before any run
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
@@ -323,9 +323,16 @@ def test_cli_usage_errors_exit_2(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as e:
         main(["solve", "--series", "9", "--n", "5", "--method", "cgm"])
     assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        main(["solve", "--series", "3", "--n", "5", "--method", "cgm"])
-    assert e.value.code == 2  # missing m for a rectangular series
+    # a refusal after parsing prints the subcommand's own usage line
+    capsys.readouterr()
+    for argv in (["solve", "--series", "3", "--n", "5", "--method", "cgm"],  # no m
+                 ["bench", "--series", "1", "--n", "7"]):  # no such cell
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: condgrad {argv[0]} "), err
+        assert f"condgrad {argv[0]}: error: " in err
     with pytest.raises(SystemExit) as e:
         main(["nonsense"])
     assert e.value.code == 2

@@ -149,10 +149,14 @@ def test_ray_constants_take_the_row_sums_of_abs_p_one_block_at_a_time(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * problems._BLOCK_ENTRIES + 64 * P.shape[0] + 2 ** 16
-    # each row is reduced on its own, so every constant keeps its bits
+    # each row is reduced on its own, so every constant keeps its bits: the
+    # vectors h and p compared by their bytes, the scalars by repr
     total = float(R.sum()) + float(np.abs(f.c).sum()) + abs(f.d)
     quad, q_sum = f._quad_bounds(R, float(R.max()))
-    assert repr(got[:4]) == repr((quad, float(R.max()), total + q_sum, float(np.abs(f.c).max())))
+    for vector, expected in zip(got[0][:2], quad[:2]):
+        assert np.asarray(vector).tobytes() == np.asarray(expected).tobytes()
+    assert repr((got[0][2:],) + got[1:4]) == repr(
+        (quad[2:], float(R.max()), total + q_sum, float(np.abs(f.c).max())))
 
 
 def _point_entries(b):
